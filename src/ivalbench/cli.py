@@ -19,7 +19,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
-from ivalbench import comp, coupling, coupling_script, lang, laws, models, report, sched
+from ivalbench import comp, coupling, coupling_script, lang, laws, models, report, sched, sexpr
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -115,12 +115,19 @@ def cmd_extrema(args) -> int:
 def cmd_couple(args) -> int:
     t0 = time.perf_counter()
     if args.script:
-        text = open(args.script).read()
+        try:
+            with open(args.script) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read --script: {exc}") from exc
         source = args.script
     else:
         text = resources.files("ivalbench.couplings").joinpath("counter_k3.sexp").read_text()
         source = "builtin:counter_k3"
-    derivation = coupling_script.load_script(text)
+    try:
+        derivation = coupling_script.load_script(text)
+    except sexpr.SexprError as exc:
+        raise ConfigError(f"malformed script {source}: {exc}") from exc
     verdict = coupling.check_witness(derivation.goal, derivation.witness)
     rep = {
         "command": "couple",
@@ -161,10 +168,11 @@ def cmd_mdp(args) -> int:
         "lo": report.frac_str(res.lo),
         "hi": report.frac_str(res.hi),
         "explored_states": res.explored_states,
+        "fused_steps": res.fused_steps,
         "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
     print(f"{args.model}: lo = {res.lo}, hi = {res.hi} "
-          f"({res.explored_states} states explored)")
+          f"({res.explored_states} states explored, {res.fused_steps} local steps fused)")
     emit(args, rep)
     return EXIT_OK
 
@@ -293,6 +301,7 @@ def cmd_counter_bias(args) -> int:
         "lo_replay": report.frac_str(lo_replay),
         "hi_replay": report.frac_str(hi_replay),
         "explored_states": res.explored_states,
+        "fused_steps": res.fused_steps,
         "scheduler_dependent": biased,
         "passed": ok,
         "elapsed_seconds": round(time.perf_counter() - t0, 3),

@@ -25,7 +25,7 @@ semantic relations, by ``expected_value``, and by ``bind``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -37,7 +37,9 @@ def value_key(v: Value):
     """Total order key over the finite value domains used in this package.
 
     Values are ints, bools, unit (None), strings, Fractions, tuples of
-    values, or objects with a deterministic ``repr`` (language values).
+    values, or dataclass instances (language values, expressions, machine
+    states), which are keyed by their type name and the keys of their
+    fields, so two values share a key only if they are structurally equal.
     The key orders across types by a fixed type rank so heterogeneous
     supports still sort deterministically.
     """
@@ -53,7 +55,9 @@ def value_key(v: Value):
         return (4,)
     if isinstance(v, tuple):
         return (5, len(v), tuple(value_key(x) for x in v))
-    return (9, repr(v))
+    if is_dataclass(v) and not isinstance(v, type):
+        return (6, type(v).__name__, tuple(value_key(getattr(v, f.name)) for f in fields(v)))
+    raise TypeError(f"no structural key for {type(v).__name__} value {v!r}")
 
 
 def as_rational(x) -> Fraction:
@@ -122,33 +126,12 @@ class Distribution:
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
 
-    def as_dict(self) -> dict:
-        return dict(self.weights)
-
     def prob_of(self, v: Value) -> Fraction:
         k = value_key(v)
         for (w, p) in self.weights:
             if value_key(w) == k:
                 return p
         return Fraction(0)
-
-
-def distribution_from_dict(d: dict) -> Distribution:
-    """Build a distribution from a value -> probability mapping.
-
-    Python equates ``True`` with ``1``, so accumulation is keyed on
-    ``value_key`` (which separates types) rather than on raw equality.
-    """
-    acc: dict = {}
-    for (v, p) in d.items():
-        if p != 0:
-            k = value_key(v)
-            if k in acc:
-                acc[k] = (v, acc[k][1] + p)
-            else:
-                acc[k] = (v, p)
-    items = sorted(acc.values(), key=lambda vp: value_key(vp[0]))
-    return Distribution(tuple(items))
 
 
 def ret(v: Value) -> IndexedValuation:

@@ -317,10 +317,6 @@ def thread_step(e: Expr, s: State) -> IndexedValuation:
         (k, (e2, s2, sp), p) for (k, (p, e2, s2, sp)) in enumerate(res)))
 
 
-def can_step(e: Expr, s: State) -> bool:
-    return outcomes(e, s) is not None
-
-
 def config_step(c: Config, i: int) -> IndexedValuation:
     """Step thread ``i``; stutter (same configuration, probability one)
     when the index is out of range or the thread cannot reduce."""
@@ -415,7 +411,8 @@ def sample_run(c: Config, decide_quick: Callable[[int, Config], int],
 
 
 # ---------------------------------------------------------------------------
-# evaluation-context decompositions (for the uniqueness invariant)
+# evaluation-context decompositions (for the uniqueness invariant and the
+# thread-locality test of the exact analysis)
 
 
 def is_redex(e: Expr) -> bool:
@@ -503,3 +500,16 @@ def decompositions(e: Expr) -> list:
 
     walk(e, ())
     return out
+
+
+# Redexes whose step reads and writes no heap cell, forks nothing and, when
+# stuck, is stuck for good (its side condition looks only at the redex).
+LOCAL_REDEXES = (App, Let, If, Prim)
+
+
+def next_redex_is_local(e: Expr) -> bool:
+    """Is the redex the next step of ``e`` reduces a beta, ``let``, ``if``
+    or primitive redex?  Such a step commutes with every step of every other
+    thread.  False for values and open terms, which have no redex."""
+    splits = decompositions(e)
+    return bool(splits) and type(splits[0][1]) in LOCAL_REDEXES

@@ -15,14 +15,46 @@ policy.  ``extremal_expectation`` computes the range of that quantity over
 * running out of budget before termination means some scheduler does not
   terminate within ``n``, which is reported loudly rather than truncated.
 
+Thread-local steps are fused.  A beta, ``let``, ``if`` or primitive step
+(``machine.next_redex_is_local``) reads and writes no heap cell, forks
+nothing, and whether it can fire does not depend on the heap, so it stays
+enabled until its thread takes it and commutes with every step of every
+other thread (Lipton's reduction; partial-order reduction for MDPs, Baier,
+Groesser & Ciesinski 2004).  The analysis therefore runs such steps eagerly
+as part of the scheduled step before them -- for the stepped thread, for a
+thread it forks, and for every thread of the initial configuration -- and
+the adversary loses no choice that could change the answer: any schedule
+is matched, step for step, by one that takes the pending local steps
+first.  One local step stays unfused: the one that turns the first thread
+into a value.  It terminates the configuration, which is observable --
+fusing it would drop the schedules that starve the first thread while
+other threads run on, and with them a ``budget insufficient`` verdict.
+``flip``, ``alloc``, ``fork`` and the heap operations are never fused.
+So the memo holds only configurations in which every thread sits at a
+heap, ``flip``, ``fork`` or ``alloc`` redex, is stuck or is a value, or is
+the first thread before its last step; ``explored_states`` counts these
+fused configurations and ``fused_steps`` the local steps run eagerly.
+
+Fused steps still spend budget: the budget and the remaining budget in the
+memo key count primitive steps, exactly as without fusion.  A pending local
+step never blocks and never terminates the configuration, so an adversary
+that runs out the budget or reaches a deadlock can always have taken it
+first; ``budget insufficient``, deadlock and the exact lo/hi are therefore
+what the unfused recursion gives at every budget, and a thread that loops
+locally runs only until the budget is spent and then raises
+``ScheduleError``.
+
 Collapsing history-dependent schedulers to (configuration, budget) keys is
 justified for expected-value objectives and checked empirically:
 ``brute_force_extrema`` enumerates full history-dependent decision trees
-(optionally with explicit stutter moves) and the test suite asserts exact
-agreement on instances up to a million decision nodes.
+(optionally with explicit stutter moves), unfused, and the test suite
+asserts exact agreement, at every budget, on instances up to a million
+decision nodes and on random small concurrent programs.
 
 The extremizing choices are recorded, so ``extract_policy`` yields an
-ordinary policy that replays the extremum exactly.
+ordinary policy that replays the extremum exactly under the unfused
+``evaluate_policy``: it takes pending local steps first and looks every
+other configuration up in the recorded choices.
 """
 
 from __future__ import annotations
@@ -36,7 +68,9 @@ from typing import Callable, Optional
 from ivalbench import machine
 from ivalbench.ival import as_rational
 from ivalbench.lang import Expr, is_value, to_val
-from ivalbench.machine import Config, Trace, config_step, initial_trace, is_terminated, outcomes
+from ivalbench.machine import (
+    Config, State, Trace, config_step, initial_config, initial_trace, is_terminated, outcomes,
+)
 
 
 class ScheduleError(Exception):
@@ -134,7 +168,8 @@ class ExtremalResult:
     lo: Fraction
     hi: Fraction
     budget: int
-    explored_states: int
+    explored_states: int  # fused configurations memoized
+    fused_steps: int  # thread-local steps run eagerly
     policy_lo: dict = field(repr=False, default_factory=dict)
     policy_hi: dict = field(repr=False, default_factory=dict)
 
@@ -142,6 +177,22 @@ class ExtremalResult:
 def enabled_threads(c: Config) -> list:
     return [i for (i, e) in enumerate(c.threads)
             if not is_value(e) and outcomes(e, c.state) is not None]
+
+
+def fused_successor(e: Expr, s: State, first: bool) -> Optional[Expr]:
+    """The thread's expression after its next step if the analysis fuses
+    that step, else None.  Fused: an enabled thread-local step, except the
+    one that turns the ``first`` thread into a value."""
+    if not machine.next_redex_is_local(e):
+        return None
+    res = outcomes(e, s)
+    if res is None:
+        return None  # stuck for good: a local side condition ignores the heap
+    e2 = res[0][1]
+    return None if first and is_value(e2) else e2
+
+
+_BUDGET_INSUFFICIENT = "budget insufficient: an adversary reaches the horizon unterminated"
 
 
 def extremal_expectation(prog: Expr, budget: int, f: Callable, heap=()) -> ExtremalResult:
@@ -153,11 +204,29 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable, heap=()) -> Extre
     import sys
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 8 * budget + 10000))
     memo: dict = {}
+    fused = 0
 
-    def value(c: Config, k: int):
+    def settle(c: Config, k: int, todo) -> tuple:
+        """Run the pending local steps of threads ``todo`` of the
+        unterminated ``c``, each spending one unit of the budget ``k``."""
+        nonlocal fused
+        threads = list(c.threads)
+        k0 = k
+        for j in todo:
+            while (e2 := fused_successor(threads[j], c.state, j == 0)) is not None:
+                if k == 0:
+                    raise ScheduleError(_BUDGET_INSUFFICIENT)
+                threads[j], k = e2, k - 1
+        if k == k0:
+            return c, k
+        fused += k0 - k
+        return Config(tuple(threads), c.state), k
+
+    def value(c: Config, k: int, todo):
         if is_terminated(c):
             v = as_rational(f(to_val(c.threads[0])))
             return (v, v, None, None)
+        (c, k) = settle(c, k, todo)
         key = (c, k)
         hit = memo.get(key)
         if hit is not None:
@@ -166,8 +235,8 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable, heap=()) -> Extre
         if not enabled:
             raise ScheduleError(f"deadlock: no thread can step in {c}")
         if k == 0:
-            raise ScheduleError(
-                "budget insufficient: an adversary reaches the horizon unterminated")
+            raise ScheduleError(_BUDGET_INSUFFICIENT)
+        n = len(c.threads)
         best = None
         for i in enabled:
             lo_i = Fraction(0)
@@ -175,7 +244,9 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable, heap=()) -> Extre
             for (_, c2, p) in config_step(c, i).entries:
                 if p == 0:
                     continue
-                (lo2, hi2, _, _) = value(c2, k - 1)
+                # only the stepped thread and a thread it forked can have
+                # a pending local step
+                (lo2, hi2, _, _) = value(c2, k - 1, (i, *range(n, len(c2.threads))))
                 lo_i += p * lo2
                 hi_i += p * hi2
             if best is None:
@@ -189,22 +260,29 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable, heap=()) -> Extre
         memo[key] = out
         return out
 
-    t0 = initial_trace([prog], heap)
-    (lo, hi, _, _) = value(t0.curr, budget)
+    c0 = initial_config([prog], heap)
+    (lo, hi, _, _) = value(c0, budget, range(len(c0.threads)))
     policy_lo = {}
     policy_hi = {}
     for ((c, k), (_, _, ilo, ihi)) in memo.items():
         policy_lo[(c, k)] = ilo
         policy_hi[(c, k)] = ihi
-    return ExtremalResult(lo, hi, budget, len(memo), policy_lo, policy_hi)
+    return ExtremalResult(lo, hi, budget, len(memo), fused, policy_lo, policy_hi)
 
 
 def extract_policy(result: ExtremalResult, direction: str) -> SchedulerPolicy:
     """The memoryless adversary recorded during backward induction; replays
-    the extremum exactly under ``evaluate_policy`` with the same budget."""
+    the extremum exactly under ``evaluate_policy`` with the same budget.
+
+    A configuration with a pending fused step runs that step: local steps
+    commute, so any order reaches the memoized configuration with the same
+    remaining budget.  Every other configuration is looked up."""
     table = result.policy_lo if direction == "lo" else result.policy_hi
 
     def choice(steps_used: int, c: Config) -> int:
+        for (i, e) in enumerate(c.threads):
+            if fused_successor(e, c.state, i == 0) is not None:
+                return i
         i = table.get((c, result.budget - steps_used))
         return STUTTER if i is None else i
 

@@ -113,14 +113,6 @@ def read(text: str):
     return out
 
 
-def read_all(text: str) -> list:
-    r = Reader(text)
-    out = []
-    while not r.at_end():
-        out.append(r.read())
-    return out
-
-
 def write(obj) -> str:
     if obj is True:
         return "#t"

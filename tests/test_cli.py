@@ -89,3 +89,19 @@ def test_invalid_configuration_exit_code():
 
 def test_functional_validation():
     assert run(["mdp", "--model", "unbiased-counter", "-f", "nope"]) == 2
+
+
+def test_couple_unreadable_or_malformed_script_exits_2(tmp_path, capsys):
+    assert run(["couple", "--script", str(tmp_path / "missing.sexp")]) == 2
+    bad = tmp_path / "bad.sexp"
+    bad.write_text("(goal\n")
+    assert run(["couple", "--script", str(bad)]) == 2
+    assert "malformed script" in capsys.readouterr().err
+
+
+def test_mdp_reports_fused_steps(tmp_path):
+    out = tmp_path / "mdp.json"
+    assert run(["mdp", "--model", "unbiased-counter", "--threads", "2",
+                "--budget", "60", "-f", "read", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["explored_states"] > 0 and rep["fused_steps"] > 0

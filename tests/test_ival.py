@@ -194,3 +194,13 @@ def test_expectations_respect_relations():
         f_table = {v: F(rng.randint(-5, 5)) for v in range(-1, 7)}
         f = lambda v: f_table.get(v, F(0))
         assert ival.expected_value(f, a) == ival.expected_value(f, b)
+
+
+def test_distinct_closures_keep_distinct_support_points():
+    from ivalbench import lang
+    one = lang.to_val(lang.parse("(lam (x) 1)"))
+    two = lang.to_val(lang.parse("(lam (x) 2)"))
+    a = ival.pchoice(ival.ret(one), F(1, 2), ival.ret(two))
+    assert len(ival.to_distribution(a).weights) == 2
+    assert not ival.prob_equiv(a, ival.ret(one))
+    assert ival.value_key(one) == ival.value_key(lang.to_val(lang.parse("(lam (x) 1)")))

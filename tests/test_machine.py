@@ -258,3 +258,13 @@ def test_dlm_single_step_matches_morris():
         if k > 0:
             expected[VInt(k)] = 1 - F(1, 2 ** k)
         assert d1 == expected and d2 == expected
+
+
+def test_next_redex_is_local():
+    # the redex the next step reduces decides, wherever it sits in the context
+    local = ["((lam (x) x) 1)", "(let (x 1) x)", "(if #t 1 2)", "(+ 1 2)",
+             "(store (loc 0) (+ 1 2))", "(if 3 1 2)"]
+    other = ["1", "(lam (x) x)", "(load (loc 0))", "(flip 1 2)", "(fork 1)",
+             "(alloc 1)", "(+ (load (loc 0)) 1)", "(seq (faa (loc 0) 1) (+ 1 2))"]
+    assert all(machine.next_redex_is_local(parse(t)) for t in local)
+    assert not any(machine.next_redex_is_local(parse(t)) for t in other)

@@ -1,12 +1,14 @@
 """Scheduler policies, exact evaluation, backward induction, sampling."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from ivalbench import machine, models, sched
+from ivalbench import lang, machine, models, sched
 from ivalbench.lang import (
-    Alloc, Faa, Flip, Fork, If, Let, Load, Var, Wait, num, parse, seq, unit,
+    Alloc, App, Cas, Faa, Flip, Fork, If, Let, Load, Prim, Rec, Store, Var, Wait,
+    num, parse, seq, unit,
 )
 from ivalbench.models import read_int
 
@@ -191,3 +193,125 @@ def test_sandwich_mismatch_detected():
     rep = sched.soundness_sandwich_check(prog, spec, models.read_pow2_minus_1,
                                          lambda v: F(v), 90)
     assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# fused analysis against the unfused brute-force oracle
+
+
+def random_local(rng: random.Random, loops: int = 0):
+    """An integer-valued thread-local expression: arithmetic, let, if, or a
+    recursive countdown from at most ``loops``."""
+    a, b = num(rng.randint(0, 2)), num(rng.randint(0, 2))
+    form = rng.randrange(5)
+    if form == 0:
+        return a
+    if form == 1:
+        return Prim(rng.choice(["+", "-", "*", "min"]), (a, b))
+    if form == 2:
+        return Let("x", a, Prim("*", (Var("x"), b)))
+    if form == 3:
+        return If(Prim("<", (a, b)), a, b)
+    countdown = Rec("f", "n", If(Prim("<", (Var("n"), num(1))), num(0),
+                                 App(Var("f"), Prim("-", (Var("n"), num(1))))))
+    return App(countdown, num(rng.randint(0, loops)))
+
+
+def random_action(rng: random.Random, l, local):
+    form = rng.randrange(6)
+    if form == 0:
+        return Faa(l, local(rng))
+    if form == 1:
+        return Store(l, local(rng))
+    if form == 2:
+        return Cas(l, num(rng.randint(0, 2)), local(rng))
+    if form == 3:
+        return If(Flip(num(1), num(rng.randint(2, 3))), Faa(l, num(1)), local(rng))
+    if form == 4:
+        return Wait(l, num(rng.randint(0, 2)))
+    return local(rng)
+
+
+def random_concurrent_program(rng: random.Random):
+    """Thread 0 allocates a cell, forks one or two threads, acts on the cell
+    and returns an integer computed from it.  The oracle enumerates every
+    interleaving of every step, so the threads that run concurrently stay
+    short: longer local loops run only before the forks and after the last
+    read, and with two forks each forked thread takes one action on a
+    constant."""
+    l = Var("l")
+    if rng.random() < 0.5:
+        forks = [Fork(seq(*[random_action(rng, l, random_local)
+                            for _ in range(rng.randint(1, 2))]))]
+        mine = [random_action(rng, l, random_local) for _ in range(rng.randint(0, 1))]
+    else:
+        forks = [Fork(random_action(rng, l, lambda r: num(r.randint(0, 2)))) for _ in range(2)]
+        mine = []
+    final = rng.choice([Load(l), Let("v", Load(l), Prim("+", (Var("v"), random_local(rng, 2))))])
+    return Let("l", Alloc(random_local(rng, 2)), seq(*forks, *mine, final))
+
+
+def extrema_or_error(analysis, prog, budget):
+    """The analysis result, or the message of the ScheduleError it raised."""
+    try:
+        return analysis(prog, budget, read_int)
+    except sched.ScheduleError as exc:
+        assert "exceeds" not in str(exc)  # the oracle's node limit is no verdict
+        return str(exc)
+
+
+def assert_fused_agrees(prog, max_budget: int = 40):
+    """For every budget from 0 to two past the sufficiency threshold, the
+    fused analysis and brute force agree exactly or both fail, and both
+    extracted adversaries replay exactly.  A deadlock reachable within a
+    budget stays reachable within every larger one, so a reported deadlock
+    ends the sweep.  Returns the threshold, or None."""
+    threshold = None
+    budget = 0
+    while budget <= (max_budget if threshold is None else threshold + 2):
+        res = extrema_or_error(sched.extremal_expectation, prog, budget)
+        bf = extrema_or_error(sched.brute_force_extrema, prog, budget)
+        where = (lang.unparse(prog), budget)
+        if isinstance(res, str):
+            assert isinstance(bf, str), where
+            if res.startswith("deadlock"):
+                return None
+        else:
+            assert (res.lo, res.hi) == (bf.lo, bf.hi), where
+            for (c, _) in res.policy_lo:  # the memo holds fused configurations only
+                assert not any(sched.fused_successor(e, c.state, i == 0) is not None
+                               for (i, e) in enumerate(c.threads))
+            for direction in ("lo", "hi"):
+                pol = sched.extract_policy(res, direction)
+                assert sched.evaluate_policy(prog, pol, budget, read_int) == getattr(res, direction)
+            if threshold is None:
+                threshold = budget
+        budget += 1
+    return threshold
+
+
+def test_fused_matches_brute_force_on_random_programs():
+    rng = random.Random(2024)
+    thresholds = [assert_fused_agrees(random_concurrent_program(rng)) for _ in range(60)]
+    assert 1 <= thresholds.count(None) <= 10  # deadlocks are covered, but are rare
+
+
+def test_fused_keeps_first_thread_starvation():
+    # thread 0's last step is left unfused: an adversary may starve it while
+    # the forked thread stores, so budgets below 10 are insufficient
+    prog = parse("(let (l (alloc 0)) (seq (fork (seq (store l 1) (store l 2) (store l 3))) "
+                 "(+ 1 2)))")
+    assert assert_fused_agrees(prog) == 10
+
+
+def test_fused_local_loop_in_fork_raises():
+    prog = parse("(seq (fork ((rec (f x) (f x)) ())) 1)")
+    for budget in (0, 5, 200):
+        with pytest.raises(sched.ScheduleError):
+            sched.extremal_expectation(prog, budget, read_int)
+
+
+def test_fusion_shrinks_the_memo():
+    prog = models.unbiased_counter_program(2, max_value=2)
+    res = sched.extremal_expectation(prog, 70, read_int)
+    assert res.fused_steps > res.explored_states > 0
