@@ -1,4 +1,4 @@
-"""Small-step operational semantics: threads, heaps, configurations, traces.
+"""Small-step operational semantics: threads, heaps, configurations.
 
 Per-thread reduction is deterministic except for ``flip``, which yields a
 two-entry valuation (true with n1/n2, false with the remainder; entries
@@ -16,8 +16,11 @@ probability one.  A configuration has terminated when the first thread is
 a value; nothing can change that thread afterwards, so termination is
 absorbing.
 
-``sample_run`` is a light path for Monte-Carlo work: it follows a single
-trace, sampling flip outcomes, instead of building trace valuations.
+A scheduler is a Markov policy ``choose(step, config) -> thread index``.
+``trace_step_ival_n`` is the monadic n-step semantics under one: a chain
+of binds over ``config_step``.  ``sample_run`` is a light path for
+Monte-Carlo work: it follows a single run, sampling flip outcomes, instead
+of building valuations.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from ivalbench.lang import (
 
 
 # ---------------------------------------------------------------------------
-# states, configurations, traces
+# states, configurations
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,31 +80,11 @@ class Config:
             raise ValueError("thread pool must be nonempty")
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
-    configs: tuple
-
-    def __post_init__(self):
-        if not self.configs:
-            raise ValueError("trace must be nonempty")
-
-    @property
-    def curr(self) -> Config:
-        return self.configs[-1]
-
-    def extend(self, c: Config) -> "Trace":
-        return Trace(self.configs + (c,))
-
-
 def initial_config(exprs, heap=(), next_loc: Optional[int] = None) -> Config:
     cells = tuple(sorted(heap))
     if next_loc is None:
         next_loc = max((l for (l, _) in cells), default=-1) + 1
     return Config(tuple(exprs), State(cells, next_loc))
-
-
-def initial_trace(exprs, heap=(), next_loc: Optional[int] = None) -> Trace:
-    return Trace((initial_config(exprs, heap, next_loc),))
 
 
 # ---------------------------------------------------------------------------
@@ -333,61 +316,39 @@ def config_step(c: Config, i: int) -> IndexedValuation:
 
 
 # ---------------------------------------------------------------------------
-# traces
+# runs under a scheduler
 
 
-def trace_step_ival(decide: Callable[[Trace], int], t: Trace) -> IndexedValuation:
-    """One scheduler-driven step, as a valuation over extended traces."""
-    i = decide(t)
-    return ival.map_values(t.extend, config_step(t.curr, i))
+def trace_step_ival_n(choose: Callable[[int, Config], int], c: Config,
+                      n: int) -> IndexedValuation:
+    """The configurations after ``n`` scheduler-driven steps from ``c``,
+    the reference semantics that the analyses are checked against.
 
-
-def trace_step_ival_n(decide: Callable[[Trace], int], t: Trace, n: int) -> IndexedValuation:
-    """Step ``n`` times and project the first thread's expression.
-
-    Computed iteratively (one bind per step); this matches the recursive
-    bind-chain definition up to index relabelling by monad associativity.
+    Computed iteratively (one bind of ``config_step`` per step); this
+    matches the recursive bind-chain definition up to index relabelling by
+    monad associativity.
     """
-    cur = ival.ret(t)
-    for _ in range(n):
-        cur = ival.bind(cur, lambda t2: trace_step_ival(decide, t2))
-    return ival.map_values(lambda tr: tr.curr.threads[0], cur)
+    cur = ival.ret(c)
+    for step in range(n):
+        cur = ival.bind(cur, lambda c2, step=step: config_step(c2, choose(step, c2)))
+    return cur
 
 
 def is_terminated(c: Config) -> bool:
     return is_value(c.threads[0])
 
 
-def terminates_within(decide: Callable[[Trace], int], t: Trace, n: int) -> bool:
-    """Do all positive-probability n-step extensions terminate?
-
-    Termination is absorbing (the first thread stays a value), so a
-    terminated current configuration settles the whole subtree.
-    """
-    stack = [(t, n)]
-    while stack:
-        (cur, k) = stack.pop()
-        if is_terminated(cur.curr):
-            continue
-        if k == 0:
-            return False
-        for (_, t2, p) in trace_step_ival(decide, cur).entries:
-            if p > 0:
-                stack.append((t2, k - 1))
-    return True
-
-
 # ---------------------------------------------------------------------------
 # sampling (Monte-Carlo fast path)
 
 
-def sample_run(c: Config, decide_quick: Callable[[int, Config], int],
+def sample_run(c: Config, choose: Callable[[int, Config], int],
                budget: int, rng: random.Random) -> Config:
-    """Follow one sampled trace until termination or budget exhaustion."""
+    """Follow one sampled run until termination or budget exhaustion."""
     for step in range(budget):
         if is_terminated(c):
             return c
-        i = decide_quick(step, c)
+        i = choose(step, c)
         if not 0 <= i < len(c.threads):
             continue
         res = outcomes(c.threads[i], c.state)

@@ -344,10 +344,14 @@ def skip_list_mem(v: Expr, k: int) -> Expr:
                  Pair(boolean(False), Var("z2")))))))))))
 
 
-def skip_list_add(v: Expr, k: int) -> Expr:
+def skip_list_add(v: Expr, k: int, early_flip: bool = False) -> Expr:
     """Insert ``k``: find predecessors, lock bottom then top, re-validate
     the successor pointers, flip for top-level membership, link, unlock.
-    Any validation failure releases and retries the whole search."""
+    Any validation failure releases and retries the whole search.
+
+    With ``early_flip`` the coin is flipped *before* locking; a bottom-only
+    insertion then takes a single lock, which is what makes its
+    distribution scheduler-dependent."""
     fp = walk(k, counting=False)
     insert_bottom = Let("lknb", Alloc(boolean(False)),
                     Let("nb", Alloc(node(num(k), Var("succb"), unit, Var("lknb"))),
@@ -356,22 +360,29 @@ def skip_list_add(v: Expr, k: int) -> Expr:
                   Let("lknt", Alloc(boolean(False)),
                   Let("nt", Alloc(node(num(k), Var("succt"), Var("nb2"), Var("lknt"))),
                   set_next(Var("predt"), Var("nt")))))
-    locked_work = If(Flip(num(1), num(2)),
-                     insert_both,
-                     seq(insert_bottom, unit))
-    with_top_lock = seq(acquire(nlock(Var("predt"))),
-                        If(Prim("=", (nnext(Var("predt")), Var("succt"))),
-                           seq(locked_work,
-                               release(nlock(Var("predt"))),
-                               release(nlock(Var("predb")))),
-                           seq(release(nlock(Var("predt"))),
-                               release(nlock(Var("predb"))),
-                               App(Var("retry"), unit))))
-    with_bottom_lock = seq(acquire(nlock(Var("predb"))),
-                           If(Prim("=", (nnext(Var("predb")), Var("succb"))),
-                              with_top_lock,
-                              seq(release(nlock(Var("predb"))),
-                                  App(Var("retry"), unit))))
+    unlock_bottom = [release(nlock(Var("predb")))]
+    unlock_both = [release(nlock(Var("predt")))] + unlock_bottom
+
+    def validated(pred: str, succ: str, work: Expr, unlock: list) -> Expr:
+        """Lock ``pred``; if it still points to ``succ`` do ``work``, else
+        run ``unlock`` and retry."""
+        return seq(acquire(nlock(Var(pred))),
+                   If(Prim("=", (nnext(Var(pred)), Var(succ))),
+                      work,
+                      seq(*unlock, App(Var("retry"), unit))))
+
+    def both_locked(work: Expr) -> Expr:
+        return validated("predb", "succb",
+                         validated("predt", "succt", seq(work, *unlock_both), unlock_both),
+                         unlock_bottom)
+
+    if early_flip:
+        insert = If(Var("coin"),
+                    both_locked(insert_both),
+                    validated("predb", "succb", seq(insert_bottom, unit, *unlock_bottom),
+                              unlock_bottom))
+    else:
+        insert = both_locked(If(Flip(num(1), num(2)), insert_both, seq(insert_bottom, unit)))
     body = Let("rt", App(fp, v),
            Let("predt", Prim("fst", (Var("rt"),)),
            Let("succt", Prim("snd", (Var("rt"),)),
@@ -382,53 +393,9 @@ def skip_list_add(v: Expr, k: int) -> Expr:
               Let("succb", Prim("snd", (Var("rb"),)),
               If(Prim("=", (nkey(Var("succb")), num(k))),
                  unit,
-                 with_bottom_lock))))))))
-    return App(Rec("retry", "_u", body), unit)
-
-
-def skip_list_add_early_flip(v: Expr, k: int) -> Expr:
-    """Variant that flips *before* locking; a bottom-only insertion then
-    takes a single lock, which is what makes its distribution
-    scheduler-dependent."""
-    fp = walk(k, counting=False)
-    insert_bottom = Let("lknb", Alloc(boolean(False)),
-                    Let("nb", Alloc(node(num(k), Var("succb"), unit, Var("lknb"))),
-                    seq(set_next(Var("predb"), Var("nb")), Var("nb"))))
-    insert_both = Let("nb2", insert_bottom,
-                  Let("lknt", Alloc(boolean(False)),
-                  Let("nt", Alloc(node(num(k), Var("succt"), Var("nb2"), Var("lknt"))),
-                  set_next(Var("predt"), Var("nt")))))
-    both_path = seq(acquire(nlock(Var("predb"))),
-                    If(Prim("=", (nnext(Var("predb")), Var("succb"))),
-                       seq(acquire(nlock(Var("predt"))),
-                           If(Prim("=", (nnext(Var("predt")), Var("succt"))),
-                              seq(insert_both,
-                                  release(nlock(Var("predt"))),
-                                  release(nlock(Var("predb")))),
-                              seq(release(nlock(Var("predt"))),
-                                  release(nlock(Var("predb"))),
-                                  App(Var("retry"), unit)))),
-                       seq(release(nlock(Var("predb"))),
-                           App(Var("retry"), unit))))
-    bottom_path = seq(acquire(nlock(Var("predb"))),
-                      If(Prim("=", (nnext(Var("predb")), Var("succb"))),
-                         seq(insert_bottom,
-                             unit,
-                             release(nlock(Var("predb")))),
-                         seq(release(nlock(Var("predb"))),
-                             App(Var("retry"), unit))))
-    body = Let("rt", App(fp, v),
-           Let("predt", Prim("fst", (Var("rt"),)),
-           Let("succt", Prim("snd", (Var("rt"),)),
-           If(Prim("=", (nkey(Var("succt")), num(k))),
-              unit,
-              Let("rb", App(fp, ndown(Var("predt"))),
-              Let("predb", Prim("fst", (Var("rb"),)),
-              Let("succb", Prim("snd", (Var("rb"),)),
-              If(Prim("=", (nkey(Var("succb")), num(k))),
-                 unit,
-                 If(Var("coin"), both_path, bottom_path)))))))))
-    return Let("coin", Flip(num(1), num(2)), App(Rec("retry", "_u", body), unit))
+                 insert))))))))
+    retry_loop = App(Rec("retry", "_u", body), unit)
+    return Let("coin", Flip(num(1), num(2)), retry_loop) if early_flip else retry_loop
 
 
 def skip_list_sequential_program(keys, query: int) -> Expr:
@@ -455,10 +422,9 @@ def skip_list_concurrent_program(keys_a, keys_b, query: int,
                                  early_flip: bool = False) -> Expr:
     """Two adder threads racing (lock contention possible); for fair
     schedulers only -- adversarial spinning is unbounded."""
-    add = skip_list_add_early_flip if early_flip else skip_list_add
     v, d = Var("slv"), Var("d")
-    worker_a = seq(*([add(v, k) for k in keys_a] + [Faa(d, num(1))]))
-    worker_b = seq(*([add(v, k) for k in keys_b] + [Faa(d, num(1))]))
+    worker_a = seq(*([skip_list_add(v, k, early_flip) for k in keys_a] + [Faa(d, num(1))]))
+    worker_b = seq(*([skip_list_add(v, k, early_flip) for k in keys_b] + [Faa(d, num(1))]))
     return Let("slv", skip_list_new(),
            Let("d", Alloc(num(0)),
            seq(Fork(worker_a), Fork(worker_b),

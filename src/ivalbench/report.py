@@ -99,8 +99,9 @@ def config_json(c) -> dict:
     }
 
 
-def trace_json(t) -> dict:
-    return {"configs": [config_json(c) for c in t.configs]}
+def trace_json(configs) -> dict:
+    """A run, given as its sequence of configurations."""
+    return {"configs": [config_json(c) for c in configs]}
 
 
 def dump_report(report: dict) -> str:

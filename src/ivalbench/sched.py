@@ -1,11 +1,13 @@
 """Scheduler policies and exact adversarial analysis.
 
-A policy maps execution traces to thread indices (it may inspect the whole
-history).  ``evaluate_policy`` computes the exact expected value of a
-functional of the first thread's final value after ``n`` steps under one
-policy.  ``extremal_expectation`` computes the range of that quantity over
-*all* deterministic policies by backward induction memoized on
-(configuration, remaining budget):
+A policy is a Markov scheduler: one picklable function of the step count
+and the current configuration that names the thread to step.  The one
+interface serves exact evaluation, adversary extraction and sampling.
+``evaluate_policy`` computes the exact expected value of a functional of
+the first thread's final value after ``n`` steps under one policy, in a
+single walk of its run tree.  ``extremal_expectation`` computes the range
+of that quantity over *all* deterministic policies by backward induction
+memoized on (configuration, remaining budget):
 
 * a terminated configuration is worth ``f(first thread's value)`` --
   nothing a scheduler does afterwards can change that thread;
@@ -51,25 +53,30 @@ justified for expected-value objectives and checked empirically:
 asserts exact agreement, at every budget, on instances up to a million
 decision nodes and on random small concurrent programs.
 
-The extremizing choices are recorded, so ``extract_policy`` yields an
-ordinary policy that replays the extremum exactly under the unfused
-``evaluate_policy``: it takes pending local steps first and looks every
-other configuration up in the recorded choices.
+The extremizing choices are recorded in the memo beside the values, so
+``extract_policy`` yields an ordinary Markov policy that replays the
+extremum exactly under the unfused ``evaluate_policy``: it takes pending
+local steps first and looks every other configuration up in the memo.
+History-dependent schedulers need no policy of their own: the
+backward-induction optimum is attained by a Markov one, and
+``brute_force_extrema`` covers the rest.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from ivalbench import machine
 from ivalbench.ival import as_rational
 from ivalbench.lang import Expr, is_value, to_val
 from ivalbench.machine import (
-    Config, State, Trace, config_step, initial_config, initial_trace, is_terminated, outcomes,
+    Config, State, config_step, initial_config, is_terminated, outcomes,
 )
 
 
@@ -79,35 +86,34 @@ class ScheduleError(Exception):
 
 @dataclass(frozen=True)
 class SchedulerPolicy:
-    """A total strategy.  ``decide`` sees the whole trace; ``decide_quick``
-    is the sampling fast path fed only (step index, current config) and
-    must agree with ``decide`` for the built-in policies."""
+    """A Markov scheduler: ``choose(step, config)`` is the index of the
+    thread to step next; an index naming no thread that can step is a
+    stutter.  ``choose`` is a module-level function, a ``functools.partial``
+    of one or a frozen dataclass, so that a policy pickles and
+    ``monte_carlo`` can send it to worker processes."""
 
     name: str
-    decide: Callable[[Trace], int]
-    decide_quick: Callable[[int, Config], int]
+    choose: Callable[[int, Config], int]
+
+
+def _round_robin(step: int, c: Config) -> int:
+    return step % len(c.threads)
 
 
 def round_robin() -> SchedulerPolicy:
-    def decide(t: Trace) -> int:
-        return (len(t.configs) - 1) % len(t.curr.threads)
-
-    return SchedulerPolicy("round-robin", decide,
-                           lambda step, c: step % len(c.threads))
+    return SchedulerPolicy("round-robin", _round_robin)
 
 
 STUTTER = 10 ** 9  # out of range for any desk-scale pool
 
 
+def _scripted(script: tuple, step: int, c: Config) -> int:
+    return script[step] if step < len(script) else STUTTER
+
+
 def fixed_script(indices) -> SchedulerPolicy:
     script = tuple(indices)
-
-    def decide(t: Trace) -> int:
-        step = len(t.configs) - 1
-        return script[step] if step < len(script) else STUTTER
-
-    return SchedulerPolicy(f"script{list(script)}", decide,
-                           lambda step, c: script[step] if step < len(script) else STUTTER)
+    return SchedulerPolicy(f"script{list(script)}", partial(_scripted, script))
 
 
 def _mix(seed: int, step: int) -> int:
@@ -117,15 +123,14 @@ def _mix(seed: int, step: int) -> int:
     return x ^ (x >> 31)
 
 
+def _seeded(seed: int, step: int, c: Config) -> int:
+    return _mix(seed, step) % len(c.threads)
+
+
 def seeded_random(seed: int) -> SchedulerPolicy:
     """Pseudorandom but deterministic: the choice is a hash of (seed, step)
-    reduced by the current pool size, hence a pure function of the trace."""
-
-    def decide(t: Trace) -> int:
-        return _mix(seed, len(t.configs) - 1) % len(t.curr.threads)
-
-    return SchedulerPolicy(f"seeded-random({seed})", decide,
-                           lambda step, c: _mix(seed, step) % len(c.threads))
+    reduced by the current pool size."""
+    return SchedulerPolicy(f"seeded-random({seed})", partial(_seeded, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -133,34 +138,48 @@ def seeded_random(seed: int) -> SchedulerPolicy:
 
 
 def evaluate_policy(prog: Expr, policy: SchedulerPolicy, budget: int,
-                    f: Callable, heap=(), check_termination: bool = True) -> Fraction:
+                    f: Callable, heap=()) -> Fraction:
     """Exact E[f(first thread's value)] after ``budget`` steps under a policy.
 
-    Requires termination within the budget (checked up front by default).
+    Raises ``ScheduleError`` on the first positive-probability path still
+    unterminated at the horizon.
     """
-    t = initial_trace([prog], heap)
-    if check_termination and not machine.terminates_within(policy.decide, t, budget):
-        raise ScheduleError(
-            f"program does not terminate within {budget} steps under {policy.name}")
-
     total = Fraction(0)
-    stack = [(t, budget, Fraction(1))]
+    stack = [(initial_config([prog], heap), 0, Fraction(1))]
     while stack:
-        (cur, k, w) = stack.pop()
-        c = cur.curr
+        (c, step, w) = stack.pop()
         if is_terminated(c):
             total += w * as_rational(f(to_val(c.threads[0])))
             continue
-        if k == 0:
-            raise ScheduleError("first thread is not a value at the horizon")
-        for (_, t2, p) in machine.trace_step_ival(policy.decide, cur).entries:
+        if step == budget:
+            raise ScheduleError(
+                f"program does not terminate within {budget} steps under {policy.name}")
+        for (_, c2, p) in config_step(c, policy.choose(step, c)).entries:
             if p > 0:
-                stack.append((t2, k - 1, w * p))
+                stack.append((c2, step + 1, w * p))
     return total
 
 
 # ---------------------------------------------------------------------------
 # scheduler-extremal expectations by backward induction
+
+
+@dataclass(frozen=True, eq=False)
+class Choices(Mapping):
+    """The thread one extremum picks in each memoized (configuration,
+    remaining budget): a read-only view of the analysis memo."""
+
+    memo: dict
+    slot: int  # 2 for the lo choice, 3 for the hi choice
+
+    def __getitem__(self, key):
+        return self.memo[key][self.slot]
+
+    def __iter__(self):
+        return iter(self.memo)
+
+    def __len__(self):
+        return len(self.memo)
 
 
 @dataclass
@@ -170,8 +189,16 @@ class ExtremalResult:
     budget: int
     explored_states: int  # fused configurations memoized
     fused_steps: int  # thread-local steps run eagerly
-    policy_lo: dict = field(repr=False, default_factory=dict)
-    policy_hi: dict = field(repr=False, default_factory=dict)
+    # (configuration, remaining budget) -> (lo, hi, lo choice, hi choice)
+    memo: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def policy_lo(self) -> Choices:
+        return Choices(self.memo, 2)
+
+    @property
+    def policy_hi(self) -> Choices:
+        return Choices(self.memo, 3)
 
 
 def enabled_threads(c: Config) -> list:
@@ -262,12 +289,14 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable, heap=()) -> Extre
 
     c0 = initial_config([prog], heap)
     (lo, hi, _, _) = value(c0, budget, range(len(c0.threads)))
-    policy_lo = {}
-    policy_hi = {}
-    for ((c, k), (_, _, ilo, ihi)) in memo.items():
-        policy_lo[(c, k)] = ilo
-        policy_hi[(c, k)] = ihi
-    return ExtremalResult(lo, hi, budget, len(memo), fused, policy_lo, policy_hi)
+    return ExtremalResult(lo, hi, budget, len(memo), fused, memo)
+
+
+def _extremal(table: Choices, budget: int, step: int, c: Config) -> int:
+    for (i, e) in enumerate(c.threads):
+        if fused_successor(e, c.state, i == 0) is not None:
+            return i
+    return table.get((c, budget - step), STUTTER)
 
 
 def extract_policy(result: ExtremalResult, direction: str) -> SchedulerPolicy:
@@ -278,18 +307,7 @@ def extract_policy(result: ExtremalResult, direction: str) -> SchedulerPolicy:
     commute, so any order reaches the memoized configuration with the same
     remaining budget.  Every other configuration is looked up."""
     table = result.policy_lo if direction == "lo" else result.policy_hi
-
-    def choice(steps_used: int, c: Config) -> int:
-        for (i, e) in enumerate(c.threads):
-            if fused_successor(e, c.state, i == 0) is not None:
-                return i
-        i = table.get((c, result.budget - steps_used))
-        return STUTTER if i is None else i
-
-    def decide(t: Trace) -> int:
-        return choice(len(t.configs) - 1, t.curr)
-
-    return SchedulerPolicy(f"extremal-{direction}", decide, choice)
+    return SchedulerPolicy(f"extremal-{direction}", partial(_extremal, table, result.budget))
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +324,22 @@ class BruteForceResult:
 def brute_force_extrema(prog: Expr, budget: int, f: Callable, heap=(),
                         allow_stutters: int = 0,
                         node_limit: int = 2 * 10 ** 6) -> BruteForceResult:
-    """Game-tree recursion over full traces, no memoization.
+    """Game-tree recursion over configurations, no memoization.
 
-    Every deterministic history-dependent scheduler is a choice function
-    on this tree, so its min/max is the extremum over all of them.  With
+    A node of the tree is the path of configurations that leads to it, so
+    every deterministic history-dependent scheduler is a choice function
+    on this tree, and its min/max is the extremum over all of them.  With
     ``allow_stutters`` > 0 the adversary may also spend that many explicit
     stutter moves (each consuming budget), which lets the suite check that
     excluding stutters is harmless.
     """
     nodes = 0
 
-    def go(t: Trace, k: int, stutters: int):
+    def go(c: Config, k: int, stutters: int):
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise ScheduleError(f"decision tree exceeds {node_limit} nodes")
-        c = t.curr
         if is_terminated(c):
             v = as_rational(f(to_val(c.threads[0])))
             return (v, v)
@@ -337,19 +355,18 @@ def brute_force_extrema(prog: Expr, budget: int, f: Callable, heap=(),
             for (_, c2, p) in config_step(c, i).entries:
                 if p == 0:
                     continue
-                (lo2, hi2) = go(t.extend(c2), k - 1, stutters)
+                (lo2, hi2) = go(c2, k - 1, stutters)
                 lo_i += p * lo2
                 hi_i += p * hi2
             lo = lo_i if lo is None else min(lo, lo_i)
             hi = hi_i if hi is None else max(hi, hi_i)
         if stutters > 0:
-            (lo2, hi2) = go(t.extend(c), k - 1, stutters - 1)
+            (lo2, hi2) = go(c, k - 1, stutters - 1)
             lo = min(lo, lo2)
             hi = max(hi, hi2)
         return (lo, hi)
 
-    t0 = initial_trace([prog], heap)
-    (lo, hi) = go(t0, budget, allow_stutters)
+    (lo, hi) = go(initial_config([prog], heap), budget, allow_stutters)
     return BruteForceResult(lo, hi, nodes)
 
 
@@ -376,38 +393,13 @@ def _run_trials(prog, policy, budget, f, heap, seed, lo, hi):
     totalsq = Fraction(0)
     for trial in range(lo, hi):
         rng = random.Random(_mix(seed, trial))
-        c = machine.sample_run(c0, policy.decide_quick, budget, rng)
+        c = machine.sample_run(c0, policy.choose, budget, rng)
         if not is_terminated(c):
             raise ScheduleError(f"trial {trial} unterminated after {budget} steps")
         x = as_rational(f(to_val(c.threads[0])))
         total += x
         totalsq += x * x
     return total, totalsq
-
-
-def _mc_chunk(args):
-    (prog, policy_name, policy_args, budget, f, heap, seed, lo, hi) = args
-    policy = _POLICY_BUILDERS[policy_name](*policy_args)
-    return _run_trials(prog, policy, budget, f, heap, seed, lo, hi)
-
-
-_POLICY_BUILDERS = {
-    "round-robin": lambda: round_robin(),
-    "seeded-random": seeded_random,
-    "fixed-script": fixed_script,
-}
-
-
-def _policy_spec(policy: SchedulerPolicy):
-    """Picklable reconstruction recipe for the built-in policies."""
-    if policy.name == "round-robin":
-        return ("round-robin", ())
-    if policy.name.startswith("seeded-random("):
-        return ("seeded-random", (int(policy.name[14:-1]),))
-    if policy.name.startswith("script"):
-        import ast
-        return ("fixed-script", (tuple(ast.literal_eval(policy.name[6:])),))
-    return None
 
 
 def default_workers() -> int:
@@ -430,23 +422,22 @@ def monte_carlo(prog: Expr, policy: SchedulerPolicy, budget: int, f: Callable,
     """
     if workers is None:
         workers = default_workers()
-    spec = _policy_spec(policy) if workers > 1 else None
-    if spec is not None and workers > 1 and trials >= 2 * workers:
+    if workers > 1 and trials >= 2 * workers:
         import concurrent.futures
         bounds = [trials * k // workers for k in range(workers + 1)]
-        jobs = [(prog, spec[0], spec[1], budget, f, tuple(heap), seed, bounds[k], bounds[k + 1])
-                for k in range(workers)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_mc_chunk, jobs))
+            jobs = [pool.submit(_run_trials, prog, policy, budget, f, tuple(heap), seed,
+                                bounds[k], bounds[k + 1]) for k in range(workers)]
+            parts = [job.result() for job in jobs]
         total = sum((t for (t, _) in parts), Fraction(0))
         totalsq = sum((q for (_, q) in parts), Fraction(0))
     else:
-        # single worker, or a policy without a picklable recipe
         total, totalsq = _run_trials(prog, policy, budget, f, tuple(heap),
                                      seed, 0, trials)
 
     mean = float(total / trials)
-    variance = max(float(totalsq / trials) - mean * mean, 0.0)
+    # from the exact sums: subtracting rounded floats cancels
+    variance = float(totalsq / trials - (total / trials) ** 2)
     sigma_mean = math.sqrt(variance / trials)
     return MonteCarloResult(trials, mean, variance,
                             mean - 3 * sigma_mean, mean + 3 * sigma_mean, seed)

@@ -1,24 +1,30 @@
-"""Operational semantics: redexes, configurations, traces, invariants."""
+"""Operational semantics: redexes, configurations, runs, invariants."""
 
 import random
 from fractions import Fraction as F
 
-from ivalbench import ival, lang, machine
+import pytest
+
+from ivalbench import ival, lang, machine, sched
 from ivalbench.lang import Lit, VInt, VLoc, parse, to_val
 from ivalbench.machine import (
-    State, config_step, decompositions, initial_config, initial_trace,
-    outcomes, thread_step, trace_step_ival, trace_step_ival_n,
+    State, config_step, decompositions, initial_config,
+    outcomes, thread_step, trace_step_ival_n,
 )
+from ivalbench.models import read_int, read_true_indicator
 
 
-def rr(t):
-    return (len(t.configs) - 1) % len(t.curr.threads)
+def rr(step, c):
+    return step % len(c.threads)
+
+
+def first_threads(iv):
+    return ival.map_values(lambda c: c.threads[0], iv)
 
 
 def run_dist(text_or_expr, steps, heap=()):
     prog = parse(text_or_expr) if isinstance(text_or_expr, str) else text_or_expr
-    t = initial_trace([prog], heap)
-    iv = trace_step_ival_n(rr, t, steps)
+    iv = first_threads(trace_step_ival_n(rr, initial_config([prog], heap), steps))
     return {to_val(e): p for (e, p) in ival.to_distribution(iv).weights}
 
 
@@ -106,14 +112,14 @@ def test_trace_semantics_flip():
 
 def test_zero_steps_returns_first_thread():
     prog = parse("(flip 1 2)")
-    t = initial_trace([prog, parse("7")])
-    iv = trace_step_ival_n(rr, t, 0)
+    c = initial_config([prog, parse("7")])
+    iv = first_threads(trace_step_ival_n(rr, c, 0))
     assert ival.equiv(iv, ival.ret(prog))
 
 
 def test_single_thread_deterministic_one_entry():
-    t = initial_trace([parse("(+ 1 2)")])
-    iv = trace_step_ival(rr, t)
+    c = initial_config([parse("(+ 1 2)")])
+    iv = trace_step_ival_n(rr, c, 1)
     assert len(iv.entries) == 1 and iv.entries[0][2] == 1
 
 
@@ -141,22 +147,23 @@ def test_closure_application():
 
 
 def test_terminates_within():
-    t = initial_trace([parse("(flip 1 2)")])
-    assert machine.terminates_within(rr, t, 1)
-    assert not machine.terminates_within(rr, t, 0)
+    # evaluate_policy raises exactly when some run is unterminated at the horizon
+    flip = parse("(flip 1 2)")
+    assert sched.evaluate_policy(flip, sched.round_robin(), 1, read_true_indicator) == F(1, 2)
+    with pytest.raises(sched.ScheduleError):
+        sched.evaluate_policy(flip, sched.round_robin(), 0, read_true_indicator)
     # lock already taken: the spinner can never finish under any script
     spin = parse("(let (lk (alloc #t)) "
                  "((rec (sp u) (if (cas lk #f #t) () (sp ()))) ()))")
-    t2 = initial_trace([spin])
-    assert not machine.terminates_within(rr, t2, 25)
+    with pytest.raises(sched.ScheduleError):
+        sched.evaluate_policy(spin, sched.round_robin(), 25, read_int)
 
 
 def test_mass_conservation_along_random_runs():
     rng = random.Random(23)
     from ivalbench import models
     prog = models.unbiased_counter_program(2, max_value=2)
-    t = initial_trace([prog])
-    c = t.curr
+    c = initial_config([prog])
     for _ in range(40):
         i = rng.randrange(len(c.threads) + 1)
         iv = config_step(c, i)
@@ -194,8 +201,8 @@ def test_pool_grows_only_by_fork():
         (c2, _) = rng.choice(entries)
         grew = len(c2.threads) - before
         assert grew in (0, 1)
-        if grew == 1:
-            assert isinstance(c.threads[i], lang.Fork) or True  # fork fired somewhere under a context
+        if grew == 1:  # the stepped thread's redex, under its context, is a fork
+            assert isinstance(decompositions(c.threads[i])[0][1], lang.Fork)
         c = c2
 
 

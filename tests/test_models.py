@@ -10,13 +10,13 @@ from ivalbench.lang import VBool, VInt, VLoc, VPair, Wait, to_val, unparse
 from ivalbench.models import read_int
 
 
-def rr(t):
-    return (len(t.configs) - 1) % len(t.curr.threads)
+def rr(step, c):
+    return step % len(c.threads)
 
 
-def dist_of(prog, steps, heap=(), decide=rr):
-    t = machine.initial_trace([prog], heap)
-    iv = machine.trace_step_ival_n(decide, t, steps)
+def dist_of(prog, steps, heap=()):
+    iv = machine.trace_step_ival_n(rr, machine.initial_config([prog], heap), steps)
+    iv = ival.map_values(lambda c: c.threads[0], iv)
     return {to_val(e): p for (e, p) in ival.to_distribution(iv).weights}
 
 
@@ -208,16 +208,10 @@ def test_quiescent_cost_matches_formula():
     # compare the probe's tally against the cost formulas
     keys, query = [3, 7, 5], 6
     prog = models.skip_list_sequential_program(keys, query)
-    t = machine.initial_trace([prog])
-    iv = machine.trace_step_ival_n(rr, t, 900)
-    # final configs; rebuild the trace valuation to reach heaps
-    cur = ival.ret(machine.initial_trace([prog]))
-    for _ in range(900):
-        cur = ival.bind(cur, lambda tr: machine.trace_step_ival(rr, tr))
-    for (_, tr, p) in cur.entries:
+    iv = machine.trace_step_ival_n(rr, machine.initial_config([prog]), 900)
+    for (_, c, p) in iv.entries:  # final configurations, heaps included
         if p == 0:
             continue
-        c = tr.curr
         result = to_val(c.threads[0])
         topl = None
         for (loc, v) in c.state.heap:  # top-left sentinel: key INTMIN with a down pointer

@@ -35,9 +35,9 @@ def test_value_json_tuples_and_lang_values():
 
 
 def test_trace_json():
-    t = machine.initial_trace([lang.parse("(let (l (alloc 7)) (load l))")])
-    [(_, t2, _)] = machine.trace_step_ival(lambda tr: 0, t).entries
-    out = report.trace_json(t2)
+    c = machine.initial_config([lang.parse("(let (l (alloc 7)) (load l))")])
+    [(_, c2, _)] = machine.config_step(c, 0).entries
+    out = report.trace_json([c, c2])
     assert len(out["configs"]) == 2
     assert out["configs"][1]["heap"] == {"0": "7"}
 

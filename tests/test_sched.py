@@ -1,5 +1,6 @@
 """Scheduler policies, exact evaluation, backward induction, sampling."""
 
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -24,30 +25,36 @@ def lite_counter(threads: int):
 
 
 def test_round_robin_alternates():
-    t = machine.initial_trace([parse("(flip 1 2)"), parse("(flip 1 2)")])
+    c = machine.initial_config([parse("(flip 1 2)"), parse("(flip 1 2)")])
     pol = sched.round_robin()
-    assert pol.decide(t) == 0
-    t2 = t.extend(t.curr)
-    assert pol.decide(t2) == 1
-    assert pol.decide(t2.extend(t2.curr)) == 0
+    assert pol.choose(0, c) == 0
+    assert pol.choose(1, c) == 1
+    assert pol.choose(2, c) == 0
 
 
 def test_fixed_script_pads_with_stutters():
     pol = sched.fixed_script([1, 0])
-    t = machine.initial_trace([parse("(flip 1 2)")])
-    long = t.extend(t.curr).extend(t.curr)
-    assert pol.decide(long) >= len(long.curr.threads)
+    c = machine.initial_config([parse("(flip 1 2)")])
+    assert pol.choose(2, c) >= len(c.threads)
 
 
 def test_seeded_random_reproducible():
     a, b = sched.seeded_random(5), sched.seeded_random(5)
-    t = machine.initial_trace([parse("1"), parse("2"), parse("3")])
-    assert [a.decide(t)] * 3 == [b.decide(t)] * 3
-    assert a.decide_quick(4, t.curr) == b.decide_quick(4, t.curr)
+    t = machine.initial_config([parse("1"), parse("2"), parse("3")])
+    assert [a.choose(0, t)] * 3 == [b.choose(0, t)] * 3
+    assert a.choose(4, t) == b.choose(4, t)
     c = sched.seeded_random(6)
-    picks_a = [a.decide_quick(s, t.curr) for s in range(40)]
-    picks_c = [c.decide_quick(s, t.curr) for s in range(40)]
+    picks_a = [a.choose(s, t) for s in range(40)]
+    picks_c = [c.choose(s, t) for s in range(40)]
     assert picks_a != picks_c
+
+
+def test_policies_pickle():
+    c = machine.initial_config([parse("1"), parse("2"), parse("3")])
+    for pol in (sched.round_robin(), sched.fixed_script([2, 0, 1]), sched.seeded_random(5)):
+        copy = pickle.loads(pickle.dumps(pol))
+        assert copy.name == pol.name
+        assert [copy.choose(s, c) for s in range(6)] == [pol.choose(s, c) for s in range(6)]
 
 
 def test_evaluate_policy_single_flip():
@@ -161,6 +168,16 @@ def test_monte_carlo_seed_reproducible():
     assert (a.mean, a.variance) == (b.mean, b.variance)
 
 
+def test_monte_carlo_variance_from_exact_sums():
+    # values near 1e9 differ by one: subtracting the rounded square of the
+    # mean from the rounded mean square would cancel every significant digit
+    prog = parse("(if (flip 1 2) 1000000001 1000000000)")
+    for seed in range(1, 6):
+        mc = sched.monte_carlo(prog, sched.round_robin(), 5, read_int, 1000, seed=seed)
+        assert 0.24 < mc.variance <= 0.25
+        assert mc.contains(F(2000000001, 2))
+
+
 def test_monte_carlo_worker_invariance():
     prog = models.unbiased_counter_program(2, max_value=2)
     a = sched.monte_carlo(prog, sched.round_robin(), 80, read_int, 600, seed=8,
@@ -168,6 +185,17 @@ def test_monte_carlo_worker_invariance():
     b = sched.monte_carlo(prog, sched.round_robin(), 80, read_int, 600, seed=8,
                           workers=2)
     assert (a.mean, a.variance) == (b.mean, b.variance)
+
+
+def test_monte_carlo_extracted_adversaries_on_workers():
+    prog = models.dlm_counter_program(2, bits=2)
+    res = sched.extremal_expectation(prog, 80, models.read_pow2_minus_1)
+    for direction in ("lo", "hi"):
+        pol = sched.extract_policy(res, direction)
+        a, b = (sched.monte_carlo(prog, pol, 80, models.read_pow2_minus_1, 300, seed=2,
+                                  workers=w) for w in (1, 2))
+        assert (a.mean, a.variance) == (b.mean, b.variance)
+        assert a.contains(getattr(res, direction))
 
 
 def test_sandwich_counter_against_spec():
@@ -309,6 +337,28 @@ def test_fused_local_loop_in_fork_raises():
     for budget in (0, 5, 200):
         with pytest.raises(sched.ScheduleError):
             sched.extremal_expectation(prog, budget, read_int)
+
+
+def test_evaluate_policy_matches_bind_chain():
+    # one walk of the run tree against the monadic n-step semantics, on the
+    # random programs of the agreement test above
+    rng = random.Random(2024)
+    progs = [random_concurrent_program(rng) for _ in range(60)]
+    raised = 0
+    for prog in progs:
+        for pol in (sched.round_robin(), sched.seeded_random(3)):
+            for budget in (4, 12, 40):
+                finals = machine.trace_step_ival_n(pol.choose, machine.initial_config([prog]),
+                                                   budget).entries
+                where = (lang.unparse(prog), pol.name, budget)
+                if all(machine.is_terminated(c) for (_, c, p) in finals if p > 0):
+                    want = sum(p * read_int(lang.to_val(c.threads[0])) for (_, c, p) in finals)
+                    assert sched.evaluate_policy(prog, pol, budget, read_int) == want, where
+                else:
+                    raised += 1
+                    with pytest.raises(sched.ScheduleError):
+                        sched.evaluate_policy(prog, pol, budget, read_int)
+    assert 0 < raised < 360  # both outcomes are covered
 
 
 def test_fusion_shrinks_the_memo():
