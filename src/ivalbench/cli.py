@@ -187,9 +187,16 @@ def cmd_simulate(args) -> int:
         policy = sched.seeded_random(args.sched_seed)
     else:
         raise ConfigError("--sched must be round-robin or seeded-random")
+    if args.workers is None:
+        try:
+            workers = sched.default_workers()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    else:
+        workers = positive_int("workers", args.workers, 1)
     mc = sched.monte_carlo(prog, policy, positive_int("budget", args.budget, 1), f,
                            positive_int("trials", args.trials, 1), args.seed,
-                           workers=args.workers)
+                           workers=workers)
     rep = {
         "command": "simulate",
         "model": args.model,

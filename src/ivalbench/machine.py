@@ -18,16 +18,18 @@ absorbing.
 
 A scheduler is a Markov policy ``choose(step, config) -> thread index``.
 ``trace_step_ival_n`` is the monadic n-step semantics under one: a chain
-of binds over ``config_step``.  ``sample_run`` is a light path for
-Monte-Carlo work: it follows a single run, sampling flip outcomes, instead
-of building valuations.
+of binds over ``config_step``.  ``sample_run`` is the path for Monte-Carlo
+work: it follows a single run, sampling flip outcomes exactly, over a
+``TransitionTable`` that the runs of one sampling call build and share.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional
 
 from ivalbench import ival, lang
@@ -265,7 +267,7 @@ def apply_prim(op: str, vals: tuple) -> Optional[Val]:
         case ("*", (VInt(n=a), VInt(n=b))):
             return VInt(a * b)
         case ("pow", (VInt(n=a), VInt(n=b))):
-            return VInt(a ** b) if b >= 0 else None
+            return _pow(a, b)
         case ("mod", (VInt(n=a), VInt(n=b))):
             return VInt(a % b) if b != 0 else None
         case ("=", (a, b)):
@@ -288,6 +290,22 @@ def apply_prim(op: str, vals: tuple) -> Optional[Val]:
     return None
 
 
+# ``pow`` is stuck when its result would need more bits than this, as it is
+# on a negative exponent: the side condition keeps one step from running
+# out of time or memory.
+POW_MAX_BITS = 1 << 16
+
+
+def _pow(a: int, b: int) -> Optional[VInt]:
+    if b < 0:
+        return None
+    # |a| ** b needs at least b * (bit_length(|a|) - 1) + 1 bits
+    if abs(a) > 1 and b * (abs(a).bit_length() - 1) >= POW_MAX_BITS:
+        return None
+    n = a ** b
+    return VInt(n) if n.bit_length() <= POW_MAX_BITS else None
+
+
 def thread_step(e: Expr, s: State) -> IndexedValuation:
     """Per-thread reduction as a valuation over optional step results.
 
@@ -308,11 +326,15 @@ def config_step(c: Config, i: int) -> IndexedValuation:
     res = outcomes(c.threads[i], c.state)
     if res is None:
         return ival.ret(c)
-    entries = []
-    for (k, (p, e2, s2, spawned)) in enumerate(res):
-        threads = c.threads[:i] + (e2,) + c.threads[i + 1:] + tuple(spawned)
-        entries.append((k, Config(threads, s2), p))
-    return IndexedValuation(tuple(entries))
+    return IndexedValuation(tuple(
+        (k, successor(c, i, e2, s2, spawned), p)
+        for (k, (p, e2, s2, spawned)) in enumerate(res)))
+
+
+def successor(c: Config, i: int, e2: Expr, s2: State, spawned) -> Config:
+    """``c`` after thread ``i`` stepped to ``e2`` in ``s2``, forking
+    ``spawned``."""
+    return Config(c.threads[:i] + (e2,) + c.threads[i + 1:] + tuple(spawned), s2)
 
 
 # ---------------------------------------------------------------------------
@@ -339,36 +361,95 @@ def is_terminated(c: Config) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sampling (Monte-Carlo fast path)
+# sampling (Monte-Carlo)
 
 
-def sample_run(c: Config, choose: Callable[[int, Config], int],
-               budget: int, rng: random.Random) -> Config:
-    """Follow one sampled run until termination or budget exhaustion."""
-    for step in range(budget):
-        if is_terminated(c):
-            return c
-        i = choose(step, c)
-        if not 0 <= i < len(c.threads):
-            continue
-        res = outcomes(c.threads[i], c.state)
+class TransitionTable:
+    """The steps that sampled runs took, built lazily.  Node ``n`` is the
+    ``n``-th configuration reached; ``rows[n]`` maps each thread stepped
+    from it to its row: the successor node of a step with one outcome
+    (``n`` itself for a stutter), else (successor nodes, common
+    denominator, cumulative numerators).  A row is derived once from
+    ``outcomes``, and each successor configuration is hashed once to find
+    its node; every later step through the row is an int-keyed dict probe.
+    Rows name nodes by number, so the table holds no reference cycle and
+    is freed as soon as its last user drops it.  Memory grows with the
+    distinct configurations the runs visit."""
+
+    def __init__(self):
+        self.ids: dict = {}  # Config -> node
+        self.configs: list = []  # node -> Config
+        self.terminated: list = []  # node -> is_terminated(its Config)
+        self.rows: list = []  # node -> {thread index: row}
+
+    def node(self, c: Config) -> int:
+        n = self.ids.setdefault(c, len(self.configs))  # one deep hash
+        if n == len(self.configs):
+            self.configs.append(c)
+            self.terminated.append(is_terminated(c))
+            self.rows.append({})
+        return n
+
+    def row(self, n: int, i: int):
+        c = self.configs[n]
+        res = outcomes(c.threads[i], c.state) if 0 <= i < len(c.threads) else None
         if res is None:
-            continue
-        if len(res) == 1:
-            (_, e2, s2, spawned) = res[0]
+            row = n
         else:
-            r = rng.random()
-            acc = 0.0
-            chosen = res[-1]
-            for cand in res:
-                acc += float(cand[0])
-                if r < acc:
-                    chosen = cand
-                    break
-            (_, e2, s2, spawned) = chosen
-        threads = c.threads[:i] + (e2,) + c.threads[i + 1:] + tuple(spawned)
-        c = Config(threads, s2)
-    return c
+            succs = tuple(self.node(successor(c, i, e2, s2, spawned))
+                          for (_, e2, s2, spawned) in res)
+            if len(succs) == 1:
+                row = succs[0]
+            else:
+                den = math.lcm(*(p.denominator for (p, _, _, _) in res))
+                cums = accumulate(p.numerator * (den // p.denominator) for (p, _, _, _) in res)
+                row = (succs, den, tuple(cums))
+        self.rows[n][i] = row
+        return row
+
+
+UNIT_BITS = 53  # ``random.random()`` is k / 2**53 for an integer k
+
+
+def pick_outcome(den: int, cums: tuple, rng: random.Random) -> int:
+    """The first outcome ``j`` whose cumulative threshold ``cums[j]/den``
+    bounds the whole cell ``[r, r+1) / scale`` of the uniform draw, in
+    integers only.  ``r / 2**53`` is ``rng.random()``; while a threshold
+    falls strictly inside the cell, 53 more bits refine it, so every
+    rational is sampled exactly (Knuth & Yao 1976).  A dyadic threshold
+    with denominator at most ``2**53`` never falls inside a cell, so such a
+    choice draws nothing beyond the one ``random()``."""
+    scale = 1 << UNIT_BITS
+    r = int(rng.random() * scale)
+    j = 0
+    while True:
+        t = cums[j] * scale
+        if (r + 1) * den <= t:
+            return j
+        if r * den < t:
+            r = (r << UNIT_BITS) | rng.getrandbits(UNIT_BITS)
+            scale <<= UNIT_BITS
+        else:
+            j += 1
+
+
+def sample_run(table: TransitionTable, start: int,
+               choose: Callable[[int, Config], int], budget: int,
+               rng: random.Random) -> int:
+    """Follow one sampled run from node ``start`` until termination or
+    budget exhaustion, extending ``table`` with the rows it steps through;
+    returns the last node."""
+    configs, terminated, rows = table.configs, table.terminated, table.rows
+    n = start
+    for step in range(budget):
+        if terminated[n]:
+            return n
+        i = choose(step, configs[n])
+        row = rows[n].get(i)
+        if row is None:
+            row = table.row(n, i)
+        n = row if type(row) is int else row[0][pick_outcome(row[1], row[2], rng)]
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -388,27 +388,35 @@ class MonteCarloResult:
 
 
 def _run_trials(prog, policy, budget, f, heap, seed, lo, hi):
-    c0 = machine.initial_config([prog], heap)
+    """Trials ``lo`` to ``hi`` over one transition table: (sum, sum of
+    squares)."""
+    table = machine.TransitionTable()
+    start = table.node(initial_config([prog], heap))
     total = Fraction(0)
     totalsq = Fraction(0)
     for trial in range(lo, hi):
         rng = random.Random(_mix(seed, trial))
-        c = machine.sample_run(c0, policy.choose, budget, rng)
-        if not is_terminated(c):
+        end = machine.sample_run(table, start, policy.choose, budget, rng)
+        if not table.terminated[end]:
             raise ScheduleError(f"trial {trial} unterminated after {budget} steps")
-        x = as_rational(f(to_val(c.threads[0])))
+        x = as_rational(f(to_val(table.configs[end].threads[0])))
         total += x
         totalsq += x * x
     return total, totalsq
 
 
 def default_workers() -> int:
+    """The worker count in ``IVALBENCH_WORKERS`` (default 1); ``ValueError``
+    unless it is an integer >= 1."""
     import os
     raw = os.environ.get("IVALBENCH_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"IVALBENCH_WORKERS must be an integer >= 1, not {raw!r}")
+    return workers
 
 
 def monte_carlo(prog: Expr, policy: SchedulerPolicy, budget: int, f: Callable,
@@ -417,11 +425,14 @@ def monte_carlo(prog: Expr, policy: SchedulerPolicy, budget: int, f: Callable,
 
     Each trial runs on its own deterministic (seed, trial) sub-seed and
     sample sums are accumulated exactly, so the result is identical no
-    matter how trials are chunked across workers.  A path that fails to
-    terminate within the budget is an error, not a silent truncation.
+    matter how trials are chunked across workers; each worker samples over
+    its own ``machine.TransitionTable``.  A path that fails to terminate
+    within the budget is an error, not a silent truncation.
     """
     if workers is None:
         workers = default_workers()
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, not {workers}")
     if workers > 1 and trials >= 2 * workers:
         import concurrent.futures
         bounds = [trials * k // workers for k in range(workers + 1)]

@@ -87,6 +87,20 @@ def test_invalid_configuration_exit_code():
     assert run(["simulate", "--model", "unbiased-counter", "--sched", "bogus"]) == 2
 
 
+def test_malformed_worker_counts_exit_2(monkeypatch, capsys):
+    argv = ["simulate", "--model", "unbiased-counter", "--threads", "2",
+            "--trials", "20", "-f", "read"]
+    for workers in ("-3", "0"):
+        assert run(argv + ["--workers", workers]) == 2
+        assert "--workers must be an integer >= 1" in capsys.readouterr().err
+    for raw in ("abc", "-3", "0", ""):
+        monkeypatch.setenv("IVALBENCH_WORKERS", raw)
+        assert run(argv) == 2
+        assert "IVALBENCH_WORKERS must be an integer >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("IVALBENCH_WORKERS", "1")
+    assert run(argv) == 0
+
+
 def test_functional_validation():
     assert run(["mdp", "--model", "unbiased-counter", "-f", "nope"]) == 2
 

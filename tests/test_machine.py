@@ -1,6 +1,7 @@
 """Operational semantics: redexes, configurations, runs, invariants."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -275,3 +276,23 @@ def test_next_redex_is_local():
              "(alloc 1)", "(+ (load (loc 0)) 1)", "(seq (faa (loc 0) 1) (+ 1 2))"]
     assert all(machine.next_redex_is_local(parse(t)) for t in local)
     assert not any(machine.next_redex_is_local(parse(t)) for t in other)
+
+
+def test_pow_bounded_by_result_bits():
+    big = machine.POW_MAX_BITS
+    assert machine.apply_prim("pow", (VInt(2), VInt(big - 1))) == VInt(2 ** (big - 1))
+    assert machine.apply_prim("pow", (VInt(-3), VInt(3))) == VInt(-27)
+    assert machine.apply_prim("pow", (VInt(1), VInt(10 ** 18))) == VInt(1)
+    assert machine.apply_prim("pow", (VInt(2), VInt(big))) is None  # big + 1 bits
+    assert machine.apply_prim("pow", (VInt(3), VInt(big))) is None
+    # 3**40000 has 63,399 bits and 3**45000 has 71,324: the second is
+    # refused only after it is computed
+    assert machine.apply_prim("pow", (VInt(3), VInt(40000))) == VInt(3 ** 40000)
+    assert machine.apply_prim("pow", (VInt(-3), VInt(45000))) is None
+    t0 = time.perf_counter()
+    assert machine.apply_prim("pow", (VInt(2), VInt(200_000_000))) is None
+    assert machine.apply_prim("pow", (VInt(7), VInt(10 ** 30))) is None
+    assert time.perf_counter() - t0 < 0.5  # computing 2**200000000 takes seconds
+    # an oversized power is a stuck side condition, like a negative exponent
+    assert outcomes(parse("(pow 2 200000000)"), State()) is None
+    assert outcomes(parse("(pow 2 -1)"), State()) is None

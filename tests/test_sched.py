@@ -3,6 +3,7 @@
 import pickle
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
@@ -185,6 +186,85 @@ def test_monte_carlo_worker_invariance():
     b = sched.monte_carlo(prog, sched.round_robin(), 80, read_int, 600, seed=8,
                           workers=2)
     assert (a.mean, a.variance) == (b.mean, b.variance)
+    with pytest.raises(ValueError):
+        sched.monte_carlo(prog, sched.round_robin(), 80, read_int, 600, seed=8, workers=0)
+
+
+class StubRng:
+    """``random()`` returns a fixed float, ``getrandbits(53)`` fixed bits."""
+
+    def __init__(self, u: float, bits=None):
+        self.u, self.bits = u, bits
+
+    def random(self):
+        return self.u
+
+    def getrandbits(self, k):
+        assert k == machine.UNIT_BITS and self.bits is not None, "no refinement expected"
+        return self.bits
+
+
+def sampled_first_thread(text: str, rng) -> lang.Expr:
+    table = machine.TransitionTable()
+    start = table.node(machine.initial_config([parse(text)]))
+    end = machine.sample_run(table, start, sched.round_robin().choose, 1, rng)
+    return table.configs[end].threads[0]
+
+
+def test_sample_run_chooses_exactly():
+    # float(1/3) lies below 1/3, in the 53-bit cell that contains 1/3: the
+    # cell is refined by further bits instead of being compared as a float
+    u = float(F(1, 3))
+    assert F(u) < F(1, 3)
+    assert sampled_first_thread("(flip 1 3)", StubRng(u, 0)) == lang.Lit(lang.TRUE)
+    assert sampled_first_thread("(flip 1 3)", StubRng(u, 2 ** 53 - 1)) == lang.Lit(lang.FALSE)
+    # a dyadic threshold never falls inside a cell: no bits beyond random()
+    assert sampled_first_thread("(flip 1 4)", StubRng(0.25)) == lang.Lit(lang.FALSE)
+    assert sampled_first_thread("(flip 1 4)", StubRng(0.25 - 2 ** -53)) == lang.Lit(lang.TRUE)
+    assert sampled_first_thread("(flip 1 1)", StubRng(1 - 2 ** -53)) == lang.Lit(lang.TRUE)
+    assert sampled_first_thread("(flip 0 1)", StubRng(0.0)) == lang.Lit(lang.FALSE)
+
+
+# (mean, variance, ci_lo, ci_hi) of ``monte_carlo`` on the concurrent
+# bundled programs, budget 3000, 100 trials, seed 1, recorded with a
+# sampler that compared the draw with float sums of the probabilities:
+# every bundled flip is dyadic, so exact choice keeps that random stream
+PINNED_STREAM = {
+    ("count_true_client", "round-robin"):
+        (3.05, 2.0475, 2.620727359362374, 3.4792726406376255),
+    ("count_true_client", "seeded-random(0)"):
+        (3.05, 2.0475, 2.620727359362374, 3.4792726406376255),
+    ("dlm_counter_b2", "round-robin"):
+        (2.0, 1.0, 1.7, 2.3),
+    ("dlm_counter_b2", "seeded-random(0)"):
+        (1.96, 0.9984, 1.6602400960768768, 2.259759903923123),
+    ("skiplist_staged", "round-robin"):
+        (2.23, 0.7171, 1.9759547284439247, 2.484045271556075),
+    ("skiplist_staged", "seeded-random(0)"):
+        (2.23, 0.7171, 1.9759547284439247, 2.484045271556075),
+    ("unbiased_counter_t2", "round-robin"):
+        (2.0, 0.0, 2.0, 2.0),
+    ("unbiased_counter_t2", "seeded-random(0)"):
+        (2.0, 0.0, 2.0, 2.0),
+    ("unbiased_counter_t3", "round-robin"):
+        (3.0, 0.0, 3.0, 3.0),
+    ("unbiased_counter_t3", "seeded-random(0)"):
+        (3.0, 0.0, 3.0, 3.0),
+}
+
+
+def test_monte_carlo_stream_pinned():
+    base = resources.files("ivalbench.programs")
+    functionals = {"count_true_client": "read", "dlm_counter_b2": "pow2-minus-1",
+                   "skiplist_staged": "pair-cost", "unbiased_counter_t2": "read",
+                   "unbiased_counter_t3": "read"}
+    policies = {"round-robin": sched.round_robin(), "seeded-random(0)": sched.seeded_random(0)}
+    assert len(PINNED_STREAM) == 10
+    for ((name, pname), want) in PINNED_STREAM.items():
+        prog = lang.parse(base.joinpath(name + ".sexp").read_text())
+        mc = sched.monte_carlo(prog, policies[pname], 3000,
+                               models.FUNCTIONALS[functionals[name]], 100, seed=1, workers=1)
+        assert (mc.mean, mc.variance, mc.ci_lo, mc.ci_hi) == want, (name, pname)
 
 
 def test_monte_carlo_extracted_adversaries_on_workers():
@@ -359,6 +439,42 @@ def test_evaluate_policy_matches_bind_chain():
                     with pytest.raises(sched.ScheduleError):
                         sched.evaluate_policy(prog, pol, budget, read_int)
     assert 0 < raised < 360  # both outcomes are covered
+
+
+def test_transition_table_rows_match_config_step(monkeypatch):
+    # every row a Monte-Carlo run caches, on the random programs of the
+    # agreement test above, against the step function it was derived from
+    tables = []
+
+    class Recorded(machine.TransitionTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(machine, "TransitionTable", Recorded)
+    rng = random.Random(2024)
+    progs = [random_concurrent_program(rng) for _ in range(60)]
+    rows = stutters = branching = 0
+    for prog in progs:
+        for pol in (sched.round_robin(), sched.seeded_random(3)):
+            try:
+                sched.monte_carlo(prog, pol, 40, read_int, 30, seed=1, workers=1)
+            except sched.ScheduleError:
+                pass  # an unterminated trial: its rows are checked all the same
+            table = tables.pop()
+            assert list(table.ids.values()) == list(range(len(table.configs)))
+            for (n, c) in enumerate(table.configs):
+                assert table.ids[c] == n and table.terminated[n] == machine.is_terminated(c)
+                for (i, row) in table.rows[n].items():
+                    (succs, den, cums) = ((row,), 1, (1,)) if type(row) is int else row
+                    probs = [F(b - a, den) for (a, b) in zip((0,) + cums, cums)]
+                    want = [(c2, p) for (_, c2, p) in machine.config_step(c, i).entries]
+                    assert [(table.configs[m], p) for (m, p) in zip(succs, probs)] == want
+                    rows += 1
+                    stutters += succs == (n,)
+                    branching += len(succs) > 1
+    assert not tables
+    assert rows > stutters > 0 and branching > 0
 
 
 def test_fusion_shrinks_the_memo():
