@@ -24,55 +24,131 @@ for ``let`` with binder ``_``.  The printer emits the canonical forms, so
 print-then-parse is the identity on ASTs and printing is idempotent on
 text.  Runtime-only values (pairs, closures) print as their constructor
 expressions.
+
+Every value and expression node is hash-consed (Filliatre & Conchon,
+"Type-safe modular hash-consing", 2006): constructing a node looks its
+constructor arguments up in a table of its class and returns the node
+already built from them, if there is one.  Equal terms are therefore one
+object, and ``==`` and ``hash`` are identity, so hashing a term costs O(1)
+however deep it is.  ``__post_init__`` checks run on the first
+construction only.  The tables hold their nodes weakly: a node leaves its
+table when its last reference goes, so intermediate terms are not kept.
+Pickling a node records its class and constructor arguments, and
+unpickling constructs it again, so a node sent to a worker process is
+interned there too.  Each expression caches its free variables (``fv``);
+``subst`` returns a term in which the name is not free unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import ref
 
 from ivalbench import sexpr
 from ivalbench.sexpr import Symbol
 
 
 # ---------------------------------------------------------------------------
+# hash-consing
+
+
+class _KeyedRef(ref):
+    """A weak reference that knows its table key (``weakref.KeyedRef``
+    without the Python-level ``__new__`` and ``__init__``)."""
+
+    __slots__ = ("key",)
+
+
+class _Interned(type):
+    """Metaclass of the syntax nodes: one node per class and tuple of
+    (positional) constructor arguments, held in a weak per-class table."""
+
+    def __init__(cls, name, bases, ns):
+        super().__init__(name, bases, ns)
+        table: dict = {}  # constructor arguments -> _KeyedRef to the node
+
+        def forget(r, table=table):
+            if table.get(r.key) is r:  # not yet replaced by a new node
+                del table[r.key]
+
+        cls._table = table
+        cls._forget = forget
+
+    def __call__(cls, *args):
+        table = cls._table
+        r = table.get(args)
+        if r is not None:
+            node = r()
+            if node is not None:
+                return node
+        node = type.__call__(cls, *args)
+        r = table[args] = _KeyedRef(node, cls._forget)
+        r.key = args
+        return node
+
+
+class _InternedScalar(_Interned):
+    """A scalar node admits a payload of exactly its type: ``True == 1``,
+    so ``VInt(True)`` would otherwise be the node ``VInt(1)``."""
+
+    def __call__(cls, x):
+        if type(x) is not cls._payload:
+            raise TypeError(f"{cls.__name__} payload must be {cls._payload.__name__}, not {x!r}")
+        return _Interned.__call__(cls, x)
+
+
+_node = dataclass(frozen=True, slots=True, eq=False, weakref_slot=True)
+
+
+class _Node(metaclass=_Interned):
+    __slots__ = ()
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in self.__match_args__))
+
+
+# ---------------------------------------------------------------------------
 # values
 
 
-class Val:
-    pass
+class Val(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class VUnit(Val):
     def __repr__(self):
         return "()"
 
 
-@dataclass(frozen=True, slots=True)
-class VInt(Val):
+@_node
+class VInt(Val, metaclass=_InternedScalar):
+    _payload = int
     n: int
 
     def __repr__(self):
         return str(self.n)
 
 
-@dataclass(frozen=True, slots=True)
-class VBool(Val):
+@_node
+class VBool(Val, metaclass=_InternedScalar):
+    _payload = bool
     b: bool
 
     def __repr__(self):
         return "#t" if self.b else "#f"
 
 
-@dataclass(frozen=True, slots=True)
-class VLoc(Val):
+@_node
+class VLoc(Val, metaclass=_InternedScalar):
+    _payload = int
     loc: int
 
     def __repr__(self):
         return f"loc:{self.loc}"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class VPair(Val):
     fst: Val
     snd: Val
@@ -81,7 +157,7 @@ class VPair(Val):
         return f"({self.fst!r}, {self.snd!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class VClosure(Val):
     fname: str
     xname: str
@@ -100,8 +176,31 @@ FALSE = VBool(False)
 # expressions
 
 
-class Expr:
-    pass
+_CLOSED = frozenset()
+
+
+class Expr(_Node):
+    __slots__ = ("fv",)  # the names free in the expression, a frozenset
+
+    def __post_init__(self):
+        """Cache the free variables, from the children's cached sets; a
+        set equal to a child's is that child's set.  ``_`` is never free:
+        it binds nothing, so ``subst`` never replaces it."""
+        t = type(self)
+        if t is Var:
+            fv = _CLOSED if self.name == "_" else frozenset((self.name,))
+        elif t is Lit:
+            fv = _CLOSED
+        elif t is Rec:
+            fv = _bind(self.body.fv, (self.fname, self.xname))
+        elif t is Let:
+            fv = _union(self.bound.fv, _bind(self.body.fv, (self.name,)))
+        else:
+            fv = _CLOSED
+            for child in (self.args if t is Prim else map(self.__getattribute__, t.__match_args__)):
+                if child.fv:  # at run time terms are mostly closed
+                    fv = _union(fv, child.fv) if fv else child.fv
+        object.__setattr__(self, "fv", fv)
 
 
 RESERVED = frozenset([
@@ -118,100 +217,101 @@ PRIM_OPS = frozenset([
 PRIM_ARITY = {op: (1 if op in ("not", "fst", "snd") else 2) for op in PRIM_OPS}
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Var(Expr):
     name: str
 
     def __post_init__(self):
         if self.name in RESERVED:
             raise ValueError(f"variable name {self.name!r} is reserved")
+        Expr.__post_init__(self)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Lit(Expr):
     value: Val
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Pair(Expr):
     fst: Expr
     snd: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Rec(Expr):
     fname: str
     xname: str
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Let(Expr):
     name: str
     bound: Expr
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class If(Expr):
     cond: Expr
     then: Expr
     els: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Flip(Expr):
     num: Expr
     den: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Fork(Expr):
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Alloc(Expr):
     init: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Load(Expr):
     ref: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Store(Expr):
     ref: Expr
     value: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Faa(Expr):
     ref: Expr
     delta: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Cas(Expr):
     ref: Expr
     expected: Expr
     new: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Wait(Expr):
     ref: Expr
     value: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Prim(Expr):
     op: str
     args: tuple
@@ -221,6 +321,15 @@ class Prim(Expr):
             raise ValueError(f"unknown primitive {self.op!r}")
         if len(self.args) != PRIM_ARITY[self.op]:
             raise ValueError(f"{self.op} expects {PRIM_ARITY[self.op]} arguments")
+        Expr.__post_init__(self)
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    return a if b <= a else b if a <= b else a | b
+
+
+def _bind(fv: frozenset, names: tuple) -> frozenset:
+    return fv if fv.isdisjoint(names) else fv.difference(names)
 
 
 def seq(*exprs: Expr) -> Expr:
@@ -282,18 +391,16 @@ def of_val(v: Val) -> Expr:
 
 
 def subst(e: Expr, name: str, replacement: Expr) -> Expr:
-    if name == "_":
+    """``e`` with ``replacement`` for the free occurrences of ``name``;
+    ``e`` itself, unwalked, when ``name`` is not free in it."""
+    if name not in e.fv:
         return e
     t = type(e)
     if t is Var:
-        return replacement if e.name == name else e
-    if t is Lit:
-        return e
+        return replacement
     if t is Pair:
         return Pair(subst(e.fst, name, replacement), subst(e.snd, name, replacement))
-    if t is Rec:
-        if name == e.fname or name == e.xname:
-            return e
+    if t is Rec:  # ``name`` is free, so neither binder is ``name``
         return Rec(e.fname, e.xname, subst(e.body, name, replacement))
     if t is App:
         return App(subst(e.fn, name, replacement), subst(e.arg, name, replacement))
@@ -320,9 +427,7 @@ def subst(e: Expr, name: str, replacement: Expr) -> Expr:
                    subst(e.new, name, replacement))
     if t is Wait:
         return Wait(subst(e.ref, name, replacement), subst(e.value, name, replacement))
-    if t is Prim:
-        return Prim(e.op, tuple(subst(a, name, replacement) for a in e.args))
-    raise TypeError(f"not an expression: {e!r}")
+    return Prim(e.op, tuple(subst(a, name, replacement) for a in e.args))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +457,7 @@ def from_sexpr(s) -> Expr:
         kw = head.name
         if kw == "loc":
             expect(s, 2, kw)
-            if not isinstance(s[1], int):
+            if type(s[1]) is not int:  # #t reads as True, an int too
                 raise sexpr.SexprError("loc expects an integer literal")
             return Lit(VLoc(s[1]))
         if kw == "rec":

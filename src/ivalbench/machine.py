@@ -383,7 +383,7 @@ class TransitionTable:
         self.rows: list = []  # node -> {thread index: row}
 
     def node(self, c: Config) -> int:
-        n = self.ids.setdefault(c, len(self.configs))  # one deep hash
+        n = self.ids.setdefault(c, len(self.configs))  # terms hash by identity
         if n == len(self.configs):
             self.configs.append(c)
             self.terminated.append(is_terminated(c))

@@ -55,8 +55,9 @@ decision nodes and on random small concurrent programs.
 
 The extremizing choices are recorded in the memo beside the values, so
 ``extract_policy`` yields an ordinary Markov policy that replays the
-extremum exactly under the unfused ``evaluate_policy``: it takes pending
-local steps first and looks every other configuration up in the memo.
+extremum exactly under the unfused ``evaluate_policy``: it looks the
+configuration up in the memo and, where it is not there, takes a pending
+local step.
 History-dependent schedulers need no policy of their own: the
 backward-induction optimum is attained by a Markov one, and
 ``brute_force_extrema`` covers the rest.
@@ -89,7 +90,7 @@ class SchedulerPolicy:
     """A Markov scheduler: ``choose(step, config)`` is the index of the
     thread to step next; an index naming no thread that can step is a
     stutter.  ``choose`` is a module-level function, a ``functools.partial``
-    of one or a frozen dataclass, so that a policy pickles and
+    of one or a picklable callable object, so that a policy pickles and
     ``monte_carlo`` can send it to worker processes."""
 
     name: str
@@ -123,14 +124,37 @@ def _mix(seed: int, step: int) -> int:
     return x ^ (x >> 31)
 
 
-def _seeded(seed: int, step: int, c: Config) -> int:
-    return _mix(seed, step) % len(c.threads)
+class _Seeded:
+    """``choose`` of ``seeded_random``: ``_mix(seed, step)`` reduced by the
+    pool size.  The mixes of steps below ``CACHED_STEPS`` are computed once
+    per step, in the order runs reach them; pickling sends the seed
+    alone."""
+
+    CACHED_STEPS = 1 << 14
+
+    __slots__ = ("seed", "mixes")
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.mixes: list = []  # mixes[step] = _mix(seed, step)
+
+    def __call__(self, step: int, c: Config) -> int:
+        mixes = self.mixes
+        if step < len(mixes):
+            return mixes[step] % len(c.threads)
+        x = _mix(self.seed, step)
+        if step == len(mixes) < self.CACHED_STEPS:
+            mixes.append(x)
+        return x % len(c.threads)
+
+    def __reduce__(self):
+        return (_Seeded, (self.seed,))
 
 
 def seeded_random(seed: int) -> SchedulerPolicy:
     """Pseudorandom but deterministic: the choice is a hash of (seed, step)
     reduced by the current pool size."""
-    return SchedulerPolicy(f"seeded-random({seed})", partial(_seeded, seed))
+    return SchedulerPolicy(f"seeded-random({seed})", _Seeded(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +317,23 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable, heap=()) -> Extre
 
 
 def _extremal(table: Choices, budget: int, step: int, c: Config) -> int:
+    i = table.get((c, budget - step))
+    if i is not None:
+        return i  # a memoized configuration is settled: no step is pending
     for (i, e) in enumerate(c.threads):
         if fused_successor(e, c.state, i == 0) is not None:
             return i
-    return table.get((c, budget - step), STUTTER)
+    return STUTTER
 
 
 def extract_policy(result: ExtremalResult, direction: str) -> SchedulerPolicy:
     """The memoryless adversary recorded during backward induction; replays
     the extremum exactly under ``evaluate_policy`` with the same budget.
 
-    A configuration with a pending fused step runs that step: local steps
-    commute, so any order reaches the memoized configuration with the same
-    remaining budget.  Every other configuration is looked up."""
+    A memoized configuration is settled, so it is looked up first; one
+    that is not memoized runs a pending fused step: local steps commute,
+    so any order reaches the memoized configuration with the same
+    remaining budget."""
     table = result.policy_lo if direction == "lo" else result.policy_hi
     return SchedulerPolicy(f"extremal-{direction}", partial(_extremal, table, result.budget))
 
@@ -389,19 +417,22 @@ class MonteCarloResult:
 
 def _run_trials(prog, policy, budget, f, heap, seed, lo, hi):
     """Trials ``lo`` to ``hi`` over one transition table: (sum, sum of
-    squares)."""
+    squares), from the number of trials ending at each terminal node."""
     table = machine.TransitionTable()
     start = table.node(initial_config([prog], heap))
-    total = Fraction(0)
-    totalsq = Fraction(0)
+    ends: dict = {}  # terminal node -> trials ending there
     for trial in range(lo, hi):
         rng = random.Random(_mix(seed, trial))
         end = machine.sample_run(table, start, policy.choose, budget, rng)
         if not table.terminated[end]:
             raise ScheduleError(f"trial {trial} unterminated after {budget} steps")
+        ends[end] = ends.get(end, 0) + 1
+    total = Fraction(0)
+    totalsq = Fraction(0)
+    for (end, count) in ends.items():
         x = as_rational(f(to_val(table.configs[end].threads[0])))
-        total += x
-        totalsq += x * x
+        total += count * x
+        totalsq += count * x * x
     return total, totalsq
 
 

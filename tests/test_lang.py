@@ -1,13 +1,17 @@
-"""Concrete syntax: parsing, printing, round trips."""
+"""Concrete syntax: parsing, printing, round trips, hash-consing."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ivalbench import lang, sexpr
+from ivalbench import lang, machine, sexpr
 from ivalbench.lang import (
-    App, Faa, Flip, Lit, Rec, Var, VInt, VLoc, VPair,
+    App, Faa, Flip, Let, Lit, Prim, Rec, Var, VBool, VInt, VLoc, VPair,
     gen_expr, parse, unparse,
 )
 
@@ -107,3 +111,115 @@ def test_value_conversions():
     assert v == VPair(VInt(1), VPair(lang.TRUE, lang.VUnit()))
     assert lang.to_val(lang.of_val(v)) == v
     assert not lang.is_value(parse("(pair 1 (load x))"))
+
+
+def test_equal_constructions_are_one_object():
+    text = "(let (x (flip 1 2)) (if x (+ y 1) (pair y ())))"
+    e = parse(text)
+    assert parse(text) is e
+    assert lang.subst(parse(text.replace("y", "z")), "z", Var("y")) is e
+    s = machine.State()
+    for (text, after) in (("(+ 1 2)", "3"), ("(let (x 1) (+ x x))", "(+ 1 1)"),
+                          ("(pair (+ 1 2) y)", "(pair 3 y)")):
+        [(_, a, _, _)] = machine.outcomes(parse(text), s)
+        [(_, b, _, _)] = machine.outcomes(parse(text), s)
+        assert a is b is parse(after)
+
+
+def test_pickle_and_copy_reintern():
+    rng = random.Random(5)
+    for _ in range(100):
+        e = gen_expr(rng, depth=4)
+        assert pickle.loads(pickle.dumps(e)) is e
+        assert copy.deepcopy(e) is e
+    v = lang.to_val(parse("(pair (rec (f x) (f x)) #t)"))
+    assert pickle.loads(pickle.dumps(v)) is v
+    # unpickled after the original is gone: constructed again, checks and all
+    data = pickle.dumps(parse("(let (x 123456789123) (+ x y))"))
+    gc.collect()
+    e = pickle.loads(data)
+    assert e is parse("(let (x 123456789123) (+ x y))") and e.fv == {"y"}
+
+
+def test_scalar_payloads_keep_their_type():
+    assert VInt(1) is VInt(1)
+    assert VInt(1) is not VBool(True)
+    assert Lit(VInt(1)) is not Lit(VBool(True))
+    for (cls, bad) in ((VInt, True), (VInt, 1.0), (VBool, 1), (VLoc, False)):
+        with pytest.raises(TypeError):
+            cls(bad)
+    with pytest.raises(sexpr.SexprError):
+        parse("(loc #t)")
+
+
+def test_table_entry_dies_with_last_reference():
+    n = 10 ** 30 + 7
+    e = Prim("+", (lang.num(n), Var("y")))
+    assert (n,) in VInt._table
+    dead = weakref.ref(e)
+    del e
+    gc.collect()
+    assert dead() is None
+    assert (n,) not in VInt._table
+    assert lang.num(n).value.n == n
+
+
+def test_underscore_never_binds():
+    # `_` is a throwaway binder: the body's `_` stays an unbound variable,
+    # so each of these steps to it and is stuck, and never terminates
+    s = machine.State()
+    for text in ("(let (_ 1) _)", "(seq 1 _)", "((lam (x) _) 1)"):
+        e = parse(text)
+        assert e.fv == frozenset()
+        [(_, e1, _, _)] = machine.outcomes(e, s)
+        assert e1 is Var("_") and machine.outcomes(e1, s) is None
+    assert lang.subst(Var("_"), "_", lang.num(1)) is Var("_")
+
+
+def naive_free_vars(e) -> set:
+    t = type(e)
+    if t is Var:
+        return set() if e.name == "_" else {e.name}
+    if t is Lit:
+        return set()
+    if t is Rec:
+        return naive_free_vars(e.body) - {e.fname, e.xname}
+    if t is Let:
+        return naive_free_vars(e.bound) | (naive_free_vars(e.body) - {e.name})
+    kids = e.args if t is Prim else [getattr(e, f) for f in t.__match_args__]
+    return set().union(*map(naive_free_vars, kids))
+
+
+def naive_subst(e, name, r):
+    """Substitution by a full walk, with no free-variable shortcut."""
+    t = type(e)
+    if t is Var:
+        return r if e.name == name and name != "_" else e
+    if t is Lit or (t is Rec and name in (e.fname, e.xname)):
+        return e
+    if t is Let:
+        body = e.body if e.name == name else naive_subst(e.body, name, r)
+        return Let(e.name, naive_subst(e.bound, name, r), body)
+    if t is Prim:
+        return Prim(e.op, tuple(naive_subst(a, name, r) for a in e.args))
+    return t(*[naive_subst(x, name, r) if isinstance(x, lang.Expr) else x
+               for x in (getattr(e, f) for f in t.__match_args__)])
+
+
+def test_subst_skips_terms_where_the_name_is_not_free():
+    e = parse("(let (x 1) (rec (f y) (f (+ x y))))")
+    for name in ("x", "f", "y", "z", "_"):
+        assert lang.subst(e, name, lang.num(9)) is e
+    open_term = parse("(pair x (let (x 2) x))")
+    assert open_term.fv == {"x"}
+    assert lang.subst(open_term, "x", lang.num(9)) is parse("(pair 9 (let (x 2) x))")
+    rng = random.Random(23)
+    for _ in range(300):
+        e = gen_expr(rng, depth=4)
+        assert e.fv == naive_free_vars(e)
+        for name in ("x", "y", "z", "acc", "n1", "f", "_"):
+            out = lang.subst(e, name, lang.num(7))
+            assert out is naive_subst(e, name, lang.num(7))
+            assert out.fv == e.fv - {name}
+            if name not in e.fv:
+                assert out is e

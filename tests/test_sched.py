@@ -50,6 +50,19 @@ def test_seeded_random_reproducible():
     assert picks_a != picks_c
 
 
+def test_seeded_random_caches_mix_per_step():
+    pol = sched.seeded_random(5)
+    cap = sched._Seeded.CACHED_STEPS
+    t = machine.initial_config([parse("1"), parse("2"), parse("3")])
+    steps = [3, 0, 1, 2, 3, 4, 2, cap + 5, 9, 7, 5]
+    assert [pol.choose(s, t) for s in steps] == [sched._mix(5, s) % 3 for s in steps]
+    assert pol.choose.mixes == [sched._mix(5, s) for s in range(6)]
+    for s in range(2 * cap):
+        pol.choose(s, t)
+    assert len(pol.choose.mixes) == cap  # bounded
+    assert pickle.loads(pickle.dumps(pol)).choose.mixes == []  # the seed alone
+
+
 def test_policies_pickle():
     c = machine.initial_config([parse("1"), parse("2"), parse("3")])
     for pol in (sched.round_robin(), sched.fixed_script([2, 0, 1]), sched.seeded_random(5)):
