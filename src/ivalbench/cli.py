@@ -36,6 +36,14 @@ def positive_int(name, value, minimum=0):
     return value
 
 
+def read_option_file(name: str, path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read --{name}: {exc}") from exc
+
+
 def pick_functional(name):
     if name not in models.FUNCTIONALS:
         raise ConfigError(
@@ -115,11 +123,7 @@ def cmd_extrema(args) -> int:
 def cmd_couple(args) -> int:
     t0 = time.perf_counter()
     if args.script:
-        try:
-            with open(args.script) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read --script: {exc}") from exc
+        text = read_option_file("script", args.script)
         source = args.script
     else:
         text = resources.files("ivalbench.couplings").joinpath("counter_k3.sexp").read_text()
@@ -322,7 +326,7 @@ def cmd_counter_bias(args) -> int:
 def cmd_parse(args) -> int:
     t0 = time.perf_counter()
     if args.file:
-        sources = {args.file: open(args.file).read()}
+        sources = {args.file: read_option_file("file", args.file)}
     else:
         sources = {}
         base = resources.files("ivalbench.programs")

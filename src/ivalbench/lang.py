@@ -25,6 +25,17 @@ print-then-parse is the identity on ASTs and printing is idempotent on
 text.  Runtime-only values (pairs, closures) print as their constructor
 expressions.
 
+The grammar is written down once, in ``FORMS``: one ``Form`` per
+expression constructor, giving its expression children (its fields of
+type ``Expr``; ``Prim``'s ``args`` is a variadic run of them), its
+evaluation positions in order, the keyword and arity of its
+``(keyword e ...)`` forms, and whether its redex is thread-local.  The
+free-variable cache, ``subst``, the parser, the printer and ``gen_expr``
+read their children and keyword forms off the table, as ``machine`` reads
+its evaluation contexts; only variables, literals, ``rec``/``lam``,
+``let``/``seq``, ``loc`` and n-ary application have code of their own.
+``RESERVED`` is the table's keywords plus those forms' words.
+
 Every value and expression node is hash-consed (Filliatre & Conchon,
 "Type-safe modular hash-consing", 2006): constructing a node looks its
 constructor arguments up in a table of its class and returns the node
@@ -41,7 +52,9 @@ interned there too.  Each expression caches its free variables (``fv``);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter
 from weakref import ref
 
 from ivalbench import sexpr
@@ -189,32 +202,16 @@ class Expr(_Node):
         t = type(self)
         if t is Var:
             fv = _CLOSED if self.name == "_" else frozenset((self.name,))
-        elif t is Lit:
-            fv = _CLOSED
         elif t is Rec:
             fv = _bind(self.body.fv, (self.fname, self.xname))
         elif t is Let:
             fv = _union(self.bound.fv, _bind(self.body.fv, (self.name,)))
         else:
             fv = _CLOSED
-            for child in (self.args if t is Prim else map(self.__getattribute__, t.__match_args__)):
+            for child in FORMS[t].kids(self):
                 if child.fv:  # at run time terms are mostly closed
                     fv = _union(fv, child.fv) if fv else child.fv
         object.__setattr__(self, "fv", fv)
-
-
-RESERVED = frozenset([
-    "lam", "rec", "let", "seq", "if", "flip", "fork", "alloc", "load",
-    "store", "faa", "cas", "wait", "pair", "loc", "fst", "snd", "min",
-    "mod", "pow", "not", "and", "or", "+", "-", "*", "=", "<", "<=",
-])
-
-PRIM_OPS = frozenset([
-    "min", "mod", "pow", "+", "-", "*", "=", "<", "<=", "not", "and",
-    "or", "fst", "snd",
-])
-
-PRIM_ARITY = {op: (1 if op in ("not", "fst", "snd") else 2) for op in PRIM_OPS}
 
 
 @_node
@@ -317,11 +314,85 @@ class Prim(Expr):
     args: tuple
 
     def __post_init__(self):
-        if self.op not in PRIM_OPS:
+        if self.op not in PRIM_ARITY:
             raise ValueError(f"unknown primitive {self.op!r}")
         if len(self.args) != PRIM_ARITY[self.op]:
             raise ValueError(f"{self.op} expects {PRIM_ARITY[self.op]} arguments")
         Expr.__post_init__(self)
+
+
+# ---------------------------------------------------------------------------
+# the grammar
+
+
+def _getter(names: tuple):
+    """``e -> tuple(getattr(e, n) for n in names)``."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda e: (get(e),)
+    return attrgetter(*names) if names else lambda e: ()
+
+
+class Form:
+    """One expression constructor of the grammar.
+
+    Its fields typed ``Expr`` are its children, in order; ``Prim``'s
+    ``args``, typed ``tuple``, is a variadic run of children.  Its other
+    fields (binders, the primitive's operator) come first and are its
+    head.  ``evaluated`` names its evaluation positions, a prefix of its
+    children that is reduced left to right before the node's own redex
+    fires; naming ``args`` makes every argument one.  ``keywords`` maps the
+    keyword of each ``(keyword e ...)`` form of the constructor to its
+    arity.  ``local`` says its redex has one outcome, reads and writes no
+    heap cell, forks nothing and, when stuck, is stuck for good (its side
+    condition looks only at the redex)."""
+
+    __slots__ = ("cls", "children", "keywords", "local", "kids", "evaluated", "make")
+
+    def __init__(self, cls: type, evaluated: tuple = (), keywords=None, local: bool = False):
+        typed = {f.name: f.type for f in fields(cls)}
+        self.cls = cls
+        self.children = tuple(n for (n, t) in typed.items() if t in ("Expr", "tuple"))
+        self.keywords = keywords or {}
+        self.local = local
+        get_head = _getter(tuple(n for n in typed if n not in self.children))
+        # kids(e) and evaluated(e): tuples of e's children and evaluation
+        # positions; make(e, kids): the node with e's head and children kids
+        if "tuple" in typed.values():
+            self.kids = self.evaluated = attrgetter(*self.children)
+            self.make = lambda e, kids: cls(*get_head(e), kids)
+        else:
+            self.kids = _getter(self.children)
+            self.evaluated = _getter(evaluated)
+            self.make = lambda e, kids: cls(*get_head(e), *kids)
+
+
+FORMS = {form.cls: form for form in [
+    Form(Var),
+    Form(Lit),
+    Form(Pair, ("fst", "snd"), {"pair": 2}),
+    Form(Rec),
+    Form(App, ("fn", "arg"), local=True),
+    Form(Let, ("bound",), local=True),
+    Form(If, ("cond",), {"if": 3}, local=True),
+    Form(Flip, ("num", "den"), {"flip": 2}),
+    Form(Fork, (), {"fork": 1}),
+    Form(Alloc, ("init",), {"alloc": 1}),
+    Form(Load, ("ref",), {"load": 1}),
+    Form(Store, ("ref", "value"), {"store": 2}),
+    Form(Faa, ("ref", "delta"), {"faa": 2}),
+    Form(Cas, ("ref", "expected", "new"), {"cas": 3}),
+    Form(Wait, ("ref", "value"), {"wait": 2}),
+    Form(Prim, ("args",), {"min": 2, "mod": 2, "pow": 2, "+": 2, "-": 2, "*": 2, "=": 2,
+                           "<": 2, "<=": 2, "not": 1, "and": 2, "or": 2, "fst": 1,
+                           "snd": 1}, local=True),
+]}
+
+# keyword -> (its form, its arity)
+KEYWORDS = {kw: (form, n) for form in FORMS.values() for (kw, n) in form.keywords.items()}
+PRIM_ARITY = FORMS[Prim].keywords
+# the keywords, and the words of the forms with parse code of their own
+RESERVED = frozenset(KEYWORDS) | {"rec", "lam", "let", "seq", "loc"}
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -340,10 +411,6 @@ def seq(*exprs: Expr) -> Expr:
     for e in reversed(exprs[:-1]):
         out = Let("_", e, out)
     return out
-
-
-def lam(x: str, body: Expr) -> Expr:
-    return Rec("_", x, body)
 
 
 def num(n: int) -> Expr:
@@ -392,42 +459,18 @@ def of_val(v: Val) -> Expr:
 
 def subst(e: Expr, name: str, replacement: Expr) -> Expr:
     """``e`` with ``replacement`` for the free occurrences of ``name``;
-    ``e`` itself, unwalked, when ``name`` is not free in it."""
+    ``e`` itself, unwalked, when ``name`` is not free in it.  A binder
+    that ``name`` is free under is not ``name``, so only a ``let`` whose
+    body rebinds it needs care."""
     if name not in e.fv:
         return e
     t = type(e)
     if t is Var:
         return replacement
-    if t is Pair:
-        return Pair(subst(e.fst, name, replacement), subst(e.snd, name, replacement))
-    if t is Rec:  # ``name`` is free, so neither binder is ``name``
-        return Rec(e.fname, e.xname, subst(e.body, name, replacement))
-    if t is App:
-        return App(subst(e.fn, name, replacement), subst(e.arg, name, replacement))
-    if t is Let:
-        body = e.body if e.name == name else subst(e.body, name, replacement)
-        return Let(e.name, subst(e.bound, name, replacement), body)
-    if t is If:
-        return If(subst(e.cond, name, replacement), subst(e.then, name, replacement),
-                  subst(e.els, name, replacement))
-    if t is Flip:
-        return Flip(subst(e.num, name, replacement), subst(e.den, name, replacement))
-    if t is Fork:
-        return Fork(subst(e.body, name, replacement))
-    if t is Alloc:
-        return Alloc(subst(e.init, name, replacement))
-    if t is Load:
-        return Load(subst(e.ref, name, replacement))
-    if t is Store:
-        return Store(subst(e.ref, name, replacement), subst(e.value, name, replacement))
-    if t is Faa:
-        return Faa(subst(e.ref, name, replacement), subst(e.delta, name, replacement))
-    if t is Cas:
-        return Cas(subst(e.ref, name, replacement), subst(e.expected, name, replacement),
-                   subst(e.new, name, replacement))
-    if t is Wait:
-        return Wait(subst(e.ref, name, replacement), subst(e.value, name, replacement))
-    return Prim(e.op, tuple(subst(a, name, replacement) for a in e.args))
+    if t is Let and e.name == name:
+        return Let(name, subst(e.bound, name, replacement), e.body)
+    form = FORMS[t]
+    return form.make(e, tuple(map(subst, form.kids(e), repeat(name), repeat(replacement))))
 
 
 # ---------------------------------------------------------------------------
@@ -485,39 +528,11 @@ def from_sexpr(s) -> Expr:
             if len(s) < 3:
                 raise sexpr.SexprError("seq expects at least two expressions")
             return seq(*[from_sexpr(x) for x in s[1:]])
-        if kw == "if":
-            expect(s, 4, kw)
-            return If(from_sexpr(s[1]), from_sexpr(s[2]), from_sexpr(s[3]))
-        if kw == "flip":
-            expect(s, 3, kw)
-            return Flip(from_sexpr(s[1]), from_sexpr(s[2]))
-        if kw == "fork":
-            expect(s, 2, kw)
-            return Fork(from_sexpr(s[1]))
-        if kw == "alloc":
-            expect(s, 2, kw)
-            return Alloc(from_sexpr(s[1]))
-        if kw == "load":
-            expect(s, 2, kw)
-            return Load(from_sexpr(s[1]))
-        if kw == "store":
-            expect(s, 3, kw)
-            return Store(from_sexpr(s[1]), from_sexpr(s[2]))
-        if kw == "faa":
-            expect(s, 3, kw)
-            return Faa(from_sexpr(s[1]), from_sexpr(s[2]))
-        if kw == "cas":
-            expect(s, 4, kw)
-            return Cas(from_sexpr(s[1]), from_sexpr(s[2]), from_sexpr(s[3]))
-        if kw == "wait":
-            expect(s, 3, kw)
-            return Wait(from_sexpr(s[1]), from_sexpr(s[2]))
-        if kw == "pair":
-            expect(s, 3, kw)
-            return Pair(from_sexpr(s[1]), from_sexpr(s[2]))
-        if kw in PRIM_OPS:
-            expect(s, 1 + PRIM_ARITY[kw], kw)
-            return Prim(kw, tuple(from_sexpr(x) for x in s[1:]))
+        if kw in KEYWORDS:
+            (form, arity) = KEYWORDS[kw]
+            expect(s, 1 + arity, kw)
+            kids = tuple(map(from_sexpr, s[1:]))
+            return Prim(kw, kids) if form.cls is Prim else form.cls(*kids)
     # application, n-ary sugar for left-nested binary application
     if len(s) < 2:
         raise sexpr.SexprError(f"cannot parse application {s!r}")
@@ -542,8 +557,6 @@ def to_sexpr(e: Expr):
             return Symbol(n)
         case Lit(value=v):
             return val_to_sexpr(v)
-        case Pair(fst=a, snd=b):
-            return [Symbol("pair"), to_sexpr(a), to_sexpr(b)]
         case Rec(fname=f, xname=x, body=b):
             return [Symbol("rec"), [Symbol(f), Symbol(x)], to_sexpr(b)]
         case App():
@@ -564,26 +577,10 @@ def to_sexpr(e: Expr):
                 parts.append(to_sexpr(cur))
                 return [Symbol("seq")] + parts
             return [Symbol("let"), [Symbol(n), to_sexpr(b)], to_sexpr(body)]
-        case If(cond=c, then=t, els=f):
-            return [Symbol("if"), to_sexpr(c), to_sexpr(t), to_sexpr(f)]
-        case Flip(num=a, den=b):
-            return [Symbol("flip"), to_sexpr(a), to_sexpr(b)]
-        case Fork(body=b):
-            return [Symbol("fork"), to_sexpr(b)]
-        case Alloc(init=a):
-            return [Symbol("alloc"), to_sexpr(a)]
-        case Load(ref=a):
-            return [Symbol("load"), to_sexpr(a)]
-        case Store(ref=a, value=b):
-            return [Symbol("store"), to_sexpr(a), to_sexpr(b)]
-        case Faa(ref=a, delta=b):
-            return [Symbol("faa"), to_sexpr(a), to_sexpr(b)]
-        case Cas(ref=a, expected=b, new=c):
-            return [Symbol("cas"), to_sexpr(a), to_sexpr(b), to_sexpr(c)]
-        case Wait(ref=a, value=b):
-            return [Symbol("wait"), to_sexpr(a), to_sexpr(b)]
-        case Prim(op=op, args=args):
-            return [Symbol(op)] + [to_sexpr(a) for a in args]
+        case Expr():
+            form = FORMS[type(e)]
+            kw = e.op if type(e) is Prim else next(iter(form.keywords))
+            return [Symbol(kw), *map(to_sexpr, form.kids(e))]
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -612,6 +609,12 @@ def unparse(e: Expr) -> str:
 # random source ASTs (parser round-trip fodder)
 
 
+# ``gen_expr``'s choices, in the order that fixes its random stream; an int
+# is a primitive of that arity
+_GEN_FORMS = ["leaf", Pair, Rec, App, Let, "seq", If, Flip, Fork, Alloc, Load, Store,
+              Faa, Cas, Wait, 1, 2]
+
+
 def gen_expr(rng, depth: int = 4) -> Expr:
     """A random closed-ish source AST; used for print/parse round trips."""
     names = ["x", "y", "z", "acc", "n1"]
@@ -625,47 +628,23 @@ def gen_expr(rng, depth: int = 4) -> Expr:
             return unit
         return Var(rng.choice(names))
     d = depth - 1
-    form = rng.choice([
-        "leaf", "pair", "rec", "app", "let", "seq", "if", "flip", "fork",
-        "alloc", "load", "store", "faa", "cas", "wait", "prim1", "prim2",
-    ])
+    form = rng.choice(_GEN_FORMS)
     if form == "leaf":
         return gen_expr(rng, 0)
-    if form == "pair":
-        return Pair(gen_expr(rng, d), gen_expr(rng, d))
-    if form == "rec":
+    if form is Rec:
         if rng.random() < 0.3:
             return Rec("_", rng.choice(names), gen_expr(rng, d))
         return Rec("f", rng.choice(names), gen_expr(rng, d))
-    if form == "app":
+    if form is App:
         e = gen_expr(rng, d)
         for _ in range(rng.randint(1, 2)):
             e = App(e, gen_expr(rng, d))
         return e
-    if form == "let":
+    if form is Let:
         return Let(rng.choice(names), gen_expr(rng, d), gen_expr(rng, d))
     if form == "seq":
         return seq(*[gen_expr(rng, d) for _ in range(rng.randint(2, 3))])
-    if form == "if":
-        return If(gen_expr(rng, d), gen_expr(rng, d), gen_expr(rng, d))
-    if form == "flip":
-        return Flip(gen_expr(rng, d), gen_expr(rng, d))
-    if form == "fork":
-        return Fork(gen_expr(rng, d))
-    if form == "alloc":
-        return Alloc(gen_expr(rng, d))
-    if form == "load":
-        return Load(gen_expr(rng, d))
-    if form == "store":
-        return Store(gen_expr(rng, d), gen_expr(rng, d))
-    if form == "faa":
-        return Faa(gen_expr(rng, d), gen_expr(rng, d))
-    if form == "cas":
-        return Cas(gen_expr(rng, d), gen_expr(rng, d), gen_expr(rng, d))
-    if form == "wait":
-        return Wait(gen_expr(rng, d), gen_expr(rng, d))
-    if form == "prim1":
-        op = rng.choice(["not", "fst", "snd"])
-        return Prim(op, (gen_expr(rng, d),))
-    op = rng.choice(["min", "mod", "pow", "+", "-", "*", "=", "<", "<=", "and", "or"])
-    return Prim(op, (gen_expr(rng, d), gen_expr(rng, d)))
+    if type(form) is int:  # a primitive of that arity
+        op = rng.choice([op for (op, n) in PRIM_ARITY.items() if n == form])
+        return Prim(op, tuple(gen_expr(rng, d) for _ in range(form)))
+    return form(*[gen_expr(rng, d) for _ in FORMS[form].children])

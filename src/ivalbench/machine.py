@@ -8,6 +8,15 @@ non-value makes the thread *stuck right now* -- stuckness is re-evaluated
 against the current heap on every scheduling, which is what lets ``wait``
 block and later resume.
 
+A step is decompose, rule, plug (Felleisen & Hieb 1992; Danvy &
+Nielsen, "Refocusing in reduction semantics", 2004).  ``decompose`` walks
+down the evaluation positions that ``lang.FORMS`` lists, always into the
+first one that is not a value, and returns the context as a list of
+frames with the redex below it; ``RULES`` holds one rule per redex
+constructor, which gives the redex's outcomes in the current heap; and
+``plug`` rebuilds each outcome's context around it.  The walk is a loop,
+so a deep context needs no recursion.
+
 A configuration is a nonempty thread pool plus a heap; stepping thread
 ``i`` replaces its expression, applies the heap effect, and appends any
 forked expression to the pool.  Scheduling a value, a stuck thread, or an
@@ -35,8 +44,8 @@ from typing import Callable, Optional
 from ivalbench import ival, lang
 from ivalbench.ival import IndexedValuation
 from ivalbench.lang import (
-    Alloc, App, Cas, Expr, Faa, Flip, Fork, If, Let, Lit, Load, Pair, Prim,
-    Rec, Store, Val, Var, VBool, VClosure, VInt, VLoc, VPair, Wait,
+    FORMS, Alloc, App, Cas, Expr, Faa, Flip, Fork, If, Let, Lit, Load, Prim,
+    Rec, Store, Val, VBool, VClosure, VInt, VLoc, VPair, Wait,
     is_value, of_val, subst, to_val,
 )
 
@@ -114,146 +123,152 @@ _TRUE_LIT = Lit(lang.TRUE)
 _FALSE_LIT = Lit(lang.FALSE)
 
 
+def decompose(e: Expr):
+    """``(frames, redex)`` with ``plug(frames, redex) is e``, or ``None``
+    when ``e`` is a value or its next redex would be a variable (an open
+    term, which no rule reduces).  A frame ``(node, k)`` is a node whose
+    evaluation positions before its ``k``-th are values and whose ``k``-th
+    is not; the redex is the first node on that path whose evaluation
+    positions are all values.  Iterative, so context depth is not bounded
+    by the recursion limit."""
+    frames = []
+    while True:
+        for (k, c) in enumerate(FORMS[type(e)].evaluated(e)):
+            if not is_value(c):
+                frames.append((e, k))
+                e = c
+                break
+        else:
+            return (frames, e) if type(e) in RULES else None
+
+
+def plug(frames: list, e: Expr) -> Expr:
+    """Fill the context ``frames`` with ``e``."""
+    for (node, k) in reversed(frames):
+        form = FORMS[type(node)]
+        kids = form.kids(node)
+        e = form.make(node, kids[:k] + (e,) + kids[k + 1:])
+    return e
+
+
 def outcomes(e: Expr, s: State):
     """Step outcomes of one thread: ``None`` if ``e`` is a value or is
     stuck in ``s``, else a list of (prob, expr, state, spawned)."""
-    t = type(e)
-    if t is Lit or t is Rec or t is Var:
-        return None  # a value, or an open term with no rule
-
-    def wrap(res, rebuild):
-        if res is None:
-            return None
-        return [(p, rebuild(e2), s2, sp) for (p, e2, s2, sp) in res]
-
-    if t is Pair:
-        a, b = e.fst, e.snd
-        if not is_value(a):
-            return wrap(outcomes(a, s), lambda a2: Pair(a2, b))
-        if not is_value(b):
-            return wrap(outcomes(b, s), lambda b2: Pair(a, b2))
-        return None  # a pair of values is itself a value
-    if t is App:
-        f, a = e.fn, e.arg
-        if not is_value(f):
-            return wrap(outcomes(f, s), lambda f2: App(f2, a))
-        if not is_value(a):
-            return wrap(outcomes(a, s), lambda a2: App(f, a2))
-        if type(f) is Rec:
-            body = subst(f.body, f.fname, f)
-            return [(_ONE, subst(body, f.xname, a), s, ())]
+    split = decompose(e)
+    if split is None:
         return None
-    if t is Let:
-        b = e.bound
-        if not is_value(b):
-            x, body = e.name, e.body
-            return wrap(outcomes(b, s), lambda b2: Let(x, b2, body))
-        return [(_ONE, subst(e.body, e.name, b), s, ())]
-    if t is If:
-        c = e.cond
-        if not is_value(c):
-            tt, ff = e.then, e.els
-            return wrap(outcomes(c, s), lambda c2: If(c2, tt, ff))
-        cv = to_val(c)
-        if isinstance(cv, VBool):
-            return [(_ONE, e.then if cv.b else e.els, s, ())]
+    (frames, redex) = split
+    res = RULES[type(redex)](redex, s)
+    if res is None:
         return None
-    if t is Flip:
-        a, b = e.num, e.den
-        if not is_value(a):
-            return wrap(outcomes(a, s), lambda a2: Flip(a2, b))
-        if not is_value(b):
-            return wrap(outcomes(b, s), lambda b2: Flip(a, b2))
-        av, bv = to_val(a), to_val(b)
-        if not (isinstance(av, VInt) and isinstance(bv, VInt)) or bv.n == 0:
-            return None
-        p = Fraction(av.n, bv.n)
-        if not 0 <= p <= 1:
-            return None  # side condition fails: no transition
-        return [(p, _TRUE_LIT, s, ()), (1 - p, _FALSE_LIT, s, ())]
-    if t is Fork:
-        return [(_ONE, lang.unit, s, (e.body,))]
-    if t is Alloc:
-        a = e.init
-        if not is_value(a):
-            return wrap(outcomes(a, s), Alloc)
-        s2, loc = s.alloc(to_val(a))
-        return [(_ONE, Lit(VLoc(loc)), s2, ())]
-    if t is Load:
-        r = e.ref
-        if not is_value(r):
-            return wrap(outcomes(r, s), Load)
-        rv = to_val(r)
-        if not isinstance(rv, VLoc):
-            return None
-        cur = s.lookup(rv.loc)
-        return None if cur is None else [(_ONE, of_val(cur), s, ())]
-    if t is Store:
-        r, v = e.ref, e.value
-        if not is_value(r):
-            return wrap(outcomes(r, s), lambda r2: Store(r2, v))
-        if not is_value(v):
-            return wrap(outcomes(v, s), lambda v2: Store(r, v2))
-        rv = to_val(r)
-        if not isinstance(rv, VLoc) or s.lookup(rv.loc) is None:
-            return None
-        return [(_ONE, lang.unit, s.store(rv.loc, to_val(v)), ())]
-    if t is Faa:
-        r, d = e.ref, e.delta
-        if not is_value(r):
-            return wrap(outcomes(r, s), lambda r2: Faa(r2, d))
-        if not is_value(d):
-            return wrap(outcomes(d, s), lambda d2: Faa(r, d2))
-        rv, dv = to_val(r), to_val(d)
-        if not (isinstance(rv, VLoc) and isinstance(dv, VInt)):
-            return None
-        cur = s.lookup(rv.loc)
-        if not isinstance(cur, VInt):
-            return None
-        return [(_ONE, Lit(cur), s.store(rv.loc, VInt(cur.n + dv.n)), ())]
-    if t is Cas:
-        r, x, n = e.ref, e.expected, e.new
-        if not is_value(r):
-            return wrap(outcomes(r, s), lambda r2: Cas(r2, x, n))
-        if not is_value(x):
-            return wrap(outcomes(x, s), lambda x2: Cas(r, x2, n))
-        if not is_value(n):
-            return wrap(outcomes(n, s), lambda n2: Cas(r, x, n2))
-        rv = to_val(r)
-        if not isinstance(rv, VLoc):
-            return None
-        cur = s.lookup(rv.loc)
-        if cur is None:
-            return None
-        eq = val_eq(cur, to_val(x))
-        if eq is None:
-            return None
-        if eq:
-            return [(_ONE, _TRUE_LIT, s.store(rv.loc, to_val(n)), ())]
-        return [(_ONE, _FALSE_LIT, s, ())]
-    if t is Wait:
-        r, v = e.ref, e.value
-        if not is_value(r):
-            return wrap(outcomes(r, s), lambda r2: Wait(r2, v))
-        if not is_value(v):
-            return wrap(outcomes(v, s), lambda v2: Wait(r, v2))
-        rv = to_val(r)
-        if not isinstance(rv, VLoc):
-            return None
-        cur = s.lookup(rv.loc)
-        if cur is None or val_eq(cur, to_val(v)) is not True:
-            return None  # blocked until the cell holds the value
-        return [(_ONE, lang.unit, s, ())]
-    if t is Prim:
-        op, args = e.op, e.args
-        for (k, a) in enumerate(args):
-            if not is_value(a):
-                def rebuild(a2, k=k):
-                    return Prim(op, args[:k] + (a2,) + args[k + 1:])
-                return wrap(outcomes(a, s), rebuild)
-        res = apply_prim(op, tuple(to_val(a) for a in args))
-        return None if res is None else [(_ONE, of_val(res), s, ())]
-    raise TypeError(f"not an expression: {e!r}")
+    return [(p, plug(frames, r), s2, sp) for (p, r, s2, sp) in res]
+
+
+def next_redex_is_local(e: Expr) -> bool:
+    """Is the redex the next step of ``e`` reduces a beta, ``let``, ``if``
+    or primitive redex (``lang.Form.local``)?  Such a step commutes with
+    every step of every other thread.  False for values and open terms,
+    which have no redex."""
+    split = decompose(e)
+    return split is not None and FORMS[type(split[1])].local
+
+
+# ---------------------------------------------------------------------------
+# redex rules: one per redex constructor, applied to a node whose evaluation
+# positions are values; ``None`` when a side condition fails in ``s``
+
+
+def _app(e: App, s: State):
+    f = e.fn
+    if type(f) is not Rec:
+        return None
+    body = subst(f.body, f.fname, f)
+    return [(_ONE, subst(body, f.xname, e.arg), s, ())]
+
+
+def _let(e: Let, s: State):
+    return [(_ONE, subst(e.body, e.name, e.bound), s, ())]
+
+
+def _if(e: If, s: State):
+    cv = to_val(e.cond)
+    if isinstance(cv, VBool):
+        return [(_ONE, e.then if cv.b else e.els, s, ())]
+    return None
+
+
+def _flip(e: Flip, s: State):
+    av, bv = to_val(e.num), to_val(e.den)
+    if not (isinstance(av, VInt) and isinstance(bv, VInt)) or bv.n == 0:
+        return None
+    p = Fraction(av.n, bv.n)
+    if not 0 <= p <= 1:
+        return None  # side condition fails: no transition
+    return [(p, _TRUE_LIT, s, ()), (1 - p, _FALSE_LIT, s, ())]
+
+
+def _fork(e: Fork, s: State):
+    return [(_ONE, lang.unit, s, (e.body,))]
+
+
+def _alloc(e: Alloc, s: State):
+    s2, loc = s.alloc(to_val(e.init))
+    return [(_ONE, Lit(VLoc(loc)), s2, ())]
+
+
+def _cell(ref: Expr, s: State):
+    """``(loc, content)`` of the cell that ``ref`` names in ``s``; None
+    when ``ref`` is not a location or its cell is not allocated."""
+    rv = to_val(ref)
+    if not isinstance(rv, VLoc):
+        return None
+    cur = s.lookup(rv.loc)
+    return None if cur is None else (rv.loc, cur)
+
+
+def _load(e: Load, s: State):
+    cell = _cell(e.ref, s)
+    return None if cell is None else [(_ONE, of_val(cell[1]), s, ())]
+
+
+def _store(e: Store, s: State):
+    cell = _cell(e.ref, s)
+    return None if cell is None else [(_ONE, lang.unit, s.store(cell[0], to_val(e.value)), ())]
+
+
+def _faa(e: Faa, s: State):
+    cell = _cell(e.ref, s)
+    dv = to_val(e.delta)
+    if cell is None or not (isinstance(cell[1], VInt) and isinstance(dv, VInt)):
+        return None
+    (loc, cur) = cell
+    return [(_ONE, Lit(cur), s.store(loc, VInt(cur.n + dv.n)), ())]
+
+
+def _cas(e: Cas, s: State):
+    cell = _cell(e.ref, s)
+    eq = None if cell is None else val_eq(cell[1], to_val(e.expected))
+    if eq is None:
+        return None
+    if eq:
+        return [(_ONE, _TRUE_LIT, s.store(cell[0], to_val(e.new)), ())]
+    return [(_ONE, _FALSE_LIT, s, ())]
+
+
+def _wait(e: Wait, s: State):
+    cell = _cell(e.ref, s)
+    if cell is None or val_eq(cell[1], to_val(e.value)) is not True:
+        return None  # blocked until the cell holds the value
+    return [(_ONE, lang.unit, s, ())]
+
+
+def _prim(e: Prim, s: State):
+    res = apply_prim(e.op, tuple(to_val(a) for a in e.args))
+    return None if res is None else [(_ONE, of_val(res), s, ())]
+
+
+RULES = {App: _app, Let: _let, If: _if, Flip: _flip, Fork: _fork, Alloc: _alloc,
+         Load: _load, Store: _store, Faa: _faa, Cas: _cas, Wait: _wait, Prim: _prim}
 
 
 def apply_prim(op: str, vals: tuple) -> Optional[Val]:
@@ -304,18 +319,6 @@ def _pow(a: int, b: int) -> Optional[VInt]:
         return None
     n = a ** b
     return VInt(n) if n.bit_length() <= POW_MAX_BITS else None
-
-
-def thread_step(e: Expr, s: State) -> IndexedValuation:
-    """Per-thread reduction as a valuation over optional step results.
-
-    Values and stuck expressions yield the single ``None`` marker entry.
-    """
-    res = outcomes(e, s)
-    if res is None:
-        return ival.ret(None)
-    return IndexedValuation(tuple(
-        (k, (e2, s2, sp), p) for (k, (p, e2, s2, sp)) in enumerate(res)))
 
 
 def config_step(c: Config, i: int) -> IndexedValuation:
@@ -450,108 +453,3 @@ def sample_run(table: TransitionTable, start: int,
             row = table.row(n, i)
         n = row if type(row) is int else row[0][pick_outcome(row[1], row[2], rng)]
     return n
-
-
-# ---------------------------------------------------------------------------
-# evaluation-context decompositions (for the uniqueness invariant and the
-# thread-locality test of the exact analysis)
-
-
-def is_redex(e: Expr) -> bool:
-    """Structurally ready to attempt a top-level reduction (possibly stuck)."""
-    match e:
-        case Fork():
-            return True
-        case App(fn=f, arg=a) | Store(ref=f, value=a) | Faa(ref=f, delta=a) \
-                | Wait(ref=f, value=a) | Flip(num=f, den=a):
-            return is_value(f) and is_value(a)
-        case Let(bound=b) | If(cond=b) | Alloc(init=b) | Load(ref=b):
-            return is_value(b)
-        case Cas(ref=r, expected=x, new=n):
-            return is_value(r) and is_value(x) and is_value(n)
-        case Prim(args=args):
-            return all(is_value(a) for a in args)
-    return False
-
-
-def decompositions(e: Expr) -> list:
-    """All (path, redex) splits of ``e`` along the evaluation-context
-    grammar.  The semantics is deterministic exactly because closed
-    non-value expressions admit exactly one."""
-    out = []
-
-    def walk(e: Expr, path: tuple):
-        if is_redex(e):
-            out.append((path, e))
-            return  # a redex is never transparent to further context search
-        match e:
-            case Pair(fst=a, snd=b):
-                if not is_value(a):
-                    walk(a, path + ("pair-l",))
-                elif not is_value(b):
-                    walk(b, path + ("pair-r",))
-            case App(fn=f, arg=a):
-                if not is_value(f):
-                    walk(f, path + ("app-l",))
-                elif not is_value(a):
-                    walk(a, path + ("app-r",))
-            case Let(bound=b):
-                if not is_value(b):
-                    walk(b, path + ("let",))
-            case If(cond=c):
-                if not is_value(c):
-                    walk(c, path + ("if",))
-            case Flip(num=a, den=b):
-                if not is_value(a):
-                    walk(a, path + ("flip-l",))
-                elif not is_value(b):
-                    walk(b, path + ("flip-r",))
-            case Alloc(init=a):
-                if not is_value(a):
-                    walk(a, path + ("alloc",))
-            case Load(ref=a):
-                if not is_value(a):
-                    walk(a, path + ("load",))
-            case Store(ref=a, value=b):
-                if not is_value(a):
-                    walk(a, path + ("store-l",))
-                elif not is_value(b):
-                    walk(b, path + ("store-r",))
-            case Faa(ref=a, delta=b):
-                if not is_value(a):
-                    walk(a, path + ("faa-l",))
-                elif not is_value(b):
-                    walk(b, path + ("faa-r",))
-            case Cas(ref=a, expected=b, new=c):
-                if not is_value(a):
-                    walk(a, path + ("cas-1",))
-                elif not is_value(b):
-                    walk(b, path + ("cas-2",))
-                elif not is_value(c):
-                    walk(c, path + ("cas-3",))
-            case Wait(ref=a, value=b):
-                if not is_value(a):
-                    walk(a, path + ("wait-l",))
-                elif not is_value(b):
-                    walk(b, path + ("wait-r",))
-            case Prim(args=args):
-                for (k, a) in enumerate(args):
-                    if not is_value(a):
-                        walk(a, path + (f"prim-{k}",))
-                        break
-
-    walk(e, ())
-    return out
-
-
-# Redexes whose step reads and writes no heap cell, forks nothing and, when
-# stuck, is stuck for good (its side condition looks only at the redex).
-LOCAL_REDEXES = (App, Let, If, Prim)
-
-
-def next_redex_is_local(e: Expr) -> bool:
-    """Is the redex the next step of ``e`` reduces a beta, ``let``, ``if``
-    or primitive redex?  Such a step commutes with every step of every other
-    thread.  False for values and open terms, which have no redex."""
-    splits = decompositions(e)
-    return bool(splits) and type(splits[0][1]) in LOCAL_REDEXES

@@ -49,10 +49,6 @@ def unbiased_incr(l: Expr, max_value: int) -> Expr:
                       unit)))
 
 
-def unbiased_read(l: Expr) -> Expr:
-    return Load(l)
-
-
 def morris_incr(l: Expr) -> Expr:
     """Store k+1 with probability 1/2^k, the logarithmic-counter step."""
     return Let("k", Load(l),

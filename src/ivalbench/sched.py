@@ -18,7 +18,7 @@ memoized on (configuration, remaining budget):
   terminate within ``n``, which is reported loudly rather than truncated.
 
 Thread-local steps are fused.  A beta, ``let``, ``if`` or primitive step
-(``machine.next_redex_is_local``) reads and writes no heap cell, forks
+(``lang.Form.local``) reads and writes no heap cell, forks
 nothing, and whether it can fire does not depend on the heap, so it stays
 enabled until its thread takes it and commutes with every step of every
 other thread (Lipton's reduction; partial-order reduction for MDPs, Baier,
@@ -75,7 +75,7 @@ from typing import Callable, Optional
 
 from ivalbench import machine
 from ivalbench.ival import as_rational
-from ivalbench.lang import Expr, is_value, to_val
+from ivalbench.lang import FORMS, Expr, is_value, to_val
 from ivalbench.machine import (
     Config, State, config_step, initial_config, is_terminated, outcomes,
 )
@@ -234,12 +234,14 @@ def fused_successor(e: Expr, s: State, first: bool) -> Optional[Expr]:
     """The thread's expression after its next step if the analysis fuses
     that step, else None.  Fused: an enabled thread-local step, except the
     one that turns the ``first`` thread into a value."""
-    if not machine.next_redex_is_local(e):
+    split = machine.decompose(e)
+    if split is None or not FORMS[type(split[1])].local:
         return None
-    res = outcomes(e, s)
+    (frames, redex) = split
+    res = machine.RULES[type(redex)](redex, s)
     if res is None:
         return None  # stuck for good: a local side condition ignores the heap
-    e2 = res[0][1]
+    e2 = machine.plug(frames, res[0][1])
     return None if first and is_value(e2) else e2
 
 

@@ -113,6 +113,15 @@ def test_couple_unreadable_or_malformed_script_exits_2(tmp_path, capsys):
     assert "malformed script" in capsys.readouterr().err
 
 
+def test_parse_unreadable_file_exits_2(tmp_path, capsys):
+    assert run(["parse", "--file", str(tmp_path / "missing.sexp")]) == 2
+    assert "cannot read --file" in capsys.readouterr().err
+    assert run(["parse", "--file", str(tmp_path)]) == 2  # a directory
+    good = tmp_path / "good.sexp"
+    good.write_text("(+ 1 2)\n")
+    assert run(["parse", "--file", str(good)]) == 0
+
+
 def test_mdp_reports_fused_steps(tmp_path):
     out = tmp_path / "mdp.json"
     assert run(["mdp", "--model", "unbiased-counter", "--threads", "2",

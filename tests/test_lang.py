@@ -64,6 +64,43 @@ def test_parse_errors_have_positions():
         parse("(if x y)")  # arity
 
 
+def test_grammar_table_is_complete():
+    # every expression constructor has exactly one form
+    constructors = {c for c in vars(lang).values()
+                    if isinstance(c, type) and issubclass(c, lang.Expr) and c is not lang.Expr}
+    assert constructors == set(lang.FORMS)
+    assert all(form.cls is cls for (cls, form) in lang.FORMS.items())
+    assert lang.RESERVED == set(lang.KEYWORDS) | {"rec", "lam", "let", "seq", "loc"}
+    assert len(lang.KEYWORDS) == sum(len(f.keywords) for f in lang.FORMS.values())
+    # every keyword form parses, prints and parses back to the same node
+    for (kw, (form, arity)) in lang.KEYWORDS.items():
+        text = "(" + " ".join([kw] + [f"x{i}" for i in range(arity)]) + ")"
+        e = parse(text)
+        assert type(e) is form.cls
+        assert form.kids(e) == tuple(Var(f"x{i}") for i in range(arity))
+        assert unparse(e) == text and parse(unparse(e)) is e
+        with pytest.raises(sexpr.SexprError):
+            parse(text[:-1] + " y)")  # arity
+
+
+def test_forms_rebuild_every_node():
+    # a node's evaluation positions are a prefix of its children, and its
+    # form rebuilds it from its head and its children
+    rng = random.Random(3)
+    seen = set()
+    todo = [gen_expr(rng, depth=5) for _ in range(200)]
+    while todo:
+        e = todo.pop()
+        form = lang.FORMS[type(e)]
+        kids = form.kids(e)
+        evaluated = form.evaluated(e)
+        assert kids[:len(evaluated)] == evaluated
+        assert form.make(e, kids) is e
+        seen.add(type(e))
+        todo.extend(kids)
+    assert seen == set(lang.FORMS)
+
+
 def test_comments_ignored():
     e = parse("; a probe\n(flip 1 2) ; tail\n")
     assert e == Flip(Lit(VInt(1)), Lit(VInt(2)))

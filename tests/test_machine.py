@@ -1,6 +1,7 @@
 """Operational semantics: redexes, configurations, runs, invariants."""
 
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -9,8 +10,8 @@ import pytest
 from ivalbench import ival, lang, machine, sched
 from ivalbench.lang import Lit, VInt, VLoc, parse, to_val
 from ivalbench.machine import (
-    State, config_step, decompositions, initial_config,
-    outcomes, thread_step, trace_step_ival_n,
+    State, config_step, decompose, initial_config, outcomes, plug,
+    trace_step_ival_n,
 )
 from ivalbench.models import read_int, read_true_indicator
 
@@ -86,12 +87,10 @@ def test_fork_spawns_unevaluated():
     assert spawned == (parse("(faa (loc 0) 1)"),)
 
 
-def test_thread_step_markers():
-    # values and stuck expressions yield the single none marker
-    assert thread_step(parse("42"), State()).entries[0][1] is None
-    assert thread_step(parse("(load (loc 3))"), State()).entries[0][1] is None
-    iv = thread_step(parse("(flip 1 2)"), State())
-    assert sum(p for (_, _, p) in iv.entries) == 1
+def test_outcomes_none_for_values_and_stuck_terms():
+    assert outcomes(parse("42"), State()) is None
+    assert outcomes(parse("(load (loc 3))"), State()) is None
+    assert sum(p for (p, _, _, _) in outcomes(parse("(flip 1 2)"), State())) == 1
 
 
 def test_config_step_stutters():
@@ -185,7 +184,7 @@ def test_determinism_modulo_flip():
             iv = config_step(c, i)
             positive = [(cc, p) for (_, cc, p) in iv.entries if p > 0]
             if len(positive) > 1:
-                (_, redex) = decompositions(c.threads[i])[0]
+                (_, redex) = decompose(c.threads[i])
                 assert isinstance(redex, lang.Flip)
             c = rng.choice(positive)[0]
 
@@ -203,7 +202,7 @@ def test_pool_grows_only_by_fork():
         grew = len(c2.threads) - before
         assert grew in (0, 1)
         if grew == 1:  # the stepped thread's redex, under its context, is a fork
-            assert isinstance(decompositions(c.threads[i])[0][1], lang.Fork)
+            assert isinstance(decompose(c.threads[i])[1], lang.Fork)
         c = c2
 
 
@@ -222,21 +221,39 @@ def test_heap_safety_reachable_configs():
         (c, _) = rng.choice(entries)
 
 
+def check_decomposition(e, split):
+    """``split`` is the one decomposition of ``e`` the evaluation-context
+    grammar allows: it plugs back to ``e``, every frame's hole is its first
+    evaluation position that is not a value, and the redex's evaluation
+    positions are all values."""
+    (frames, redex) = split
+    assert plug(frames, redex) is e
+    for (j, (node, k)) in enumerate(frames):
+        positions = lang.FORMS[type(node)].evaluated(node)
+        assert all(lang.is_value(c) for c in positions[:k])
+        assert not lang.is_value(positions[k])
+        below = frames[j + 1][0] if j + 1 < len(frames) else redex
+        assert positions[k] is below
+    assert frames[0][0] is e if frames else redex is e
+    assert all(lang.is_value(c) for c in lang.FORMS[type(redex)].evaluated(redex))
+    assert type(redex) in machine.RULES
+
+
 def test_unique_decomposition():
     rng = random.Random(29)
     interesting = 0
     for _ in range(500):
         e = lang.gen_expr(rng, depth=4)
-        n = len(decompositions(e))
+        split = decompose(e)
         if lang.is_value(e):
-            assert n == 0
+            assert split is None
         elif isinstance(e, lang.Var):
-            assert n == 0  # open variable: no context applies
-        else:
-            # non-value closed-ish forms decompose uniquely; variables in
-            # redex position still give exactly one decomposition site
-            assert n <= 1
-            interesting += n
+            assert split is None  # open variable: no context applies
+        elif split is not None:
+            # non-value closed-ish forms decompose uniquely; a variable in
+            # redex position gives no decomposition
+            check_decomposition(e, split)
+            interesting += 1
     assert interesting > 300
 
 
@@ -249,7 +266,31 @@ def test_decomposition_agrees_with_stepper():
             continue
         res = outcomes(e, s)
         if res is not None:
-            assert len(decompositions(e)) == 1
+            split = decompose(e)
+            assert split is not None
+            check_decomposition(e, split)
+            (frames, redex) = split
+            assert res == [(p, plug(frames, e2), s2, sp)
+                           for (p, e2, s2, sp) in outcomes(redex, s)]
+
+
+def test_deep_context_steps_without_recursion():
+    # the context is walked by a loop, not by the recursion limit
+    e = lang.num(1)
+    for _ in range(20_000):
+        e = lang.Prim("+", (lang.num(1), e))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default; analyses raise it
+    try:
+        [(p, e2, _, _)] = outcomes(e, State())
+        assert machine.next_redex_is_local(e)
+        [(_, c2, _)] = config_step(initial_config([e]), 0).entries
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p == 1 and c2.threads == (e2,)
+    for _ in range(20_000 - 1):
+        e2 = e2.args[1]
+    assert e2 == lang.num(2)
 
 
 def test_dlm_single_step_matches_morris():
