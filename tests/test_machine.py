@@ -87,7 +87,8 @@ def test_fork_spawns_unevaluated():
     assert spawned == (parse("(faa (loc 0) 1)"),)
 
 
-def test_outcomes_none_for_values_and_stuck_terms():
+def test_thread_step_markers():
+    # values and stuck expressions yield the none marker
     assert outcomes(parse("42"), State()) is None
     assert outcomes(parse("(load (loc 3))"), State()) is None
     assert sum(p for (p, _, _, _) in outcomes(parse("(flip 1 2)"), State())) == 1
