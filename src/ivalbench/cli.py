@@ -2,17 +2,22 @@
 
 Subcommands: ``laws``, ``extrema``, ``couple``, ``mdp``, ``simulate``,
 ``sandwich``, ``skiplist-cost``, ``counter-bias``, ``parse``.  Each run
-validates its parameters, executes, prints a short summary, optionally
-writes a JSON report (or CSV for tabular outputs), and exits 0 when all
-asserted checks pass, 1 on a check failure, 2 on invalid configuration.
-Reports echo their inputs and render every rational exactly; rerunning
-with the same configuration and seed reproduces the report byte for byte
-apart from the ``elapsed_seconds`` field.
+validates its parameters, executes, prints a short summary and exits 0
+when all asserted checks pass, 1 on a check failure, 2 on invalid
+configuration.  A subcommand returns its exit code, its report and, for
+``laws``, ``extrema`` and ``skiplist-cost``, a table; ``main`` times the
+run and writes ``--out``: the JSON report, or the table as CSV under
+``--format csv``, which only those three accept.  Reports echo their
+inputs and render every rational exactly; rerunning with the same
+configuration and seed reproduces the report byte for byte apart from the
+``elapsed_seconds`` field.  ``IVALBENCH_WORKERS`` is read here alone, as
+the default of ``simulate --workers``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -51,47 +56,46 @@ def pick_functional(name):
     return models.FUNCTIONALS[name]
 
 
-def emit(args, rep: dict, rows=None, header=None) -> None:
-    if args.out:
-        if args.format == "csv" and rows is not None:
-            with open(args.out, "w") as fh:
-                fh.write(report.rows_to_csv(header, rows))
-        else:
-            report.write_report(rep, args.out)
-        print(f"report written to {args.out}")
+def default_workers() -> int:
+    """The worker count in ``IVALBENCH_WORKERS`` (default 1)."""
+    raw = os.environ.get("IVALBENCH_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"IVALBENCH_WORKERS must be an integer >= 1, not {raw!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, report, table); the table is
+# (header, rows) for the subcommands that accept ``--format csv``, else None
 
 
-def cmd_laws(args) -> int:
+def cmd_laws(args):
     suites = laws.SUITES if args.suite == "all" else (args.suite,)
-    t0 = time.perf_counter()
     results = []
     for s in suites:
         results.extend(laws.run_suite(s, positive_int("cases", args.cases, 1), args.seed))
     ok = all(r.passed for r in results)
     rep = {
-        "command": "laws",
         "suite": args.suite,
         "cases": args.cases,
         "seed": args.seed,
         "laws": [{"suite": r.suite, "name": r.name, "cases": r.cases,
                   "failures": r.failures} for r in results],
         "passed": ok,
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
     for r in results:
         status = "ok" if r.passed else f"FAIL {r.failures[:1]}"
         print(f"{r.suite:12s} {r.name:30s} {status}")
     rows = [[r.suite, r.name, r.cases, len(r.failures)] for r in results]
-    emit(args, rep, rows, ["suite", "law", "cases", "failures"])
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED, rep,
+            (["suite", "law", "cases", "failures"], rows))
 
 
-def cmd_extrema(args) -> int:
-    t0 = time.perf_counter()
+def cmd_extrema(args):
     n = positive_int("n", args.n)
     mx = positive_int("max", args.max)
     if args.model == "approxN":
@@ -106,22 +110,19 @@ def cmd_extrema(args) -> int:
         raise ConfigError(f"unknown model {args.model!r} (approxN | approxNprime)")
     lo, hi = comp.extrema(f, term)
     rep = {
-        "command": "extrema",
         "model": args.model,
         "n": n, "l": args.l, "max": mx,
         "functional": fname,
         "lo": report.frac_str(lo),
         "hi": report.frac_str(hi),
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
     print(f"{args.model}(n={n}, l={args.l}, max={mx}): lo = {lo}, hi = {hi}")
-    emit(args, rep, [[args.model, n, args.l, mx, lo, hi]],
-         ["model", "n", "l", "max", "lo", "lo_dec", "hi", "hi_dec"])
-    return EXIT_OK
+    return (EXIT_OK, rep,
+            (["model", "n", "l", "max", "lo", "lo_dec", "hi", "hi_dec"],
+             [[args.model, n, args.l, mx, lo, hi]]))
 
 
-def cmd_couple(args) -> int:
-    t0 = time.perf_counter()
+def cmd_couple(args):
     if args.script:
         text = read_option_file("script", args.script)
         source = args.script
@@ -134,36 +135,31 @@ def cmd_couple(args) -> int:
         raise ConfigError(f"malformed script {source}: {exc}") from exc
     verdict = coupling.check_witness(derivation.goal, derivation.witness)
     rep = {
-        "command": "couple",
         "script": source,
         "goal_predicate": derivation.goal.name,
         "witness": report.witness_json(derivation.witness),
         "verdict": report.verdict_json(verdict),
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
     print(f"coupling from {source}: {'pass' if verdict.passed else 'FAIL'}")
     for f in verdict.failures:
         print(f"  clause {f.clause}: {f.detail}")
-    emit(args, rep)
-    return EXIT_OK if verdict.passed else EXIT_CHECK_FAILED
+    return (EXIT_OK if verdict.passed else EXIT_CHECK_FAILED), rep, None
 
 
 def build_model_program(args):
     params = {"threads": args.threads, "max": args.max, "bits": args.bits,
               "n": args.n}
     try:
-        return models.build_registered(args.model, params), args.model
+        return models.build_registered(args.model, params)
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_mdp(args) -> int:
-    t0 = time.perf_counter()
-    prog, _ = build_model_program(args)
+def cmd_mdp(args):
+    prog = build_model_program(args)
     f = pick_functional(args.functional)
     res = sched.extremal_expectation(prog, positive_int("budget", args.budget, 1), f)
     rep = {
-        "command": "mdp",
         "model": args.model,
         "program": lang.unparse(prog),
         "threads": args.threads, "max": args.max, "bits": args.bits, "n": args.n,
@@ -173,17 +169,14 @@ def cmd_mdp(args) -> int:
         "hi": report.frac_str(res.hi),
         "explored_states": res.explored_states,
         "fused_steps": res.fused_steps,
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
     print(f"{args.model}: lo = {res.lo}, hi = {res.hi} "
           f"({res.explored_states} states explored, {res.fused_steps} local steps fused)")
-    emit(args, rep)
-    return EXIT_OK
+    return EXIT_OK, rep, None
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
-    prog, _ = build_model_program(args)
+def cmd_simulate(args):
+    prog = build_model_program(args)
     f = pick_functional(args.functional)
     if args.sched == "round-robin":
         policy = sched.round_robin()
@@ -192,17 +185,13 @@ def cmd_simulate(args) -> int:
     else:
         raise ConfigError("--sched must be round-robin or seeded-random")
     if args.workers is None:
-        try:
-            workers = sched.default_workers()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        workers = default_workers()
     else:
         workers = positive_int("workers", args.workers, 1)
     mc = sched.monte_carlo(prog, policy, positive_int("budget", args.budget, 1), f,
                            positive_int("trials", args.trials, 1), args.seed,
                            workers=workers)
     rep = {
-        "command": "simulate",
         "model": args.model,
         "threads": args.threads, "max": args.max, "bits": args.bits, "n": args.n,
         "budget": args.budget,
@@ -213,16 +202,13 @@ def cmd_simulate(args) -> int:
         "mean": mc.mean,
         "variance": mc.variance,
         "ci99.7": [mc.ci_lo, mc.ci_hi],
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
     print(f"{args.model} under {policy.name}: mean = {mc.mean:.6g} "
           f"(3-sigma interval [{mc.ci_lo:.6g}, {mc.ci_hi:.6g}])")
-    emit(args, rep)
-    return EXIT_OK
+    return EXIT_OK, rep, None
 
 
-def cmd_sandwich(args) -> int:
-    t0 = time.perf_counter()
+def cmd_sandwich(args):
     threads = positive_int("threads", args.threads, 1)
     mx = positive_int("max", args.max)
     prog = models.unbiased_counter_program(threads, mx)
@@ -231,7 +217,6 @@ def cmd_sandwich(args) -> int:
         prog, spec, models.read_int, lambda v: Fraction(v),
         positive_int("budget", args.budget, 1))
     rep = {
-        "command": "sandwich",
         "model": "unbiased-counter",
         "threads": threads, "max": mx, "budget": args.budget,
         "spec_min": report.frac_str(rep_obj.spec_min),
@@ -240,17 +225,14 @@ def cmd_sandwich(args) -> int:
         "spec_max": report.frac_str(rep_obj.spec_max),
         "explored_states": rep_obj.explored_states,
         "passed": rep_obj.passed,
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
     print(f"spec [{rep_obj.spec_min}, {rep_obj.spec_max}] vs "
           f"schedulers [{rep_obj.mdp_lo}, {rep_obj.mdp_hi}]: "
           f"{'pass' if rep_obj.passed else 'FAIL'}")
-    emit(args, rep)
-    return EXIT_OK if rep_obj.passed else EXIT_CHECK_FAILED
+    return (EXIT_OK if rep_obj.passed else EXIT_CHECK_FAILED), rep, None
 
 
-def cmd_skiplist_cost(args) -> int:
-    t0 = time.perf_counter()
+def cmd_skiplist_cost(args):
     universe = tuple(args.keys)
     if len(set(universe)) != len(universe):
         raise ConfigError("--keys must be distinct")
@@ -259,7 +241,10 @@ def cmd_skiplist_cost(args) -> int:
     checked = 0
     for size in range(min(len(universe), positive_int("max-size", args.max_size)) + 1):
         for l in combinations(universe, size):
-            spec = models.skip_list_spec(l)
+            try:
+                spec = models.skip_list_spec(l)
+            except ValueError as exc:
+                raise ConfigError(f"--keys: {exc}") from exc
             for k in universe:
                 cost = lambda tb, k=k: Fraction(models.skipcost(tb[0], tb[1], k))
                 hi = comp.ex_max(cost, spec)
@@ -270,7 +255,6 @@ def cmd_skiplist_cost(args) -> int:
                 checked += 1
                 rows.append([",".join(map(str, l)) or "-", k, n, hi, bound, good])
     rep = {
-        "command": "skiplist-cost",
         "keys": list(universe),
         "max_size": args.max_size,
         "checked": checked,
@@ -278,18 +262,15 @@ def cmd_skiplist_cost(args) -> int:
         "cases": [{"keys": r[0], "query": r[1], "smaller_keys": r[2],
                    "ex_max": report.frac_str(r[3]), "bound": report.frac_str(r[4]),
                    "ok": r[5]} for r in rows],
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
     print(f"skip-list cost bound: {checked} cases, "
           f"{'all within bound' if ok else 'VIOLATIONS found'}")
-    emit(args, rep, rows,
-         ["keys", "query", "smaller_keys", "ex_max", "ex_max_dec", "bound",
-          "bound_dec", "ok"])
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED, rep,
+            (["keys", "query", "smaller_keys", "ex_max", "ex_max_dec", "bound",
+              "bound_dec", "ok"], rows))
 
 
-def cmd_counter_bias(args) -> int:
-    t0 = time.perf_counter()
+def cmd_counter_bias(args):
     threads = positive_int("threads", args.threads, 2)
     bits = positive_int("bits", args.bits, 1)
     prog = models.dlm_counter_program(threads, bits)
@@ -303,7 +284,6 @@ def cmd_counter_bias(args) -> int:
     biased = res.lo != res.hi
     ok = biased and lo_replay == res.lo and hi_replay == res.hi
     rep = {
-        "command": "counter-bias",
         "model": "dlm-counter",
         "threads": threads, "bits": bits, "budget": budget,
         "increments": threads,
@@ -315,16 +295,13 @@ def cmd_counter_bias(args) -> int:
         "fused_steps": res.fused_steps,
         "scheduler_dependent": biased,
         "passed": ok,
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
     print(f"dlm-counter bias: lo = {res.lo}, hi = {res.hi} around true count {truth}; "
           f"extremal policies replay exactly: {lo_replay == res.lo and hi_replay == res.hi}")
-    emit(args, rep)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), rep, None
 
 
-def cmd_parse(args) -> int:
-    t0 = time.perf_counter()
+def cmd_parse(args):
     if args.file:
         sources = {args.file: read_option_file("file", args.file)}
     else:
@@ -347,14 +324,7 @@ def cmd_parse(args) -> int:
             items.append({"program": name, "ok": False, "error": str(exc)})
             ok = False
             print(f"{name}: parse error: {exc}")
-    rep = {
-        "command": "parse",
-        "programs": items,
-        "passed": ok,
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
-    }
-    emit(args, rep)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), {"programs": items, "passed": ok}, None
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact workbench for randomized concurrent programs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", help="write a JSON (or CSV) report here")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
+    def out_opts(sp, table=False):
+        sp.add_argument("--out", help="write the JSON report here")
+        if table:
+            sp.add_argument("--format", choices=["json", "csv"], default="json",
+                            help="csv: write the table to --out instead")
 
     sp = sub.add_parser("laws", help="run the algebraic law suites")
     sp.add_argument("--suite", default="all", choices=("all",) + laws.SUITES)
     sp.add_argument("--cases", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=7)
-    common(sp)
+    out_opts(sp, table=True)
     sp.set_defaults(fn=cmd_laws)
 
     sp = sub.add_parser("extrema", help="expectation extrema of a monadic model")
@@ -383,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--max", type=int, default=2)
-    common(sp)
+    out_opts(sp, table=True)
     sp.set_defaults(fn=cmd_extrema)
 
     sp = sub.add_parser("couple", help="check a coupling derivation script")
     sp.add_argument("--script", help="path to a derivation script "
                                      "(default: the bundled counter coupling)")
-    common(sp)
+    out_opts(sp)
     sp.set_defaults(fn=cmd_couple)
 
     def model_opts(sp):
@@ -403,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mdp", help="scheduler-extremal expected value")
     model_opts(sp)
-    common(sp)
+    out_opts(sp)
     sp.set_defaults(fn=cmd_mdp)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo estimate under a policy")
@@ -414,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--workers", type=int, default=None,
                     help="default from IVALBENCH_WORKERS")
-    common(sp)
+    out_opts(sp)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("sandwich", help="scheduler range against the "
@@ -422,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=2)
     sp.add_argument("--max", type=int, default=2)
     sp.add_argument("--budget", type=int, default=80)
-    common(sp)
+    out_opts(sp)
     sp.set_defaults(fn=cmd_sandwich)
 
     sp = sub.add_parser("skiplist-cost", help="probe-cost bound over a key universe")
     sp.add_argument("--keys", type=int, nargs="+", default=[2, 4, 6, 8, 10])
     sp.add_argument("--max-size", type=int, default=5)
-    common(sp)
+    out_opts(sp, table=True)
     sp.set_defaults(fn=cmd_skiplist_cost)
 
     sp = sub.add_parser("counter-bias", help="demonstrate scheduler bias of the "
@@ -436,22 +408,41 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=2)
     sp.add_argument("--bits", type=int, default=2)
     sp.add_argument("--budget", type=int, default=80)
-    common(sp)
+    out_opts(sp)
     sp.set_defaults(fn=cmd_counter_bias)
 
     sp = sub.add_parser("parse", help="parse/print round-trip of program files")
     sp.add_argument("--file", help="a program file (default: all bundled programs)")
-    common(sp)
+    out_opts(sp)
     sp.set_defaults(fn=cmd_parse)
 
     return p
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def write_out(args, rep: dict, table) -> None:
+    """Write ``--out``: the table as CSV under ``--format csv``, else the
+    JSON report."""
     try:
-        return args.fn(args)
+        if table is not None and args.format == "csv":
+            with open(args.out, "w") as fh:
+                fh.write(report.rows_to_csv(*table))
+        else:
+            report.write_report(rep, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out: {exc}") from exc
+    print(f"report written to {args.out}")
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
+    try:
+        (code, rep, table) = args.fn(args)
+        rep = {"command": args.command, **rep,
+               "elapsed_seconds": round(time.perf_counter() - t0, 3)}
+        if args.out:
+            write_out(args, rep, table)
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -92,9 +92,6 @@ class IndexedValuation:
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
-    def positive_entries(self) -> tuple:
-        return tuple(e for e in self.entries if e[2] > 0)
-
     def canonical(self) -> tuple:
         """Sorted multiset of positive (value, prob) pairs; decides ``equiv``."""
         pairs = [(v, p) for (_, v, p) in self.entries if p > 0]

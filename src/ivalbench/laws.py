@@ -568,9 +568,10 @@ def law_ex_bind_bounds(rng):
 
 
 SUITES = ("monad", "ordering", "prob-equiv", "prob-subset", "extrema")
+MAX_FAILURES = 3  # a law stops at this many failing instances
 
 
-def run_suite(suite: str, cases: int, seed: int, max_failures: int = 3) -> list:
+def run_suite(suite: str, cases: int, seed: int) -> list:
     """Run every law of a suite on ``cases`` fresh instances each."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick from {SUITES}")
@@ -584,7 +585,7 @@ def run_suite(suite: str, cases: int, seed: int, max_failures: int = 3) -> list:
             failure = fn(rng)
             if failure is not None:
                 res.failures.append(failure)
-                if len(res.failures) >= max_failures:
+                if len(res.failures) >= MAX_FAILURES:
                     break
         results.append(res)
     return results

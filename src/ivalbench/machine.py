@@ -91,10 +91,11 @@ class Config:
             raise ValueError("thread pool must be nonempty")
 
 
-def initial_config(exprs, heap=(), next_loc: Optional[int] = None) -> Config:
+def initial_config(exprs, heap=()) -> Config:
+    """The pool ``exprs`` over the (loc, Val) cells ``heap``; allocation
+    continues above the highest location."""
     cells = tuple(sorted(heap))
-    if next_loc is None:
-        next_loc = max((l for (l, _) in cells), default=-1) + 1
+    next_loc = max((l for (l, _) in cells), default=-1) + 1
     return Config(tuple(exprs), State(cells, next_loc))
 
 
@@ -162,15 +163,6 @@ def outcomes(e: Expr, s: State):
     if res is None:
         return None
     return [(p, plug(frames, r), s2, sp) for (p, r, s2, sp) in res]
-
-
-def next_redex_is_local(e: Expr) -> bool:
-    """Is the redex the next step of ``e`` reduces a beta, ``let``, ``if``
-    or primitive redex (``lang.Form.local``)?  Such a step commutes with
-    every step of every other thread.  False for values and open terms,
-    which have no redex."""
-    split = decompose(e)
-    return split is not None and FORMS[type(split[1])].local
 
 
 # ---------------------------------------------------------------------------

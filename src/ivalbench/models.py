@@ -93,30 +93,24 @@ def dlm_incr(l: Expr, bits: int) -> Expr:
     return Let("rb", randbits(bits), App(loop, Var("rb")))
 
 
-def counter_program(incr_of_counter, threads: int, incrs_per_thread: int = 1,
-                    read_of_counter=None) -> Expr:
-    """Fork ``threads - 1`` workers, do one worker's share locally, join on
-    a done-counter, then read.  Thread 0's final value is the read result."""
+def counter_program(incr: Expr, threads: int) -> Expr:
+    """Fork ``threads - 1`` workers that each run ``incr`` on the counter
+    ``l``, run it once more locally, join on a done-counter, then load
+    ``l``.  Thread 0's final value is the count read."""
     if threads < 1:
         raise ValueError("need at least one thread")
     l, d = Var("l"), Var("d")
-    work = [incr_of_counter(l) for _ in range(incrs_per_thread)]
-    worker = seq(*(work + [Faa(d, num(1))])) if work else Faa(d, num(1))
-    read = read_of_counter(l) if read_of_counter else Load(l)
-    body = [Fork(worker) for _ in range(threads - 1)]
-    body += [incr_of_counter(l) for _ in range(incrs_per_thread)]
-    body += [Wait(d, num(threads - 1)), read]
+    body = [Fork(seq(incr, Faa(d, num(1)))) for _ in range(threads - 1)]
+    body += [incr, Wait(d, num(threads - 1)), Load(l)]
     return Let("l", Alloc(num(0)), Let("d", Alloc(num(0)), seq(*body)))
 
 
-def unbiased_counter_program(threads: int, max_value: int,
-                             incrs_per_thread: int = 1) -> Expr:
-    return counter_program(lambda l: unbiased_incr(l, max_value),
-                           threads, incrs_per_thread)
+def unbiased_counter_program(threads: int, max_value: int) -> Expr:
+    return counter_program(unbiased_incr(Var("l"), max_value), threads)
 
 
-def dlm_counter_program(threads: int, bits: int, incrs_per_thread: int = 1) -> Expr:
-    return counter_program(lambda l: dlm_incr(l, bits), threads, incrs_per_thread)
+def dlm_counter_program(threads: int, bits: int) -> Expr:
+    return counter_program(dlm_incr(Var("l"), bits), threads)
 
 
 def morris_program(n: int) -> Expr:
@@ -531,22 +525,16 @@ FUNCTIONALS = {
 
 MODELS = {
     "unbiased-counter": {
-        "description": "fetch-and-add counter with capped-read increments",
         "params": {"threads": (int, 1), "max": (int, 0)},
         "build": lambda p: unbiased_counter_program(p["threads"], p["max"]),
-        "default_functional": "read",
     },
     "dlm-counter": {
-        "description": "compare-and-swap counter with up-front random bits",
         "params": {"threads": (int, 1), "bits": (int, 1)},
         "build": lambda p: dlm_counter_program(p["threads"], p["bits"]),
-        "default_functional": "pow2-minus-1",
     },
     "morris-counter": {
-        "description": "sequential logarithmic counter",
         "params": {"n": (int, 0)},
         "build": lambda p: morris_program(p["n"]),
-        "default_functional": "read",
     },
 }
 

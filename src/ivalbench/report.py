@@ -14,20 +14,12 @@ from fractions import Fraction
 
 from ivalbench import lang
 from ivalbench.coupling import CouplingWitness, Verdict
-from ivalbench.ival import Distribution, IndexedValuation
-from ivalbench.ndset import ProcessSet
+from ivalbench.ival import IndexedValuation
 
 
 def frac_str(q) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
 
 
 def value_json(v):
@@ -54,14 +46,6 @@ def value_json(v):
 def ival_json(m: IndexedValuation) -> dict:
     return {"entries": [[str(i), value_json(v), frac_str(p)]
                         for (i, v, p) in m.entries]}
-
-
-def dist_json(d: Distribution) -> dict:
-    return {"weights": [[value_json(v), frac_str(p)] for (v, p) in d.weights]}
-
-
-def pset_json(s: ProcessSet) -> dict:
-    return {"members": [ival_json(m) for m in s.members]}
 
 
 def witness_json(w: CouplingWitness) -> dict:

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -162,14 +163,14 @@ def seeded_random(seed: int) -> SchedulerPolicy:
 
 
 def evaluate_policy(prog: Expr, policy: SchedulerPolicy, budget: int,
-                    f: Callable, heap=()) -> Fraction:
+                    f: Callable) -> Fraction:
     """Exact E[f(first thread's value)] after ``budget`` steps under a policy.
 
     Raises ``ScheduleError`` on the first positive-probability path still
     unterminated at the horizon.
     """
     total = Fraction(0)
-    stack = [(initial_config([prog], heap), 0, Fraction(1))]
+    stack = [(initial_config([prog]), 0, Fraction(1))]
     while stack:
         (c, step, w) = stack.pop()
         if is_terminated(c):
@@ -248,14 +249,14 @@ def fused_successor(e: Expr, s: State, first: bool) -> Optional[Expr]:
 _BUDGET_INSUFFICIENT = "budget insufficient: an adversary reaches the horizon unterminated"
 
 
-def extremal_expectation(prog: Expr, budget: int, f: Callable, heap=()) -> ExtremalResult:
+def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult:
     """Min and max over all deterministic schedulers of the expected value.
 
     Fails loudly if any scheduler can exhaust the budget without the first
-    thread reaching a value (including deadlock: no enabled thread).
+    thread reaching a value (including deadlock: no enabled thread).  The
+    recursion is as deep as the longest schedule, so the recursion limit is
+    raised for the call and restored when it returns or raises.
     """
-    import sys
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 8 * budget + 10000))
     memo: dict = {}
     fused = 0
 
@@ -313,8 +314,13 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable, heap=()) -> Extre
         memo[key] = out
         return out
 
-    c0 = initial_config([prog], heap)
-    (lo, hi, _, _) = value(c0, budget, range(len(c0.threads)))
+    c0 = initial_config([prog])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 8 * budget + 10000))
+    try:
+        (lo, hi, _, _) = value(c0, budget, range(len(c0.threads)))
+    finally:
+        sys.setrecursionlimit(limit)
     return ExtremalResult(lo, hi, budget, len(memo), fused, memo)
 
 
@@ -351,7 +357,7 @@ class BruteForceResult:
     nodes: int
 
 
-def brute_force_extrema(prog: Expr, budget: int, f: Callable, heap=(),
+def brute_force_extrema(prog: Expr, budget: int, f: Callable,
                         allow_stutters: int = 0,
                         node_limit: int = 2 * 10 ** 6) -> BruteForceResult:
     """Game-tree recursion over configurations, no memoization.
@@ -396,7 +402,7 @@ def brute_force_extrema(prog: Expr, budget: int, f: Callable, heap=(),
             hi = max(hi, hi2)
         return (lo, hi)
 
-    (lo, hi) = go(initial_config([prog], heap), budget, allow_stutters)
+    (lo, hi) = go(initial_config([prog]), budget, allow_stutters)
     return BruteForceResult(lo, hi, nodes)
 
 
@@ -417,11 +423,11 @@ class MonteCarloResult:
         return self.ci_lo <= float(exact) <= self.ci_hi
 
 
-def _run_trials(prog, policy, budget, f, heap, seed, lo, hi):
+def _run_trials(prog, policy, budget, f, seed, lo, hi):
     """Trials ``lo`` to ``hi`` over one transition table: (sum, sum of
     squares), from the number of trials ending at each terminal node."""
     table = machine.TransitionTable()
-    start = table.node(initial_config([prog], heap))
+    start = table.node(initial_config([prog]))
     ends: dict = {}  # terminal node -> trials ending there
     for trial in range(lo, hi):
         rng = random.Random(_mix(seed, trial))
@@ -438,46 +444,30 @@ def _run_trials(prog, policy, budget, f, heap, seed, lo, hi):
     return total, totalsq
 
 
-def default_workers() -> int:
-    """The worker count in ``IVALBENCH_WORKERS`` (default 1); ``ValueError``
-    unless it is an integer >= 1."""
-    import os
-    raw = os.environ.get("IVALBENCH_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"IVALBENCH_WORKERS must be an integer >= 1, not {raw!r}")
-    return workers
-
-
 def monte_carlo(prog: Expr, policy: SchedulerPolicy, budget: int, f: Callable,
-                trials: int, seed: int, heap=(), workers: Optional[int] = None) -> MonteCarloResult:
+                trials: int, seed: int, workers: int = 1) -> MonteCarloResult:
     """Sample mean/variance and a 3-sigma (99.7%) normal interval.
 
     Each trial runs on its own deterministic (seed, trial) sub-seed and
     sample sums are accumulated exactly, so the result is identical no
-    matter how trials are chunked across workers; each worker samples over
-    its own ``machine.TransitionTable``.  A path that fails to terminate
-    within the budget is an error, not a silent truncation.
+    matter how trials are chunked across the ``workers`` processes; each
+    worker samples over its own ``machine.TransitionTable``.  A path that
+    fails to terminate within the budget is an error, not a silent
+    truncation.
     """
-    if workers is None:
-        workers = default_workers()
-    elif workers < 1:
+    if workers < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
     if workers > 1 and trials >= 2 * workers:
         import concurrent.futures
         bounds = [trials * k // workers for k in range(workers + 1)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [pool.submit(_run_trials, prog, policy, budget, f, tuple(heap), seed,
+            jobs = [pool.submit(_run_trials, prog, policy, budget, f, seed,
                                 bounds[k], bounds[k + 1]) for k in range(workers)]
             parts = [job.result() for job in jobs]
         total = sum((t for (t, _) in parts), Fraction(0))
         totalsq = sum((q for (_, q) in parts), Fraction(0))
     else:
-        total, totalsq = _run_trials(prog, policy, budget, f, tuple(heap),
-                                     seed, 0, trials)
+        total, totalsq = _run_trials(prog, policy, budget, f, seed, 0, trials)
 
     mean = float(total / trials)
     # from the exact sums: subtracting rounded floats cancels
@@ -505,7 +495,7 @@ class SandwichReport:
 
 
 def soundness_sandwich_check(prog: Expr, spec, f: Callable, g: Callable,
-                             budget: int, heap=()) -> SandwichReport:
+                             budget: int) -> SandwichReport:
     """Check that the scheduler range of E[f; program] lies inside the
     extrema of g over the monadic specification.  ``spec`` may be a
     ProcessSet or a computation term."""
@@ -515,5 +505,5 @@ def soundness_sandwich_check(prog: Expr, spec, f: Callable, g: Callable,
         smin, smax = ndset.ex_min(g, spec), ndset.ex_max(g, spec)
     else:
         smin, smax = comp.ex_min(g, spec), comp.ex_max(g, spec)
-    res = extremal_expectation(prog, budget, f, heap)
+    res = extremal_expectation(prog, budget, f)
     return SandwichReport(smin, res.lo, res.hi, smax, res.explored_states)

@@ -2,7 +2,9 @@
 
 import json
 
-from ivalbench import cli
+import pytest
+
+from ivalbench import cli, models, sched
 
 
 def run(argv):
@@ -128,3 +130,52 @@ def test_mdp_reports_fused_steps(tmp_path):
                 "--budget", "60", "-f", "read", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["explored_states"] > 0 and rep["fused_steps"] > 0
+
+
+def test_only_the_cli_reads_worker_environment(monkeypatch):
+    monkeypatch.setenv("IVALBENCH_WORKERS", "abc")
+    mc = sched.monte_carlo(models.unbiased_counter_program(2, 2), sched.round_robin(), 80,
+                           models.read_int, 20, seed=1)
+    assert mc.trials == 20
+    assert run(["simulate", "--model", "unbiased-counter", "--trials", "20"]) == 2
+
+
+def test_format_only_on_tabular_subcommands(tmp_path, capsys):
+    out = tmp_path / "out"
+    for argv in (["couple"], ["mdp", "--model", "unbiased-counter"],
+                 ["simulate", "--model", "unbiased-counter"], ["sandwich"],
+                 ["counter-bias"], ["parse"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--format", "csv", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["extrema", "--model", "approxN", "--n", "2", "--format", "csv",
+                "--out", str(out)]) == 0
+    assert out.read_text() == "model,n,l,max,lo,lo_dec,hi,hi_dec\napproxN,2,0,2,2/1,2,2/1,2\n"
+    assert run(["laws", "--suite", "monad", "--cases", "2", "--format", "csv",
+                "--out", str(out)]) == 0
+    assert out.read_text().startswith("suite,law,cases,failures\nmonad,")
+
+
+def test_every_report_names_its_command(tmp_path):
+    out = tmp_path / "r.json"
+    for argv in (["extrema", "--model", "approxN", "--n", "2"], ["couple"], ["parse"],
+                 ["sandwich", "--threads", "1", "--budget", "30"],
+                 ["skiplist-cost", "--keys", "2", "--max-size", "1"],
+                 ["mdp", "--model", "morris-counter", "--n", "1", "--budget", "30"],
+                 ["simulate", "--model", "morris-counter", "--n", "1", "--trials", "5",
+                  "--workers", "1"]):
+        assert run(argv + ["--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["command"] == argv[0] and rep["elapsed_seconds"] >= 0
+
+
+def test_skiplist_cost_out_of_range_keys_exit_2(capsys):
+    assert run(["skiplist-cost", "--keys", "3000000000"]) == 2
+    assert "outside the sentinel range" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    assert run(["parse", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    assert "cannot write --out" in capsys.readouterr().err

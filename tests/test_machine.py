@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from ivalbench import ival, lang, machine, sched
-from ivalbench.lang import Lit, VInt, VLoc, parse, to_val
+from ivalbench.lang import FORMS, Lit, VInt, VLoc, parse, to_val
 from ivalbench.machine import (
     State, config_step, decompose, initial_config, outcomes, plug,
     trace_step_ival_n,
@@ -28,6 +28,11 @@ def run_dist(text_or_expr, steps, heap=()):
     prog = parse(text_or_expr) if isinstance(text_or_expr, str) else text_or_expr
     iv = first_threads(trace_step_ival_n(rr, initial_config([prog], heap), steps))
     return {to_val(e): p for (e, p) in ival.to_distribution(iv).weights}
+
+
+def redex_is_local(e):
+    """Is the redex of the next step of ``e`` a thread-local form?"""
+    return FORMS[type(decompose(e)[1])].local
 
 
 def test_flip_two_entries():
@@ -281,10 +286,10 @@ def test_deep_context_steps_without_recursion():
     for _ in range(20_000):
         e = lang.Prim("+", (lang.num(1), e))
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # the default; analyses raise it
+    sys.setrecursionlimit(1000)  # the default
     try:
         [(p, e2, _, _)] = outcomes(e, State())
-        assert machine.next_redex_is_local(e)
+        assert redex_is_local(e)
         [(_, c2, _)] = config_step(initial_config([e]), 0).entries
     finally:
         sys.setrecursionlimit(limit)
@@ -314,10 +319,12 @@ def test_next_redex_is_local():
     # the redex the next step reduces decides, wherever it sits in the context
     local = ["((lam (x) x) 1)", "(let (x 1) x)", "(if #t 1 2)", "(+ 1 2)",
              "(store (loc 0) (+ 1 2))", "(if 3 1 2)"]
-    other = ["1", "(lam (x) x)", "(load (loc 0))", "(flip 1 2)", "(fork 1)",
+    other = ["(load (loc 0))", "(flip 1 2)", "(fork 1)",
              "(alloc 1)", "(+ (load (loc 0)) 1)", "(seq (faa (loc 0) 1) (+ 1 2))"]
-    assert all(machine.next_redex_is_local(parse(t)) for t in local)
-    assert not any(machine.next_redex_is_local(parse(t)) for t in other)
+    assert all(redex_is_local(parse(t)) for t in local)
+    assert not any(redex_is_local(parse(t)) for t in other)
+    # a value has no redex
+    assert decompose(parse("1")) is None and decompose(parse("(lam (x) x)")) is None
 
 
 def test_pow_bounded_by_result_bits():

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import sys
 from fractions import Fraction as F
 from importlib import resources
 
@@ -120,6 +121,24 @@ def test_extremal_deadlock_reported():
     prog = parse("(let (l (alloc 0)) (wait l 1))")
     with pytest.raises(sched.ScheduleError):
         sched.extremal_expectation(prog, 10, read_int)
+
+
+def test_extremal_restores_recursion_limit():
+    # the analysis raises the limit to 8 * budget + 10000 for its walk only;
+    # a limit left raised lets a later deep recursion overflow the C stack
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = sched.extremal_expectation(parse("(flip 1 2)"), 40_000,
+                                         models.read_true_indicator)
+        assert res.lo == res.hi == F(1, 2)
+        assert sys.getrecursionlimit() == 1000
+        with pytest.raises(sched.ScheduleError):
+            sched.extremal_expectation(parse("(let (l (alloc 0)) (wait l 1))"), 40_000,
+                                       read_int)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_policy_extraction_replays_extrema():
