@@ -74,10 +74,9 @@ def default_workers() -> int:
 
 
 def cmd_laws(args):
-    suites = laws.SUITES if args.suite == "all" else (args.suite,)
-    results = []
-    for s in suites:
-        results.extend(laws.run_suite(s, positive_int("cases", args.cases, 1), args.seed))
+    cases = positive_int("cases", args.cases, 1)
+    results = (laws.run_all(cases, args.seed) if args.suite == "all"
+               else laws.run_suite(args.suite, cases, args.seed))
     ok = all(r.passed for r in results)
     rep = {
         "suite": args.suite,

@@ -19,11 +19,12 @@ so a deep context needs no recursion.
 
 A configuration is a nonempty thread pool plus a heap; stepping thread
 ``i`` replaces its expression, applies the heap effect, and appends any
-forked expression to the pool.  Scheduling a value, a stuck thread, or an
-out-of-range index is a stutter: the configuration repeats with
-probability one.  A configuration has terminated when the first thread is
-a value; nothing can change that thread afterwards, so termination is
-absorbing.
+forked expression to the pool.  ``successors`` is that step; the exact
+analysis, ``config_step`` and ``TransitionTable`` all derive theirs from
+it.  Scheduling a value, a stuck thread, or an out-of-range index is a
+stutter: the configuration repeats with probability one.  A
+configuration has terminated when the first thread is a value; nothing
+can change that thread afterwards, so termination is absorbing.
 
 A scheduler is a Markov policy ``choose(step, config) -> thread index``.
 ``trace_step_ival_n`` is the monadic n-step semantics under one: a chain
@@ -313,23 +314,27 @@ def _pow(a: int, b: int) -> Optional[VInt]:
     return VInt(n) if n.bit_length() <= POW_MAX_BITS else None
 
 
+def successors(c: Config, i: int):
+    """The (prob, configuration) pairs of thread ``i``'s step from ``c``,
+    one per outcome of its redex, or ``None`` when ``i`` names no thread or
+    the thread is a value or stuck."""
+    if not 0 <= i < len(c.threads):
+        return None
+    res = outcomes(c.threads[i], c.state)
+    if res is None:
+        return None
+    (head, tail) = (c.threads[:i], c.threads[i + 1:])
+    return [(p, Config(head + (e2,) + tail + tuple(spawned), s2))
+            for (p, e2, s2, spawned) in res]
+
+
 def config_step(c: Config, i: int) -> IndexedValuation:
     """Step thread ``i``; stutter (same configuration, probability one)
     when the index is out of range or the thread cannot reduce."""
-    if not 0 <= i < len(c.threads):
+    succ = successors(c, i)
+    if succ is None:
         return ival.ret(c)
-    res = outcomes(c.threads[i], c.state)
-    if res is None:
-        return ival.ret(c)
-    return IndexedValuation(tuple(
-        (k, successor(c, i, e2, s2, spawned), p)
-        for (k, (p, e2, s2, spawned)) in enumerate(res)))
-
-
-def successor(c: Config, i: int, e2: Expr, s2: State, spawned) -> Config:
-    """``c`` after thread ``i`` stepped to ``e2`` in ``s2``, forking
-    ``spawned``."""
-    return Config(c.threads[:i] + (e2,) + c.threads[i + 1:] + tuple(spawned), s2)
+    return IndexedValuation(tuple((k, c2, p) for (k, (p, c2)) in enumerate(succ)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +370,10 @@ class TransitionTable:
     from it to its row: the successor node of a step with one outcome
     (``n`` itself for a stutter), else (successor nodes, common
     denominator, cumulative numerators).  A row is derived once from
-    ``outcomes``, and each successor configuration is hashed once to find
-    its node; every later step through the row is an int-keyed dict probe.
-    Rows name nodes by number, so the table holds no reference cycle and
-    is freed as soon as its last user drops it.  Memory grows with the
+    ``successors``, and each successor configuration is hashed once to
+    find its node; every later step through the row is an int-keyed dict
+    probe.  Rows name nodes by number, so the table holds no reference
+    cycle and is freed as soon as its last user drops it.  Memory grows with the
     distinct configurations the runs visit."""
 
     def __init__(self):
@@ -386,19 +391,15 @@ class TransitionTable:
         return n
 
     def row(self, n: int, i: int):
-        c = self.configs[n]
-        res = outcomes(c.threads[i], c.state) if 0 <= i < len(c.threads) else None
-        if res is None:
+        succ = successors(self.configs[n], i)
+        if succ is None:
             row = n
+        elif len(succ) == 1:
+            row = self.node(succ[0][1])
         else:
-            succs = tuple(self.node(successor(c, i, e2, s2, spawned))
-                          for (_, e2, s2, spawned) in res)
-            if len(succs) == 1:
-                row = succs[0]
-            else:
-                den = math.lcm(*(p.denominator for (p, _, _, _) in res))
-                cums = accumulate(p.numerator * (den // p.denominator) for (p, _, _, _) in res)
-                row = (succs, den, tuple(cums))
+            den = math.lcm(*(p.denominator for (p, _) in succ))
+            cums = accumulate(p.numerator * (den // p.denominator) for (p, _) in succ)
+            row = (tuple(self.node(c2) for (_, c2) in succ), den, tuple(cums))
         self.rows[n][i] = row
         return row
 

@@ -7,7 +7,7 @@ interface serves exact evaluation, adversary extraction and sampling.
 the first thread's final value after ``n`` steps under one policy, in a
 single walk of its run tree.  ``extremal_expectation`` computes the range
 of that quantity over *all* deterministic policies by backward induction
-memoized on (configuration, remaining budget):
+memoized on the configuration:
 
 * a terminated configuration is worth ``f(first thread's value)`` --
   nothing a scheduler does afterwards can change that thread;
@@ -16,6 +16,14 @@ memoized on (configuration, remaining budget):
   so any stutter-ful schedule is matched by its stutter-free compression);
 * running out of budget before termination means some scheduler does not
   terminate within ``n``, which is reported loudly rather than truncated.
+
+Each memo entry also records the remaining budget ``k`` it was computed
+with.  An entry exists only if every schedule from its configuration
+terminates within ``k`` steps, so its extrema and choices hold for any
+remaining budget of at least ``k`` (Puterman, *Markov Decision Processes*,
+ch. 4); a visit with less left recomputes the entry.  ``explored_states``
+counts distinct configurations.  ``machine.successors`` derives each
+thread's step once per visit; the threads it does not reject are enabled.
 
 Thread-local steps are fused.  A beta, ``let``, ``if`` or primitive step
 (``lang.Form.local``) reads and writes no heap cell, forks
@@ -37,8 +45,8 @@ heap, ``flip``, ``fork`` or ``alloc`` redex, is stuck or is a value, or is
 the first thread before its last step; ``explored_states`` counts these
 fused configurations and ``fused_steps`` the local steps run eagerly.
 
-Fused steps still spend budget: the budget and the remaining budget in the
-memo key count primitive steps, exactly as without fusion.  A pending local
+Fused steps still spend budget: the budget and the remaining budget of a
+memo entry count primitive steps, exactly as without fusion.  A pending local
 step never blocks and never terminates the configuration, so an adversary
 that runs out the budget or reaches a deadlock can always have taken it
 first; ``budget insufficient``, deadlock and the exact lo/hi are therefore
@@ -46,7 +54,7 @@ what the unfused recursion gives at every budget, and a thread that loops
 locally runs only until the budget is spent and then raises
 ``ScheduleError``.
 
-Collapsing history-dependent schedulers to (configuration, budget) keys is
+Collapsing history-dependent schedulers to configuration keys is
 justified for expected-value objectives and checked empirically:
 ``brute_force_extrema`` enumerates full history-dependent decision trees
 (optionally with explicit stutter moves), unfused, and the test suite
@@ -54,7 +62,8 @@ asserts exact agreement, at every budget, on instances up to a million
 decision nodes and on random small concurrent programs.
 
 The extremizing choices are recorded in the memo beside the values, so
-``extract_policy`` yields an ordinary Markov policy that replays the
+``extract_policy`` yields an ordinary Markov policy, a map from
+configuration to thread that ignores the step count, which replays the
 extremum exactly under the unfused ``evaluate_policy``: it looks the
 configuration up in the memo and, where it is not there, takes a pending
 local step.
@@ -74,11 +83,11 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
-from ivalbench import machine
+from ivalbench import comp, machine
 from ivalbench.ival import as_rational
 from ivalbench.lang import FORMS, Expr, is_value, to_val
 from ivalbench.machine import (
-    Config, State, config_step, initial_config, is_terminated, outcomes,
+    Config, State, config_step, initial_config, is_terminated, outcomes, successors,
 )
 
 
@@ -107,15 +116,6 @@ def round_robin() -> SchedulerPolicy:
 
 
 STUTTER = 10 ** 9  # out of range for any desk-scale pool
-
-
-def _scripted(script: tuple, step: int, c: Config) -> int:
-    return script[step] if step < len(script) else STUTTER
-
-
-def fixed_script(indices) -> SchedulerPolicy:
-    script = tuple(indices)
-    return SchedulerPolicy(f"script{list(script)}", partial(_scripted, script))
 
 
 def _mix(seed: int, step: int) -> int:
@@ -191,8 +191,8 @@ def evaluate_policy(prog: Expr, policy: SchedulerPolicy, budget: int,
 
 @dataclass(frozen=True, eq=False)
 class Choices(Mapping):
-    """The thread one extremum picks in each memoized (configuration,
-    remaining budget): a read-only view of the analysis memo."""
+    """The thread one extremum picks in each memoized configuration: a
+    read-only view of the analysis memo."""
 
     memo: dict
     slot: int  # 2 for the lo choice, 3 for the hi choice
@@ -211,10 +211,9 @@ class Choices(Mapping):
 class ExtremalResult:
     lo: Fraction
     hi: Fraction
-    budget: int
-    explored_states: int  # fused configurations memoized
+    explored_states: int  # distinct fused configurations memoized
     fused_steps: int  # thread-local steps run eagerly
-    # (configuration, remaining budget) -> (lo, hi, lo choice, hi choice)
+    # configuration -> (lo, hi, lo choice, hi choice, remaining budget)
     memo: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -279,53 +278,52 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
     def value(c: Config, k: int, todo):
         if is_terminated(c):
             v = as_rational(f(to_val(c.threads[0])))
-            return (v, v, None, None)
+            return (v, v, None, None, 0)
         (c, k) = settle(c, k, todo)
-        key = (c, k)
-        hit = memo.get(key)
-        if hit is not None:
+        hit = memo.get(c)
+        if hit is not None and hit[4] <= k:
             return hit
-        enabled = enabled_threads(c)
-        if not enabled:
+        n = len(c.threads)
+        steps = [(i, succ) for i in range(n) if (succ := successors(c, i)) is not None]
+        if not steps:
             raise ScheduleError(f"deadlock: no thread can step in {c}")
         if k == 0:
             raise ScheduleError(_BUDGET_INSUFFICIENT)
-        n = len(c.threads)
         best = None
-        for i in enabled:
+        for (i, succ) in steps:
             lo_i = Fraction(0)
             hi_i = Fraction(0)
-            for (_, c2, p) in config_step(c, i).entries:
+            for (p, c2) in succ:
                 if p == 0:
                     continue
                 # only the stepped thread and a thread it forked can have
                 # a pending local step
-                (lo2, hi2, _, _) = value(c2, k - 1, (i, *range(n, len(c2.threads))))
+                (lo2, hi2, _, _, _) = value(c2, k - 1, (i, *range(n, len(c2.threads))))
                 lo_i += p * lo2
                 hi_i += p * hi2
             if best is None:
-                best = [lo_i, hi_i, i, i]
+                best = [lo_i, hi_i, i, i, k]
             else:
                 if lo_i < best[0]:
                     best[0], best[2] = lo_i, i
                 if hi_i > best[1]:
                     best[1], best[3] = hi_i, i
         out = tuple(best)
-        memo[key] = out
+        memo[c] = out
         return out
 
     c0 = initial_config([prog])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 8 * budget + 10000))
     try:
-        (lo, hi, _, _) = value(c0, budget, range(len(c0.threads)))
+        (lo, hi, _, _, _) = value(c0, budget, range(len(c0.threads)))
     finally:
         sys.setrecursionlimit(limit)
-    return ExtremalResult(lo, hi, budget, len(memo), fused, memo)
+    return ExtremalResult(lo, hi, len(memo), fused, memo)
 
 
-def _extremal(table: Choices, budget: int, step: int, c: Config) -> int:
-    i = table.get((c, budget - step))
+def _extremal(table: Choices, step: int, c: Config) -> int:
+    i = table.get(c)
     if i is not None:
         return i  # a memoized configuration is settled: no step is pending
     for (i, e) in enumerate(c.threads):
@@ -338,12 +336,12 @@ def extract_policy(result: ExtremalResult, direction: str) -> SchedulerPolicy:
     """The memoryless adversary recorded during backward induction; replays
     the extremum exactly under ``evaluate_policy`` with the same budget.
 
-    A memoized configuration is settled, so it is looked up first; one
-    that is not memoized runs a pending fused step: local steps commute,
-    so any order reaches the memoized configuration with the same
-    remaining budget."""
+    A memoized configuration is settled, so it is looked up first, at
+    whatever budget remains; one that is not memoized runs a pending fused
+    step: local steps commute, so any order reaches the memoized
+    configuration with the same remaining budget."""
     table = result.policy_lo if direction == "lo" else result.policy_hi
-    return SchedulerPolicy(f"extremal-{direction}", partial(_extremal, table, result.budget))
+    return SchedulerPolicy(f"extremal-{direction}", partial(_extremal, table))
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +492,10 @@ class SandwichReport:
         return self.spec_min <= self.mdp_lo and self.mdp_hi <= self.spec_max
 
 
-def soundness_sandwich_check(prog: Expr, spec, f: Callable, g: Callable,
+def soundness_sandwich_check(prog: Expr, spec: comp.Comp, f: Callable, g: Callable,
                              budget: int) -> SandwichReport:
     """Check that the scheduler range of E[f; program] lies inside the
-    extrema of g over the monadic specification.  ``spec`` may be a
-    ProcessSet or a computation term."""
-    from ivalbench import comp, ndset
-
-    if isinstance(spec, ndset.ProcessSet):
-        smin, smax = ndset.ex_min(g, spec), ndset.ex_max(g, spec)
-    else:
-        smin, smax = comp.ex_min(g, spec), comp.ex_max(g, spec)
+    extrema of g over the monadic specification ``spec``."""
+    (smin, smax) = (comp.ex_min(g, spec), comp.ex_max(g, spec))
     res = extremal_expectation(prog, budget, f)
     return SandwichReport(smin, res.lo, res.hi, smax, res.explored_states)

@@ -34,12 +34,6 @@ def test_round_robin_alternates():
     assert pol.choose(2, c) == 0
 
 
-def test_fixed_script_pads_with_stutters():
-    pol = sched.fixed_script([1, 0])
-    c = machine.initial_config([parse("(flip 1 2)")])
-    assert pol.choose(2, c) >= len(c.threads)
-
-
 def test_seeded_random_reproducible():
     a, b = sched.seeded_random(5), sched.seeded_random(5)
     t = machine.initial_config([parse("1"), parse("2"), parse("3")])
@@ -66,7 +60,7 @@ def test_seeded_random_caches_mix_per_step():
 
 def test_policies_pickle():
     c = machine.initial_config([parse("1"), parse("2"), parse("3")])
-    for pol in (sched.round_robin(), sched.fixed_script([2, 0, 1]), sched.seeded_random(5)):
+    for pol in (sched.round_robin(), sched.seeded_random(5)):
         copy = pickle.loads(pickle.dumps(pol))
         assert copy.name == pol.name
         assert [copy.choose(s, c) for s in range(6)] == [pol.choose(s, c) for s in range(6)]
@@ -139,6 +133,17 @@ def test_extremal_restores_recursion_limit():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_extracted_adversary_ignores_the_step_count():
+    # the adversary is a map from configuration to thread: a memoized
+    # configuration gets its recorded choice at any step
+    prog = models.dlm_counter_program(2, bits=2)
+    res = sched.extremal_expectation(prog, 80, models.read_pow2_minus_1)
+    for (direction, table) in (("lo", res.policy_lo), ("hi", res.policy_hi)):
+        pol = sched.extract_policy(res, direction)
+        for c in res.memo:
+            assert pol.choose(0, c) == pol.choose(79, c) == table[c]
 
 
 def test_policy_extraction_replays_extrema():
@@ -320,8 +325,8 @@ def test_sandwich_counter_against_spec():
 
 
 def test_sandwich_trivial_program():
-    from ivalbench import ndset
-    rep = sched.soundness_sandwich_check(parse("5"), ndset.ret(5), read_int,
+    from ivalbench import comp, ndset
+    rep = sched.soundness_sandwich_check(parse("5"), comp.lift(ndset.ret(5)), read_int,
                                          lambda v: F(v), 2)
     assert rep.passed and rep.mdp_lo == rep.mdp_hi == 5
 
@@ -418,7 +423,7 @@ def assert_fused_agrees(prog, max_budget: int = 40):
                 return None
         else:
             assert (res.lo, res.hi) == (bf.lo, bf.hi), where
-            for (c, _) in res.policy_lo:  # the memo holds fused configurations only
+            for c in res.policy_lo:  # the memo holds fused configurations only
                 assert not any(sched.fused_successor(e, c.state, i == 0) is not None
                                for (i, e) in enumerate(c.threads))
             for direction in ("lo", "hi"):
@@ -434,6 +439,15 @@ def test_fused_matches_brute_force_on_random_programs():
     rng = random.Random(2024)
     thresholds = [assert_fused_agrees(random_concurrent_program(rng)) for _ in range(60)]
     assert 1 <= thresholds.count(None) <= 10  # deadlocks are covered, but are rare
+
+
+def test_fused_rejoining_branches():
+    # the flip's branches reach the configuration before ``faa`` after 4 and
+    # after 6 steps: the longer branch revisits a memoized configuration
+    # with less budget left, so the analysis recomputes its entry
+    prog = parse("(let (l (alloc 0)) (seq (fork (store l 5)) "
+                 "(if (flip 1 2) (store l 1) (seq (store l 2) (store l 1))) (faa l 1)))")
+    assert assert_fused_agrees(prog) is not None
 
 
 def test_fused_keeps_first_thread_starvation():
@@ -507,6 +521,25 @@ def test_transition_table_rows_match_config_step(monkeypatch):
                     branching += len(succs) > 1
     assert not tables
     assert rows > stutters > 0 and branching > 0
+
+
+def test_memo_holds_each_configuration_once():
+    # distinct fused configurations of each bundled program at budget 800
+    want = {"count_true_client": 139, "dlm_counter_b2": 169, "flip": 1, "morris_n3": 19,
+            "skiplist_seq": 350, "skiplist_staged": 196, "unbiased_counter_t2": 36,
+            "unbiased_counter_t3": 373}
+    base = resources.files("ivalbench.programs")
+    functionals = {"dlm_counter_b2": "pow2-minus-1", "flip": "true-indicator",
+                   "skiplist_seq": "pair-cost", "skiplist_staged": "pair-cost"}
+    for (name, states) in want.items():
+        prog = lang.parse(base.joinpath(name + ".sexp").read_text())
+        f = models.FUNCTIONALS[functionals.get(name, "read")]
+        res = sched.extremal_expectation(prog, 800, f)
+        assert res.explored_states == len(res.memo) == states, name
+        assert all(type(c) is machine.Config for c in res.memo), name
+    res = sched.extremal_expectation(models.dlm_counter_program(3, bits=1), 400,
+                                     models.read_pow2_minus_1)
+    assert res.explored_states == 453
 
 
 def test_fusion_shrinks_the_memo():
