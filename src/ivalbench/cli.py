@@ -168,6 +168,7 @@ def cmd_mdp(args):
         "hi": report.frac_str(res.hi),
         "explored_states": res.explored_states,
         "fused_steps": res.fused_steps,
+        "longest_path": res.longest_path,
     }
     print(f"{args.model}: lo = {res.lo}, hi = {res.hi} "
           f"({res.explored_states} states explored, {res.fused_steps} local steps fused)")
@@ -292,6 +293,7 @@ def cmd_counter_bias(args):
         "hi_replay": report.frac_str(hi_replay),
         "explored_states": res.explored_states,
         "fused_steps": res.fused_steps,
+        "longest_path": res.longest_path,
         "scheduler_dependent": biased,
         "passed": ok,
     }

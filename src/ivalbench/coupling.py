@@ -162,19 +162,6 @@ def couple_pchoice(d1: Derivation, d2: Derivation, p) -> Derivation:
     return Derivation(goal, witness)
 
 
-def bind_per_index(m: IndexedValuation, sigma: dict) -> IndexedValuation:
-    """Compose ``m`` with one continuation valuation per support index."""
-    entries = []
-    for (i, _, p) in m.entries:
-        if p == 0:
-            continue
-        for (j, w, q) in sigma[i].entries:
-            if q == 0:
-                continue
-            entries.append(((i, j), w, p * q))
-    return IndexedValuation(tuple(entries))
-
-
 def couple_bind(d1: Derivation, k: Callable[[Value, Value], Derivation],
                 rhs_cont: Optional[Callable[[Value], ProcessSet]] = None,
                 name: Optional[str] = None) -> Derivation:
@@ -247,7 +234,7 @@ def couple_bind(d1: Derivation, k: Callable[[Value, Value], Derivation],
         if ky not in partner:
             raise CouplingError(f"rhs_pick value {y!r} never coupled in the joint")
         sigma[i] = pairs[value_key(partner[ky])][1].witness.rhs_pick
-    rhs_pick = bind_per_index(d1.witness.rhs_pick, sigma)
+    rhs_pick = ival.bind_per_index(d1.witness.rhs_pick, sigma)
 
     witness = CouplingWitness(joint, rhs_pick, q_name)
     derivation = Derivation(goal, witness)

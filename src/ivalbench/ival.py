@@ -123,13 +123,6 @@ class Distribution:
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
 
-    def prob_of(self, v: Value) -> Fraction:
-        k = value_key(v)
-        for (w, p) in self.weights:
-            if value_key(w) == k:
-                return p
-        return Fraction(0)
-
 
 def ret(v: Value) -> IndexedValuation:
     """Unit: a single index carrying ``v`` with probability 1."""
@@ -164,6 +157,19 @@ def bind(a: IndexedValuation, f: Callable[[Value], IndexedValuation]) -> Indexed
         if p == 0:
             continue
         for (j, w, q) in f(v).entries:
+            entries.append(((i, j), w, p * q))
+    return IndexedValuation(tuple(entries))
+
+
+def bind_per_index(m: IndexedValuation, sigma: dict) -> IndexedValuation:
+    """Compose ``m`` with one continuation valuation per support index."""
+    entries = []
+    for (i, _, p) in m.entries:
+        if p == 0:
+            continue
+        for (j, w, q) in sigma[i].entries:
+            if q == 0:
+                continue
             entries.append(((i, j), w, p * q))
     return IndexedValuation(tuple(entries))
 

@@ -144,10 +144,6 @@ def approx_n(n: int, l: int, max_value: int) -> comp.Comp:
                      lambda k: approx_n(n - 1, l + k, max_value))
 
 
-def approx_n_set(n: int, l: int, max_value: int, dedup: bool = True) -> ndset.ProcessSet:
-    return comp.materialize(approx_n(n, l, max_value), dedup=dedup)
-
-
 @lru_cache(maxsize=None)
 def approx_n_prime(n: int, t: int, l: int, max_value: int) -> comp.Comp:
     """Early-stop variant: before each increment the computation may
@@ -158,11 +154,6 @@ def approx_n_prime(n: int, t: int, l: int, max_value: int) -> comp.Comp:
         comp.ret((t, l)),
         comp.bind(comp.lift(approx_incr(max_value)),
                   lambda k: approx_n_prime(n - 1, t + 1, l + k, max_value)))
-
-
-def approx_n_prime_set(n: int, t: int, l: int, max_value: int,
-                       dedup: bool = True) -> ndset.ProcessSet:
-    return comp.materialize(approx_n_prime(n, t, l, max_value), dedup=dedup)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +220,8 @@ def skip_list_spec(keys, tl=(), bl=()) -> comp.Comp:
     return _skip_spec(ks, tuple(sorted(tl)), tuple(sorted(bl)))
 
 
-def skip_list_spec_set(keys, tl=(), bl=(), dedup: bool = True) -> ndset.ProcessSet:
-    return comp.materialize(skip_list_spec(keys, tl, bl), dedup=dedup)
+def skip_list_spec_set(keys, tl=(), bl=()) -> ndset.ProcessSet:
+    return comp.materialize(skip_list_spec(keys, tl, bl), dedup=True)
 
 
 # ---------------------------------------------------------------------------

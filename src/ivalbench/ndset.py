@@ -97,16 +97,10 @@ def bind(a: ProcessSet, f: Callable[[Value], ProcessSet]) -> ProcessSet:
     """
     out = []
     for m in a.members:
-        supp = [(i, v, p) for (i, v, p) in m.entries if p > 0]
-        conts = [f(v).members for (_, v, _) in supp]
+        indices = [i for (i, _, p) in m.entries if p > 0]
+        conts = [f(v).members for (_, v, p) in m.entries if p > 0]
         for selection in itertools.product(*conts):
-            entries = []
-            for ((i, _, p), chosen) in zip(supp, selection):
-                for (j, w, q) in chosen.entries:
-                    if q == 0:
-                        continue
-                    entries.append(((i, j), w, p * q))
-            out.append(IndexedValuation(tuple(entries)))
+            out.append(ival.bind_per_index(m, dict(zip(indices, selection))))
     return ProcessSet(tuple(out))
 
 
@@ -146,11 +140,6 @@ def joint_support(a: ProcessSet) -> tuple:
         for v in ival.support(m):
             seen.setdefault(value_key(v), v)
     return tuple(sorted(seen.values(), key=value_key))
-
-
-def bounded_on_support(f: Callable[[Value], Fraction], a: ProcessSet) -> Fraction:
-    """The bound max |f(v)| over the support (always exists at finite scale)."""
-    return max(abs(as_rational(f(v))) for v in joint_support(a))
 
 
 @dataclass

@@ -17,13 +17,20 @@ memoized on the configuration:
 * running out of budget before termination means some scheduler does not
   terminate within ``n``, which is reported loudly rather than truncated.
 
-Each memo entry also records the remaining budget ``k`` it was computed
-with.  An entry exists only if every schedule from its configuration
-terminates within ``k`` steps, so its extrema and choices hold for any
-remaining budget of at least ``k`` (Puterman, *Markov Decision Processes*,
-ch. 4); a visit with less left recomputes the entry.  ``explored_states``
-counts distinct configurations.  ``machine.successors`` derives each
-thread's step once per visit; the threads it does not reject are enabled.
+Each memo entry also records the longest schedule from its configuration,
+in primitive steps.  An entry exists only if every schedule from its
+configuration terminates without deadlock (any ``ScheduleError`` ends the
+analysis), so its extrema and choices hold for any remaining budget at
+least that long (Puterman, *Markov Decision Processes*, ch. 4), and a visit
+with less left is ``budget insufficient`` at once: no entry is recomputed
+or overwritten.  The initial configuration's longest path,
+``longest_path``, is therefore the least budget at which the analysis
+succeeds (Baier & Katoen, *Principles of Model Checking*, ch. 10).
+``explored_states`` counts distinct configurations.  ``machine.successors``
+derives each thread's step once per configuration; the threads it does not
+reject are enabled.  The walk keeps its own stack, one generator per
+configuration being valued, so a schedule of any length leaves the
+interpreter's recursion limit alone.
 
 Thread-local steps are fused.  A beta, ``let``, ``if`` or primitive step
 (``lang.Form.local``) reads and writes no heap cell, forks
@@ -45,8 +52,8 @@ heap, ``flip``, ``fork`` or ``alloc`` redex, is stuck or is a value, or is
 the first thread before its last step; ``explored_states`` counts these
 fused configurations and ``fused_steps`` the local steps run eagerly.
 
-Fused steps still spend budget: the budget and the remaining budget of a
-memo entry count primitive steps, exactly as without fusion.  A pending local
+Fused steps still spend budget: the budget and the longest path of a memo
+entry count primitive steps, exactly as without fusion.  A pending local
 step never blocks and never terminates the configuration, so an adversary
 that runs out the budget or reaches a deadlock can always have taken it
 first; ``budget insufficient``, deadlock and the exact lo/hi are therefore
@@ -76,7 +83,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -213,7 +219,8 @@ class ExtremalResult:
     hi: Fraction
     explored_states: int  # distinct fused configurations memoized
     fused_steps: int  # thread-local steps run eagerly
-    # configuration -> (lo, hi, lo choice, hi choice, remaining budget)
+    longest_path: int  # steps of the longest schedule: the least sufficient budget
+    # configuration -> (lo, hi, lo choice, hi choice, longest path)
     memo: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -253,8 +260,8 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
 
     Fails loudly if any scheduler can exhaust the budget without the first
     thread reaching a value (including deadlock: no enabled thread).  The
-    recursion is as deep as the longest schedule, so the recursion limit is
-    raised for the call and restored when it returns or raises.
+    walk keeps its own stack, so a schedule of any length leaves the
+    interpreter's recursion limit alone.
     """
     memo: dict = {}
     fused = 0
@@ -276,20 +283,26 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
         return Config(tuple(threads), c.state), k
 
     def value(c: Config, k: int, todo):
+        """(lo, hi, longest path) of ``c`` with ``k`` steps left, as a
+        generator: it yields the arguments of each successor it needs
+        valued and is sent that successor's triple."""
         if is_terminated(c):
             v = as_rational(f(to_val(c.threads[0])))
-            return (v, v, None, None, 0)
-        (c, k) = settle(c, k, todo)
+            return (v, v, 0)
+        (c, left) = settle(c, k, todo)
         hit = memo.get(c)
-        if hit is not None and hit[4] <= k:
-            return hit
+        if hit is not None:
+            if hit[4] > left:  # valuing ``c`` again could only run out of budget
+                raise ScheduleError(_BUDGET_INSUFFICIENT)
+            return (hit[0], hit[1], k - left + hit[4])
         n = len(c.threads)
         steps = [(i, succ) for i in range(n) if (succ := successors(c, i)) is not None]
         if not steps:
             raise ScheduleError(f"deadlock: no thread can step in {c}")
-        if k == 0:
+        if left == 0:
             raise ScheduleError(_BUDGET_INSUFFICIENT)
         best = None
+        longest = 0
         for (i, succ) in steps:
             lo_i = Fraction(0)
             hi_i = Fraction(0)
@@ -298,28 +311,35 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
                     continue
                 # only the stepped thread and a thread it forked can have
                 # a pending local step
-                (lo2, hi2, _, _, _) = value(c2, k - 1, (i, *range(n, len(c2.threads))))
+                (lo2, hi2, longest2) = yield (c2, left - 1, (i, *range(n, len(c2.threads))))
                 lo_i += p * lo2
                 hi_i += p * hi2
+                longest = max(longest, longest2)
             if best is None:
-                best = [lo_i, hi_i, i, i, k]
+                best = [lo_i, hi_i, i, i]
             else:
                 if lo_i < best[0]:
                     best[0], best[2] = lo_i, i
                 if hi_i > best[1]:
                     best[1], best[3] = hi_i, i
-        out = tuple(best)
-        memo[c] = out
-        return out
+        memo[c] = (*best, 1 + longest)
+        return (best[0], best[1], k - left + 1 + longest)
 
     c0 = initial_config([prog])
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 8 * budget + 10000))
-    try:
-        (lo, hi, _, _, _) = value(c0, budget, range(len(c0.threads)))
-    finally:
-        sys.setrecursionlimit(limit)
-    return ExtremalResult(lo, hi, len(memo), fused, memo)
+    stack = [value(c0, budget, range(len(c0.threads)))]
+    sent = None
+    while True:
+        try:
+            args = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                (lo, hi, longest) = done.value
+                return ExtremalResult(lo, hi, len(memo), fused, longest, memo)
+            sent = done.value
+        else:
+            stack.append(value(*args))
+            sent = None
 
 
 def _extremal(table: Choices, step: int, c: Config) -> int:

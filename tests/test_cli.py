@@ -130,6 +130,9 @@ def test_mdp_reports_fused_steps(tmp_path):
                 "--budget", "60", "-f", "read", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["explored_states"] > 0 and rep["fused_steps"] > 0
+    assert rep["longest_path"] == 32  # the least budget the analysis accepts
+    assert run(["mdp", "--model", "unbiased-counter", "--threads", "2",
+                "--budget", "31", "-f", "read"]) == 1
 
 
 def test_only_the_cli_reads_worker_environment(monkeypatch):

@@ -1,5 +1,6 @@
 """Scheduler policies, exact evaluation, backward induction, sampling."""
 
+import collections
 import pickle
 import random
 import sys
@@ -118,8 +119,9 @@ def test_extremal_deadlock_reported():
 
 
 def test_extremal_restores_recursion_limit():
-    # the analysis raises the limit to 8 * budget + 10000 for its walk only;
-    # a limit left raised lets a later deep recursion overflow the C stack
+    # the analysis walks on its own stack and leaves the limit as it found
+    # it, even when it raises; a limit left raised lets a later deep
+    # recursion overflow the C stack
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -133,6 +135,20 @@ def test_extremal_restores_recursion_limit():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_extremal_long_schedule_needs_no_recursion_limit(monkeypatch):
+    # 3,000 loop iterations of six primitive steps each: a walk that
+    # recursed once per step would have to raise the limit
+    def refuse(limit):
+        raise AssertionError("the analysis must not touch the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    prog = parse("(let (l (alloc 0)) ((rec (f n) (if (< n 1) (load l) "
+                 "(seq (faa l 1) (f (- n 1))))) 3000))")
+    res = sched.extremal_expectation(prog, 40_000, read_int)
+    assert res.lo == res.hi == 3000
+    assert res.longest_path == 18_006
 
 
 def test_extracted_adversary_ignores_the_step_count():
@@ -431,6 +447,7 @@ def assert_fused_agrees(prog, max_budget: int = 40):
                 assert sched.evaluate_policy(prog, pol, budget, read_int) == getattr(res, direction)
             if threshold is None:
                 threshold = budget
+            assert res.longest_path == threshold, where  # the least sufficient budget
         budget += 1
     return threshold
 
@@ -444,7 +461,8 @@ def test_fused_matches_brute_force_on_random_programs():
 def test_fused_rejoining_branches():
     # the flip's branches reach the configuration before ``faa`` after 4 and
     # after 6 steps: the longer branch revisits a memoized configuration
-    # with less budget left, so the analysis recomputes its entry
+    # with less budget left, and reuses its entry only while the entry's
+    # longest path still fits
     prog = parse("(let (l (alloc 0)) (seq (fork (store l 5)) "
                  "(if (flip 1 2) (store l 1) (seq (store l 2) (store l 1))) (faa l 1)))")
     assert assert_fused_agrees(prog) is not None
@@ -524,22 +542,40 @@ def test_transition_table_rows_match_config_step(monkeypatch):
 
 
 def test_memo_holds_each_configuration_once():
-    # distinct fused configurations of each bundled program at budget 800
-    want = {"count_true_client": 139, "dlm_counter_b2": 169, "flip": 1, "morris_n3": 19,
-            "skiplist_seq": 350, "skiplist_staged": 196, "unbiased_counter_t2": 36,
-            "unbiased_counter_t3": 373}
+    # distinct fused configurations and longest schedule of each bundled
+    # program at budget 800
+    want = {"count_true_client": (139, 79), "dlm_counter_b2": (169, 64), "flip": (1, 1),
+            "morris_n3": (19, 33), "skiplist_seq": (350, 430), "skiplist_staged": (196, 305),
+            "unbiased_counter_t2": (36, 32), "unbiased_counter_t3": (373, 46)}
     base = resources.files("ivalbench.programs")
     functionals = {"dlm_counter_b2": "pow2-minus-1", "flip": "true-indicator",
                    "skiplist_seq": "pair-cost", "skiplist_staged": "pair-cost"}
-    for (name, states) in want.items():
+    for (name, (states, longest)) in want.items():
         prog = lang.parse(base.joinpath(name + ".sexp").read_text())
         f = models.FUNCTIONALS[functionals.get(name, "read")]
         res = sched.extremal_expectation(prog, 800, f)
         assert res.explored_states == len(res.memo) == states, name
+        assert res.longest_path == longest, name
         assert all(type(c) is machine.Config for c in res.memo), name
     res = sched.extremal_expectation(models.dlm_counter_program(3, bits=1), 400,
                                      models.read_pow2_minus_1)
-    assert res.explored_states == 453
+    assert (res.explored_states, res.longest_path) == (453, 94)
+
+
+def test_each_configuration_is_valued_once(monkeypatch):
+    # a configuration revisited with less budget left than when it was
+    # valued reuses its entry, so no thread of it is stepped again
+    stepped = collections.Counter()
+
+    def counted(c, i):
+        stepped[(c, i)] += 1
+        return machine.successors(c, i)
+
+    monkeypatch.setattr(sched, "successors", counted)
+    res = sched.extremal_expectation(models.dlm_counter_program(3, bits=1), 400,
+                                     models.read_pow2_minus_1)
+    assert (res.lo, res.hi) == (F(5, 2), F(19, 4))
+    assert len(stepped) == 1346 and max(stepped.values()) == 1
 
 
 def test_fusion_shrinks_the_memo():
