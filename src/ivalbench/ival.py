@@ -13,7 +13,8 @@ Two equivalences matter:
   indices preserving value and probability.  For finite supports this is
   the same as multiset equality of the positive ``(value, probability)``
   pairs, which is how it is decided here: both sides are brought to a
-  canonical sorted form and compared exactly.
+  canonical sorted form, values replaced by their ``value_key``, and
+  compared exactly.
 * ``prob_equiv`` -- the collapsed distributions agree.  This is strictly
   coarser: ``pchoice(a, p, a)`` is ``prob_equiv`` to ``a`` but never
   ``equiv`` to it for 0 < p < 1, because the support cardinalities differ.
@@ -93,10 +94,10 @@ class IndexedValuation:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     def canonical(self) -> tuple:
-        """Sorted multiset of positive (value, prob) pairs; decides ``equiv``."""
-        pairs = [(v, p) for (_, v, p) in self.entries if p > 0]
-        pairs.sort(key=lambda vp: (value_key(vp[0]), vp[1]))
-        return tuple(pairs)
+        """Sorted multiset of positive ``(value_key(value), prob)`` pairs;
+        decides ``equiv``.  Values enter by their structural key, so
+        ``True`` and ``1`` (equal in Python) stay apart."""
+        return tuple(sorted((value_key(v), p) for (_, v, p) in self.entries if p > 0))
 
     def __repr__(self):
         inner = ", ".join(f"{v!r}@{p}" for (_, v, p) in self.entries)
@@ -205,8 +206,11 @@ def to_distribution(a: IndexedValuation) -> Distribution:
 
 def prob_equiv(a: IndexedValuation, b: IndexedValuation) -> bool:
     """Equality of collapsed distributions (equal expectations for all
-    bounded functions)."""
-    return to_distribution(a).weights == to_distribution(b).weights
+    bounded functions), values compared by ``value_key``."""
+    def keyed(m):
+        return [(value_key(v), p) for (v, p) in to_distribution(m).weights]
+
+    return keyed(a) == keyed(b)
 
 
 def expected_value(f: Callable[[Value], Rational], a: IndexedValuation) -> Fraction:

@@ -341,7 +341,7 @@ def law_subset_bind_cong(rng):
     def f2(v):
         return table[value_key(v)]
 
-    if not ndset.subset(ndset.bind(a, f1), ndset.bind(b, f2)):
+    if not ndset.bind_forms(a, f1) <= ndset.bind_forms(b, f2):
         return f"a={a} b={b}"
 
 

@@ -10,7 +10,15 @@ each assignment of one continuation member to every index in its indicial
 support, one composite member is produced.  Selecting per index rather than
 per value is the whole point of indices: later nondeterminism may be
 resolved differently on the basis of a probabilistic choice that is not
-observable in the value.
+observable in the value.  The member count is the sum over members of the
+product of the continuation sizes over the support, and composites are
+often ``equiv`` to one another.
+
+``forms`` is a set up to ``equiv`` of members: the frozenset of member
+canonical forms, which ``subset`` and ``equiv`` compare.  To decide an
+ordering of binds, compare ``bind_forms``, which equals ``forms(bind(a, f))``
+but is a fold over canonical forms that builds no composite; ``bind``
+stays the structural definition it is checked against.
 
 The coarse order ``subset_p`` ("every bounded function's maximal
 expectation is dominated") is decided by exact convex-hull membership of
@@ -22,7 +30,8 @@ distribution, so domination for all (bounded) functions is exactly
 membership in the closed convex hull, and the hull of finitely many points
 needs no closure.  When the LP says no, its dual certificate *is* a
 function whose maximal expectation violates the domination, which the
-property suite uses as an independent falsifier.
+property suite uses as an independent falsifier.  Members with the same
+distribution share one LP solve.
 """
 
 from __future__ import annotations
@@ -104,6 +113,37 @@ def bind(a: ProcessSet, f: Callable[[Value], ProcessSet]) -> ProcessSet:
     return ProcessSet(tuple(out))
 
 
+def forms(a: ProcessSet) -> frozenset:
+    """The members' canonical forms: ``a`` up to ``equiv`` of members."""
+    return frozenset(m.canonical() for m in a.members)
+
+
+def bind_forms(a: ProcessSet, f: Callable[[Value], ProcessSet]) -> frozenset:
+    """``forms(bind(a, f))``, without building the composites.
+
+    A composite's canonical form is the multiset union, over the positive
+    entries ``(i, v, p)`` of its source member, of the chosen continuation
+    member's form scaled by ``p``; it depends only on the forms chosen.  So
+    each member of ``a`` folds over its positive entries a deduplicated set
+    of partial sorted multisets, merging every partial with every distinct
+    form of ``f(v)``.
+    """
+    cont: dict = {}  # value_key -> forms(f(v)), one call of f per value
+    out = set()
+    for m in a.members:
+        partials = {()}
+        for (_, v, p) in m.entries:
+            if p == 0:
+                continue
+            k = value_key(v)
+            if k not in cont:
+                cont[k] = forms(f(v))
+            scaled = [tuple((w, p * q) for (w, q) in form) for form in cont[k]]
+            partials = {tuple(sorted(part + s)) for part in partials for s in scaled}
+        out |= partials
+    return frozenset(out)
+
+
 def dedup(a: ProcessSet) -> ProcessSet:
     """Merge ``equiv``-equal members, keeping first representatives."""
     seen = {}
@@ -114,13 +154,12 @@ def dedup(a: ProcessSet) -> ProcessSet:
 
 def subset(a: ProcessSet, b: ProcessSet) -> bool:
     """Every member of ``a`` is ``equiv`` to some member of ``b``."""
-    canons = {m.canonical() for m in b.members}
-    return all(m.canonical() in canons for m in a.members)
+    return forms(a) <= forms(b)
 
 
 def equiv(a: ProcessSet, b: ProcessSet) -> bool:
     """Mutual ``subset``."""
-    return subset(a, b) and subset(b, a)
+    return forms(a) == forms(b)
 
 
 def ex_min(f: Callable[[Value], Fraction], a: ProcessSet) -> Fraction:
@@ -170,10 +209,15 @@ def subset_p_certified(a: ProcessSet, b: ProcessSet):
         return out
 
     generators = [vec(m) for m in b.members]
+    solved: dict = {}  # distribution vector -> its FeasibilityResult
     certs = []
     verdict = True
     for (k, m) in enumerate(a.members):
-        res = lp.convex_hull_membership(vec(m), generators)
+        point = vec(m)
+        key = tuple(point)
+        if key not in solved:
+            solved[key] = lp.convex_hull_membership(point, generators)
+        res = solved[key]
         if res.feasible:
             certs.append(SubsetPCertificate(k, weights=res.solution))
         else:

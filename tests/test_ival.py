@@ -93,6 +93,12 @@ def test_distribution_separates_bools_from_ints():
     assert len(ival.to_distribution(a).weights) == 2
 
 
+def test_relations_tell_bools_from_ints():
+    # True == 1 in Python; the relations compare values by structure
+    assert not ival.equiv(ival.ret(True), ival.ret(1))
+    assert not ival.prob_equiv(ival.ret(True), ival.ret(1))
+
+
 def test_prob_equiv_examples():
     assert not ival.prob_equiv(ival.ret(0), ival.ret(1))
     rng = random.Random(5)

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from ivalbench import comp, ival, models, ndset
-from ivalbench.laws import dominated_by, gen_fun_rational, gen_pset, rng_for
+from ivalbench import comp, ival, lp, models, ndset
+from ivalbench.laws import (VALUE_POOL, dominated_by, gen_fun_rational, gen_pset,
+                            relabel, rng_for)
 from ivalbench.ndset import ProcessSet
 
 
@@ -75,6 +76,11 @@ def test_dedup_merges_equiv_members():
     m = two_point(0, 1)
     s = ProcessSet((m, m, ival.ret(5)))
     assert len(ndset.dedup(s).members) == 2
+
+
+def test_orderings_tell_values_apart_by_structure():
+    assert not ndset.equiv(ndset.ret(F(2)), ndset.ret(2))
+    assert len(ndset.dedup(ndset.union(ndset.ret(0), ndset.ret(False))).members) == 2
 
 
 def test_subset_and_equiv():
@@ -150,3 +156,108 @@ def test_subset_p_boundedness_transfer():
         a = dominated_by(rng, b)
         f = gen_fun_rational(rng, ndset.joint_support(b))
         assert ndset.ex_max(f, a) <= ndset.ex_max(f, b)
+
+
+# continuation values that Python calls equal (True == 1 == F(1)) but
+# ``value_key`` keeps apart
+CONT_POOL = (0, 1, 2, True, False, F(1), F(2), (1,), (True,))
+
+
+def gen_cont(rng):
+    """A continuation over ``VALUE_POOL`` into sets over ``CONT_POOL`` that
+    may repeat a member, as itself or relabelled."""
+    table = {}
+    for v in VALUE_POOL:
+        s = gen_pset(rng, 2, 3, CONT_POOL)
+        if rng.random() < 0.4:
+            m = rng.choice(s.members)
+            s = ndset.union(s, ndset.lift(m if rng.random() < 0.5 else relabel(rng, m)))
+        table[v] = s
+    return table.__getitem__
+
+
+def test_bind_forms_agrees_with_bind():
+    rng = rng_for(26, "ndset-bind-forms")
+    seen = {"zero in a": 0, "zero in f": 0, "equal values": 0, "duplicate members": 0,
+            "equal across types": 0}
+    for _ in range(500):
+        a = gen_pset(rng, 3, 4)
+        f = gen_cont(rng)
+        bound = ndset.bind(a, f)
+        assert ndset.bind_forms(a, f) == {m.canonical() for m in bound.members}
+        assert ndset.bind_forms(a, f) == ndset.forms(bound)
+        entries = [e for m in a.members for e in m.entries]
+        support = {v for (_, v, p) in entries if p > 0}
+        conts = [f(v) for v in support]
+        seen["zero in a"] += any(p == 0 for (_, _, p) in entries)
+        seen["zero in f"] += any(p == 0 for c in conts for m in c.members
+                                 for (_, _, p) in m.entries)
+        seen["equal values"] += any(len(ival.support(m)) < sum(p > 0 for (_, _, p) in m.entries)
+                                    for m in a.members)
+        seen["duplicate members"] += any(len(ndset.forms(c)) < len(c.members) for c in conts)
+        seen["equal across types"] += any(
+            len(set(ival.support(m))) < len({ival.value_key(w) for w in ival.support(m)})
+            for m in bound.members)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_bind_forms_decides_subset_of_binds():
+    # dropping one continuation member: the forms route says no exactly
+    # where the materialized binds do
+    rng = rng_for(27, "ndset-bind-forms-drop")
+    verdicts = set()
+    for _ in range(300):
+        a = gen_pset(rng, 2, 3)
+        f = gen_cont(rng)
+        v = rng.choice(ndset.joint_support(a))
+        members = f(v).members
+        if len(members) < 2:
+            continue
+        k = rng.randrange(len(members))
+        dropped = ndset.ProcessSet(members[:k] + members[k + 1:])
+        f2 = lambda x: dropped if x == v else f(x)
+        expected = ndset.subset(ndset.bind(a, f), ndset.bind(a, f2))
+        assert (ndset.bind_forms(a, f) <= ndset.bind_forms(a, f2)) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_subset_p_solves_each_distribution_once(monkeypatch):
+    # a repeated member reuses its LP; every certificate equals a
+    # per-member solve in the same coordinates
+    rng = rng_for(28, "ndset-lp-reuse")
+    solves = []
+    solve = lp.convex_hull_membership
+    monkeypatch.setattr(lp, "convex_hull_membership",
+                        lambda point, gens: solves.append(point) or solve(point, gens))
+    verdicts = []
+    for k in range(60):
+        b = gen_pset(rng, 3, 3)
+        a = dominated_by(rng, b) if k % 2 else gen_pset(rng, 3, 3)
+        values = ndset.joint_support(ndset.union(a, b))
+
+        def vec(m):
+            dist = {ival.value_key(v): p for (v, p) in ival.to_distribution(m).weights}
+            return [dist.get(ival.value_key(v), F(0)) for v in values]
+
+        solves.clear()
+        doubled = ndset.union(a, a)
+        verdict, certs = ndset.subset_p_certified(doubled, b)
+        assert len(solves) == len({tuple(vec(m)) for m in a.members})
+        gens = [vec(m) for m in b.members]
+        expected = [solve(vec(m), gens) for m in doubled.members]
+        assert verdict == all(res.feasible for res in expected)
+        for (j, (cert, res)) in enumerate(zip(certs, expected)):
+            assert cert.member_index == j
+            if res.feasible:
+                assert (cert.weights, cert.separating) == (res.solution, None)
+            else:
+                sep = [(values[d], c) for (d, c) in enumerate(res.certificate[:len(values)])
+                       if c != 0]
+                assert (cert.weights, cert.separating) == (None, sep)
+        n = len(a.members)
+        for j in range(n):
+            assert (certs[j + n].weights, certs[j + n].separating) == \
+                (certs[j].weights, certs[j].separating)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
