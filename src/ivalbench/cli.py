@@ -130,7 +130,7 @@ def cmd_couple(args):
         source = "builtin:counter_k3"
     try:
         derivation = coupling_script.load_script(text)
-    except sexpr.SexprError as exc:
+    except (sexpr.SexprError, coupling_script.ScriptError) as exc:
         raise ConfigError(f"malformed script {source}: {exc}") from exc
     verdict = coupling.check_witness(derivation.goal, derivation.witness)
     rep = {
@@ -447,8 +447,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (sched.ScheduleError, coupling.CouplingError,
-            coupling_script.ScriptError) as exc:
+    except (sched.ScheduleError, coupling.CouplingError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -18,9 +18,11 @@ The bind rule is exact for per-index selection semantics: a selection picks
 one continuation member independently for every support index, expectation
 is linear with nonnegative coefficients, so the inner optimum splits into
 independent per-index optima.  ``materialize`` produces the explicit set,
-and the test suite checks the two routes agree on random small terms; the
-recursion only ever materializes *sources* of binds, which the bundled
-models keep shallow.
+whose binds are ``ndset.bind`` (one member per distinct composite), and the
+test suite checks the two routes agree on random small terms.  The extrema
+walk keeps its own stack, so a bind chain of any depth leaves the
+interpreter's recursion limit alone; it only ever materializes *sources* of
+binds, which the bundled models keep shallow.
 
 Sharing matters: builders memoize their recursive calls so equal subterms
 are the same object, and extrema memoize on object identity.
@@ -96,77 +98,87 @@ def lift(pset: ProcessSet) -> Comp:
     return Lift(pset)
 
 
-def materialize(c: Comp, dedup: bool = False) -> ProcessSet:
-    """Evaluate the term to an explicit ProcessSet.
-
-    With ``dedup=True``, ``equiv``-equal members are merged after every
-    operation; this changes nothing up to set equivalence but can shrink
-    intermediate sets dramatically.
-    """
-    post = ndset.dedup if dedup else (lambda s: s)
+def materialize(c: Comp) -> ProcessSet:
+    """Evaluate the term to an explicit ProcessSet."""
     match c:
         case Ret(value=v):
             return ndset.ret(v)
         case Union(parts=parts):
-            return post(ndset.union_all(materialize(x, dedup) for x in parts))
+            return ndset.union_all(materialize(x) for x in parts)
         case PChoice(left=l, p=p, right=r):
-            return post(ndset.pchoice(materialize(l, dedup), p, materialize(r, dedup)))
+            return ndset.pchoice(materialize(l), p, materialize(r))
         case Bind(source=s, cont=k):
-            src = materialize(s, dedup)
-            cache: dict = {}
-
-            def f(v):
-                key = ival.value_key(v)
-                if key not in cache:
-                    cache[key] = materialize(k(v), dedup)
-                return cache[key]
-
-            return post(ndset.bind(src, f))
+            return ndset.bind(materialize(s), lambda v: materialize(k(v)))
         case Lift(pset=ps):
-            return post(ps)
+            return ps
     raise TypeError(f"not a computation term: {c!r}")
 
 
-def _extremum(f, c: Comp, pick, memo: dict) -> Fraction:
-    # Memo entries pin the node: ids may be reused once a node is collected.
-    key = id(c)
-    if key in memo:
-        return memo[key][1]
-    match c:
-        case Ret(value=v):
-            out = as_rational(f(v))
-        case Union(parts=parts):
-            out = pick(_extremum(f, x, pick, memo) for x in parts)
-        case PChoice(left=l, p=p, right=r):
-            out = p * _extremum(f, l, pick, memo) + (1 - p) * _extremum(f, r, pick, memo)
-        case Bind(source=s, cont=k):
-            src = materialize(s, dedup=True)
-            sub: dict = {}
+def _extremum(f, c: Comp, pick) -> Fraction:
+    """Walk the term on an explicit stack, so any bind depth leaves the
+    interpreter's recursion limit alone."""
+    memo: dict = {}  # id(node) -> (node, value); the node pins its id
 
-            def val(v):
-                vk = ival.value_key(v)
-                if vk not in sub:
-                    sub[vk] = _extremum(f, k(v), pick, memo)
-                return sub[vk]
+    def value(c: Comp):
+        """The extremum at ``c``, as a generator: it yields each subterm it
+        needs valued and is sent that subterm's value."""
+        match c:
+            case Ret(value=v):
+                return as_rational(f(v))
+            case Union(parts=parts):
+                vals = []
+                for x in parts:
+                    vals.append((yield x))
+                return pick(vals)
+            case PChoice(left=l, p=p, right=r):
+                lv = yield l
+                rv = yield r
+                return p * lv + (1 - p) * rv
+            case Bind(source=s, cont=k):
+                sub: dict = {}  # value_key -> extremum of k(v)
+                totals = []
+                for m in materialize(s).members:
+                    total = Fraction(0)
+                    for (_, v, p) in m.entries:
+                        if p == 0:
+                            continue
+                        vk = ival.value_key(v)
+                        if vk not in sub:
+                            sub[vk] = yield k(v)
+                        total += p * sub[vk]
+                    totals.append(total)
+                return pick(totals)
+            case Lift(pset=ps):
+                return pick(ival.expected_value(f, m) for m in ps.members)
+        raise TypeError(f"not a computation term: {c!r}")
 
-            out = pick(
-                sum((p * val(v) for (_, v, p) in m.entries if p > 0), Fraction(0))
-                for m in src.members
-            )
-        case Lift(pset=ps):
-            out = pick(ival.expected_value(f, m) for m in ps.members)
-        case _:
-            raise TypeError(f"not a computation term: {c!r}")
-    memo[key] = (c, out)
-    return out
+    stack = [(c, value(c))]
+    sent = None
+    while True:
+        (node, gen) = stack[-1]
+        try:
+            child = gen.send(sent)
+        except StopIteration as done:
+            stack.pop()
+            memo[id(node)] = (node, done.value)
+            if not stack:
+                return done.value
+            sent = done.value
+        else:
+            hit = memo.get(id(child))
+            if hit is None:
+                stack.append((child, value(child)))
+                sent = None
+            else:
+                sent = hit[1]
 
 
 def ex_min(f: Callable[[Value], Fraction], c: Comp) -> Fraction:
-    return _extremum(f, c, min, {})
+    return _extremum(f, c, min)
 
 
 def ex_max(f: Callable[[Value], Fraction], c: Comp) -> Fraction:
-    return _extremum(f, c, max, {})
+    return _extremum(f, c, max)
 
 
 def extrema(f: Callable[[Value], Fraction], c: Comp):

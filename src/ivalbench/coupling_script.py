@@ -31,7 +31,14 @@ from ivalbench.sexpr import Symbol
 
 
 class ScriptError(Exception):
-    pass
+    """The script is not a well-formed derivation."""
+
+
+def check_arity(s: list, *counts: int) -> None:
+    """Raise unless the form ``s`` has one of ``counts`` arguments."""
+    if len(s) - 1 not in counts:
+        want = " or ".join(str(n) for n in counts)
+        raise ScriptError(f"{s[0]!r} takes {want} argument(s): {sexpr.write(s)}")
 
 
 def parse_rational(s) -> Fraction:
@@ -41,7 +48,7 @@ def parse_rational(s) -> Fraction:
         num, den = s.name.split("/", 1)
         try:
             return Fraction(int(num), int(den))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     raise ScriptError(f"expected a rational, got {s!r}")
 
@@ -62,12 +69,17 @@ def parse_ival(s) -> ival.IndexedValuation:
         if not (isinstance(item, list) and len(item) == 2):
             raise ScriptError(f"expected (value prob), got {item!r}")
         entries.append((k, parse_value(item[0]), parse_rational(item[1])))
-    return ival.IndexedValuation(tuple(entries))
+    try:
+        return ival.IndexedValuation(tuple(entries))
+    except ValueError as exc:
+        raise ScriptError(f"{sexpr.write(s)}: {exc}") from exc
 
 
 def parse_pset(s) -> ndset.ProcessSet:
     if not (isinstance(s, list) and s and s[0] == Symbol("pset")):
         raise ScriptError(f"expected (pset ...), got {s!r}")
+    if len(s) < 2:
+        raise ScriptError("(pset ...) needs at least one member")
     return ndset.ProcessSet(tuple(parse_ival(x) for x in s[1:]))
 
 
@@ -78,15 +90,19 @@ def parse_bexpr(s):
         raise ScriptError(f"expected a boolean expression, got {s!r}")
     head = s[0]
     if head == Symbol("and"):
+        check_arity(s, 2)
         a, b = parse_bexpr(s[1]), parse_bexpr(s[2])
         return lambda x, y: a(x, y) and b(x, y)
     if head == Symbol("or"):
+        check_arity(s, 2)
         a, b = parse_bexpr(s[1]), parse_bexpr(s[2])
         return lambda x, y: a(x, y) or b(x, y)
     if head == Symbol("not"):
+        check_arity(s, 1)
         a = parse_bexpr(s[1])
         return lambda x, y: not a(x, y)
     if head == Symbol("="):
+        check_arity(s, 2)
         sides = []
         for side in s[1:3]:
             if side == Symbol("x"):
@@ -106,24 +122,35 @@ def parse_pred(s):
         raise ScriptError(f"expected a predicate form, got {s!r}")
     head = s[0]
     if head == Symbol("pred-true"):
+        check_arity(s, 0)
         return (lambda x, y: True), "TRUE"
     if head == Symbol("pred-eq"):
+        check_arity(s, 0)
         return (lambda x, y: value_key(x) == value_key(y)), "x=y"
     if head == Symbol("pred-expr"):
+        check_arity(s, 1)
         return parse_bexpr(s[1]), sexpr.write(s[1])
     raise ScriptError(f"unknown predicate form {s!r}")
+
+
+_ARITY = {"ret": (3,), "pchoice": (3,), "bind": (2, 3), "equiv": (3,),
+          "conseq": (2,), "trivial": (2,)}
 
 
 def eval_script(s) -> coupling.Derivation:
     if not (isinstance(s, list) and s and isinstance(s[0], Symbol)):
         raise ScriptError(f"expected a derivation form, got {s!r}")
     rule = s[0].name
+    if rule in _ARITY:
+        check_arity(s, *_ARITY[rule])
     if rule == "ret":
         a, b = parse_value(s[1]), parse_value(s[2])
         pred, name = parse_pred(s[3])
         return coupling.couple_ret(a, b, pred, name)
     if rule == "pchoice":
         p = parse_rational(s[1])
+        if not 0 <= p <= 1:
+            raise ScriptError(f"choice weight {p} outside [0, 1]")
         return coupling.couple_pchoice(eval_script(s[2]), eval_script(s[3]), p)
     if rule == "bind":
         d1 = eval_script(s[1])

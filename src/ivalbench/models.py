@@ -221,7 +221,7 @@ def skip_list_spec(keys, tl=(), bl=()) -> comp.Comp:
 
 
 def skip_list_spec_set(keys, tl=(), bl=()) -> ndset.ProcessSet:
-    return comp.materialize(skip_list_spec(keys, tl, bl), dedup=True)
+    return comp.materialize(skip_list_spec(keys, tl, bl))
 
 
 # ---------------------------------------------------------------------------

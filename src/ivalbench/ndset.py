@@ -2,23 +2,19 @@
 
 A ``ProcessSet`` is a finite nonempty sequence of indexed valuations; each
 member is one way the scheduler could resolve all nondeterministic choices.
-Duplicates are permitted structurally and irrelevant semantically; ``dedup``
-merges ``equiv``-equal members when callers want to keep sizes down.
+Duplicates are permitted structurally and irrelevant semantically: ``forms``,
+the frozenset of member canonical forms, is the set up to ``equiv`` of
+members that ``subset`` and ``equiv`` compare.
 
-``bind`` enumerates *per-index* selection functions: for each member and
-each assignment of one continuation member to every index in its indicial
-support, one composite member is produced.  Selecting per index rather than
-per value is the whole point of indices: later nondeterminism may be
-resolved differently on the basis of a probabilistic choice that is not
-observable in the value.  The member count is the sum over members of the
-product of the continuation sizes over the support, and composites are
-often ``equiv`` to one another.
-
-``forms`` is a set up to ``equiv`` of members: the frozenset of member
-canonical forms, which ``subset`` and ``equiv`` compare.  To decide an
-ordering of binds, compare ``bind_forms``, which equals ``forms(bind(a, f))``
-but is a fold over canonical forms that builds no composite; ``bind``
-stays the structural definition it is checked against.
+``bind`` selects *per index*: each member and each assignment of one
+continuation member to every index in its indicial support give one
+composite.  Selecting per index rather than per value is the whole point of
+indices: later nondeterminism may be resolved differently on the basis of a
+probabilistic choice that is not observable in the value.  The selections
+number the product of the continuation sizes over the support, but a
+composite's form depends only on the forms chosen, so ``bind`` folds over
+canonical forms and returns one member per distinct composite;
+``bind_forms`` is the set of forms of that same fold.
 
 The coarse order ``subset_p`` ("every bounded function's maximal
 expectation is dominated") is decided by exact convex-hull membership of
@@ -36,7 +32,6 @@ distribution share one LP solve.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
@@ -95,22 +90,52 @@ def pchoice(a: ProcessSet, p, b: ProcessSet) -> ProcessSet:
     ))
 
 
-def bind(a: ProcessSet, f: Callable[[Value], ProcessSet]) -> ProcessSet:
-    """Per-index selection bind.
+def _bind_fold(a: ProcessSet, f: Callable[[Value], ProcessSet]):
+    """The distinct composite forms of the per-index bind, as the keys of a
+    dict in the order the fold first reaches them, and ``f(v)`` per value
+    key reached.
 
-    For each member and each selection assigning one member of ``f(value)``
-    to every index in the member's indicial support, produce the composite
-    valuation with dependent-pair indices and product probabilities.
-    Beware the member count: it is sum over members of the product of
-    continuation sizes over the support.
+    A composite's canonical form is the multiset union, over the positive
+    entries ``(i, v, p)`` of its source member, of the chosen continuation
+    member's form scaled by ``p``; it depends only on the forms chosen.  So
+    each member of ``a`` folds over its positive entries a deduplicated dict
+    of partial sorted multisets, merging every partial with every distinct
+    form of ``f(v)``.  Dicts, never sets, keep the order independent of
+    string hashing.
     """
-    out = []
+    conts: dict = {}  # value_key -> (f(v), its distinct forms); f once per value
+    out: dict = {}
     for m in a.members:
-        indices = [i for (i, _, p) in m.entries if p > 0]
-        conts = [f(v).members for (_, v, p) in m.entries if p > 0]
-        for selection in itertools.product(*conts):
-            out.append(ival.bind_per_index(m, dict(zip(indices, selection))))
-    return ProcessSet(tuple(out))
+        partials = {(): None}
+        for (_, v, p) in m.entries:
+            if p == 0:
+                continue
+            k = value_key(v)
+            if k not in conts:
+                cont = f(v)
+                conts[k] = (cont, dict.fromkeys(x.canonical() for x in cont.members))
+            scaled = [tuple((w, p * q) for (w, q) in form) for form in conts[k][1]]
+            partials = dict.fromkeys(
+                tuple(sorted(part + t)) for part in partials for t in scaled)
+        out.update(partials)
+    return out, conts
+
+
+def bind(a: ProcessSet, f: Callable[[Value], ProcessSet]) -> ProcessSet:
+    """Per-index selection bind, up to ``equiv`` of members.
+
+    Every selection of one member of ``f(value)`` per support index of a
+    member of ``a`` gives a composite with dependent-pair indices and
+    product probabilities.  One member stands for each distinct composite
+    form, rebuilt with index = position, in the order the fold first
+    reaches it.
+    """
+    out, conts = _bind_fold(a, f)
+    values = {value_key(w): w for (cont, _) in conts.values()
+              for x in cont.members for (_, w, _) in x.entries}
+    return ProcessSet(tuple(
+        IndexedValuation(tuple((n, values[k], p) for (n, (k, p)) in enumerate(form)))
+        for form in out))
 
 
 def forms(a: ProcessSet) -> frozenset:
@@ -119,29 +144,8 @@ def forms(a: ProcessSet) -> frozenset:
 
 
 def bind_forms(a: ProcessSet, f: Callable[[Value], ProcessSet]) -> frozenset:
-    """``forms(bind(a, f))``, without building the composites.
-
-    A composite's canonical form is the multiset union, over the positive
-    entries ``(i, v, p)`` of its source member, of the chosen continuation
-    member's form scaled by ``p``; it depends only on the forms chosen.  So
-    each member of ``a`` folds over its positive entries a deduplicated set
-    of partial sorted multisets, merging every partial with every distinct
-    form of ``f(v)``.
-    """
-    cont: dict = {}  # value_key -> forms(f(v)), one call of f per value
-    out = set()
-    for m in a.members:
-        partials = {()}
-        for (_, v, p) in m.entries:
-            if p == 0:
-                continue
-            k = value_key(v)
-            if k not in cont:
-                cont[k] = forms(f(v))
-            scaled = [tuple((w, p * q) for (w, q) in form) for form in cont[k]]
-            partials = {tuple(sorted(part + s)) for part in partials for s in scaled}
-        out |= partials
-    return frozenset(out)
+    """``forms(bind(a, f))``, without building the composites."""
+    return frozenset(_bind_fold(a, f)[0])
 
 
 def dedup(a: ProcessSet) -> ProcessSet:

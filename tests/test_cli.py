@@ -1,9 +1,14 @@
 """CLI: subcommand behavior, exit codes, report stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ivalbench
 from ivalbench import cli, models, sched
 
 
@@ -113,6 +118,57 @@ def test_couple_unreadable_or_malformed_script_exits_2(tmp_path, capsys):
     bad.write_text("(goal\n")
     assert run(["couple", "--script", str(bad)]) == 2
     assert "malformed script" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script", [
+    "(ret 1)",
+    "(conseq (ret 1 1 (pred-eq)) (pred-expr (and #t)))",
+    "(trivial (ival (1 1/2)) (pset (ival (1 1))))",
+    "(trivial (ival) (pset (ival (1 1))))",
+    "(trivial (ival (1 1)) (pset))",
+    "(trivial (ival (1 1/0)) (pset (ival (1 1))))",
+    "(pchoice 3/2 (ret 1 1 (pred-eq)) (ret 2 2 (pred-eq)))",
+])
+def test_couple_malformed_script_forms_exit_2(tmp_path, capsys, script):
+    bad = tmp_path / "bad.sexp"
+    bad.write_text(script + "\n")
+    assert run(["couple", "--script", str(bad)]) == 2
+    assert "malformed script" in capsys.readouterr().err
+
+
+# two indices each select one of {5, 6}: four selections, three distinct
+BIND_SCRIPT = """
+(bind (pchoice 1/2 (ret 0 0 (pred-eq)) (ret 1 1 (pred-eq)))
+  (case ((0 0) (equiv (ret 5 5 (pred-eq)) (ival (5 1)) (pset (ival (5 1)) (ival (6 1)))))
+        ((1 1) (equiv (ret 5 5 (pred-eq)) (ival (5 1)) (pset (ival (5 1)) (ival (6 1)))))))
+"""
+
+
+def test_couple_bind_report_independent_of_hash_seed(tmp_path):
+    script = tmp_path / "bind.sexp"
+    script.write_text(BIND_SCRIPT)
+    src = str(Path(ivalbench.__file__).resolve().parent.parent)
+    texts = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"couple{seed}.json"
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(path)}
+        subprocess.run([sys.executable, "-m", "ivalbench.cli", "couple", "--script",
+                        str(script), "--out", str(out)], env=env, check=True,
+                       capture_output=True)
+        texts.append([line for line in out.read_text().splitlines()
+                      if "elapsed_seconds" not in line])
+    assert texts[0] == texts[1]
+    rep = json.loads(out.read_text())
+    assert rep["verdict"]["passed"] is True
+    # one weight per distinct member of the bind-built rhs
+    [cert] = rep["verdict"]["membership_certificates"]
+    assert len(cert["weights"]) == 3
+
+
+def test_extrema_deep_chain_exits_0(capsys):
+    assert run(["extrema", "--model", "approxN", "--n", "2000", "--max", "0"]) == 0
+    assert "lo = 2000, hi = 2000" in capsys.readouterr().out
 
 
 def test_parse_unreadable_file_exits_2(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Computation terms: materialization agrees with the structural extrema."""
 
+import sys
 from fractions import Fraction as F
 
-from ivalbench import comp, ival, ndset
+from ivalbench import comp, ival, models, ndset
 from ivalbench.laws import gen_fun_rational, gen_pset, rng_for
 
 
@@ -35,13 +36,16 @@ def test_structural_extrema_match_materialized():
         assert comp.ex_max(f, term) == ndset.ex_max(f, pset)
 
 
-def test_dedup_materialization_is_equivalent():
-    rng = rng_for(32, "comp-dedup")
-    for _ in range(60):
-        term = gen_comp(rng, 3)
-        plain = comp.materialize(term, dedup=False)
-        small = comp.materialize(term, dedup=True)
-        assert ndset.equiv(plain, small)
+def test_extrema_of_deep_bind_chains():
+    # 2,000 nested binds: the walk keeps its own stack
+    diff = lambda tl: F(tl[0] - tl[1])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        assert comp.extrema(F, models.approx_n(2000, 0, 0)) == (2000, 2000)
+        assert comp.extrema(diff, models.approx_n_prime(2000, 0, 0, 0)) == (0, 0)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_bind_rule_splits_per_index():

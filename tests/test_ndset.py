@@ -1,6 +1,7 @@
 """Process sets: monad operations, orderings, extrema, subset_p."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -60,13 +61,28 @@ def test_bind_left_identity_and_union_split():
     assert ndset.equiv(lhs, rhs)
 
 
+def product_bind(a, f):
+    """The structural per-index bind, the oracle of ``ndset.bind``: one
+    composite per member of ``a`` and per selection of one member of
+    ``f(value)`` for every support index, duplicates included."""
+    out = []
+    for m in a.members:
+        indices = [i for (i, _, p) in m.entries if p > 0]
+        conts = [f(v).members for (_, v, p) in m.entries if p > 0]
+        for selection in product(*conts):
+            out.append(ival.bind_per_index(m, dict(zip(indices, selection))))
+    return ProcessSet(tuple(out))
+
+
 def test_bind_selects_per_index():
-    # one two-point member, two continuation members: the four selections
-    # include mixed ones that per-value selection could not produce
+    # one two-point member, two continuation members: of the four
+    # selections, the two mixed ones are equiv, and per-value selection
+    # could not produce them
     src = ndset.lift(two_point(0, 1))
     cont = lambda _: ndset.union(ndset.ret(10), ndset.ret(20))
     out = ndset.bind(src, cont)
-    assert len(out.members) == 4
+    assert len(product_bind(src, cont).members) == 4
+    assert len(out.members) == 3
     dists = {ival.to_distribution(m).weights for m in out.members}
     mixed = ((10, F(1, 2)), (20, F(1, 2)))
     assert mixed in dists
@@ -183,9 +199,11 @@ def test_bind_forms_agrees_with_bind():
     for _ in range(500):
         a = gen_pset(rng, 3, 4)
         f = gen_cont(rng)
-        bound = ndset.bind(a, f)
-        assert ndset.bind_forms(a, f) == {m.canonical() for m in bound.members}
-        assert ndset.bind_forms(a, f) == ndset.forms(bound)
+        bound = product_bind(a, f)
+        expected = list(dict.fromkeys(m.canonical() for m in bound.members))
+        # one member per distinct form, in first-selection order
+        assert [m.canonical() for m in ndset.bind(a, f).members] == expected
+        assert ndset.bind_forms(a, f) == set(expected)
         entries = [e for m in a.members for e in m.entries]
         support = {v for (_, v, p) in entries if p > 0}
         conts = [f(v) for v in support]
@@ -203,7 +221,7 @@ def test_bind_forms_agrees_with_bind():
 
 def test_bind_forms_decides_subset_of_binds():
     # dropping one continuation member: the forms route says no exactly
-    # where the materialized binds do
+    # where the oracle's binds do
     rng = rng_for(27, "ndset-bind-forms-drop")
     verdicts = set()
     for _ in range(300):
@@ -216,7 +234,7 @@ def test_bind_forms_decides_subset_of_binds():
         k = rng.randrange(len(members))
         dropped = ndset.ProcessSet(members[:k] + members[k + 1:])
         f2 = lambda x: dropped if x == v else f(x)
-        expected = ndset.subset(ndset.bind(a, f), ndset.bind(a, f2))
+        expected = ndset.subset(product_bind(a, f), product_bind(a, f2))
         assert (ndset.bind_forms(a, f) <= ndset.bind_forms(a, f2)) == expected
         verdicts.add(expected)
     assert verdicts == {True, False}
