@@ -19,10 +19,10 @@ one continuation member independently for every support index, expectation
 is linear with nonnegative coefficients, so the inner optimum splits into
 independent per-index optima.  ``materialize`` produces the explicit set,
 whose binds are ``ndset.bind`` (one member per distinct composite), and the
-test suite checks the two routes agree on random small terms.  The extrema
-walk keeps its own stack, so a bind chain of any depth leaves the
-interpreter's recursion limit alone; it only ever materializes *sources* of
-binds, which the bundled models keep shallow.
+test suite checks the two routes agree on random small terms.  Both walks
+keep their own stack, so a bind chain of any depth leaves the
+interpreter's recursion limit alone; the extrema only ever materialize
+*sources* of binds, which the bundled models keep shallow.
 
 Sharing matters: builders memoize their recursive calls so equal subterms
 are the same object, and extrema memoize on object identity.
@@ -98,61 +98,15 @@ def lift(pset: ProcessSet) -> Comp:
     return Lift(pset)
 
 
-def materialize(c: Comp) -> ProcessSet:
-    """Evaluate the term to an explicit ProcessSet."""
-    match c:
-        case Ret(value=v):
-            return ndset.ret(v)
-        case Union(parts=parts):
-            return ndset.union_all(materialize(x) for x in parts)
-        case PChoice(left=l, p=p, right=r):
-            return ndset.pchoice(materialize(l), p, materialize(r))
-        case Bind(source=s, cont=k):
-            return ndset.bind(materialize(s), lambda v: materialize(k(v)))
-        case Lift(pset=ps):
-            return ps
-    raise TypeError(f"not a computation term: {c!r}")
+def _walk(c: Comp, evaluate):
+    """Value the term ``c`` on an explicit stack, so any bind depth leaves
+    the interpreter's recursion limit alone.
 
-
-def _extremum(f, c: Comp, pick) -> Fraction:
-    """Walk the term on an explicit stack, so any bind depth leaves the
-    interpreter's recursion limit alone."""
+    ``evaluate(node)`` is a generator: it yields each subterm it needs
+    valued, is sent that subterm's value, and returns the node's value.
+    Each node is valued once per walk."""
     memo: dict = {}  # id(node) -> (node, value); the node pins its id
-
-    def value(c: Comp):
-        """The extremum at ``c``, as a generator: it yields each subterm it
-        needs valued and is sent that subterm's value."""
-        match c:
-            case Ret(value=v):
-                return as_rational(f(v))
-            case Union(parts=parts):
-                vals = []
-                for x in parts:
-                    vals.append((yield x))
-                return pick(vals)
-            case PChoice(left=l, p=p, right=r):
-                lv = yield l
-                rv = yield r
-                return p * lv + (1 - p) * rv
-            case Bind(source=s, cont=k):
-                sub: dict = {}  # value_key -> extremum of k(v)
-                totals = []
-                for m in materialize(s).members:
-                    total = Fraction(0)
-                    for (_, v, p) in m.entries:
-                        if p == 0:
-                            continue
-                        vk = ival.value_key(v)
-                        if vk not in sub:
-                            sub[vk] = yield k(v)
-                        total += p * sub[vk]
-                    totals.append(total)
-                return pick(totals)
-            case Lift(pset=ps):
-                return pick(ival.expected_value(f, m) for m in ps.members)
-        raise TypeError(f"not a computation term: {c!r}")
-
-    stack = [(c, value(c))]
+    stack = [(c, evaluate(c))]
     sent = None
     while True:
         (node, gen) = stack[-1]
@@ -167,10 +121,80 @@ def _extremum(f, c: Comp, pick) -> Fraction:
         else:
             hit = memo.get(id(child))
             if hit is None:
-                stack.append((child, value(child)))
+                stack.append((child, evaluate(child)))
                 sent = None
             else:
                 sent = hit[1]
+
+
+def _support_values(pset: ProcessSet) -> dict:
+    """value_key -> value over the positive entries of the members, in the
+    order the members and entries list them."""
+    values: dict = {}
+    for m in pset.members:
+        for (_, v, p) in m.entries:
+            if p != 0:
+                values.setdefault(ival.value_key(v), v)
+    return values
+
+
+def _materialized(c: Comp):
+    match c:
+        case Ret(value=v):
+            return ndset.ret(v)
+        case Union(parts=parts):
+            sets = []
+            for x in parts:
+                sets.append((yield x))
+            return ndset.union_all(sets)
+        case PChoice(left=l, p=p, right=r):
+            ls = yield l
+            rs = yield r
+            return ndset.pchoice(ls, p, rs)
+        case Bind(source=s, cont=k):
+            src = yield s
+            table = {}  # value_key -> materialized k(v)
+            for (vk, v) in _support_values(src).items():
+                table[vk] = yield k(v)
+            return ndset.bind(src, lambda v: table[ival.value_key(v)])
+        case Lift(pset=ps):
+            return ps
+    raise TypeError(f"not a computation term: {c!r}")
+
+
+def materialize(c: Comp) -> ProcessSet:
+    """Evaluate the term to an explicit ProcessSet, on an explicit stack: a
+    bind's source first, then its continuation at each support value."""
+    return _walk(c, _materialized)
+
+
+def _extremum(f, c: Comp, pick) -> Fraction:
+    def value(c: Comp):
+        """The extremum at ``c``."""
+        match c:
+            case Ret(value=v):
+                return as_rational(f(v))
+            case Union(parts=parts):
+                vals = []
+                for x in parts:
+                    vals.append((yield x))
+                return pick(vals)
+            case PChoice(left=l, p=p, right=r):
+                lv = yield l
+                rv = yield r
+                return p * lv + (1 - p) * rv
+            case Bind(source=s, cont=k):
+                src = materialize(s)
+                sub = {}  # value_key -> extremum of k(v)
+                for (vk, v) in _support_values(src).items():
+                    sub[vk] = yield k(v)
+                return pick(ival.expected_value(lambda v: sub[ival.value_key(v)], m)
+                            for m in src.members)
+            case Lift(pset=ps):
+                return pick(ival.expected_value(f, m) for m in ps.members)
+        raise TypeError(f"not a computation term: {c!r}")
+
+    return _walk(c, value)
 
 
 def ex_min(f: Callable[[Value], Fraction], c: Comp) -> Fraction:

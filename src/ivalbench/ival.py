@@ -22,12 +22,21 @@ Two equivalences matter:
 Entries with probability zero are kept structurally (constructors may
 produce them) but are outside the indicial support and are ignored by all
 semantic relations, by ``expected_value``, and by ``bind``.
+
+Probabilities are ``Fraction``s in every public type and result, but the
+arithmetic over a valuation runs on integers: its entries are put over one
+common denominator, the lcm of their (reduced) denominators, and the
+validation sum, the expectations, the collapsed distribution and the
+canonical form work on the integer numerators.  Each ``Fraction``
+operation reduces by a gcd; the integer route builds one ``Fraction`` per
+result, if any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Any, Callable
 
 Value = Any
@@ -69,35 +78,67 @@ def as_rational(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {x!r}")
 
 
+def _as_ratio(x) -> tuple:
+    """``(numerator, denominator)`` of an exact rational, as ``as_rational``
+    accepts it, without building a Fraction."""
+    if isinstance(x, (Fraction, int)):
+        return (x.numerator, x.denominator)
+    raise TypeError(f"expected an exact rational, got {x!r}")
+
+
+def _common_denominator(entries) -> int:
+    """The lcm of the probabilities' denominators: every probability of the
+    valuation with these ``entries`` is an integer over it.  Zero entries
+    have denominator 1, so it is also the lcm over the positive ones."""
+    return lcm(*[p.denominator for (_, _, p) in entries])
+
+
+def _sum_of_ratios(ratios: list) -> tuple:
+    """``(total, den)``: the sum of the ``(numerator, denominator)`` pairs
+    is ``total / den``, with ``den`` the lcm of their denominators."""
+    den = lcm(*[d for (_, d) in ratios])
+    return (sum([n * (den // d) for (n, d) in ratios]), den)
+
+
 @dataclass(frozen=True)
 class IndexedValuation:
     """Finite indexed valuation: entries are ``(index, value, prob)``.
 
     Invariants checked on construction: indices pairwise distinct, every
     probability a Fraction in [0, 1], probabilities summing to exactly 1.
+    The sum is taken over the common denominator, on integers.
     """
 
     entries: tuple
 
     def __post_init__(self):
-        indices = [i for (i, _, _) in self.entries]
-        if len(set(indices)) != len(indices):
+        if len({i for (i, _, _) in self.entries}) != len(self.entries):
             raise ValueError("indexed valuation has duplicate indices")
-        total = Fraction(0)
+        ratios = []
         for (_, _, p) in self.entries:
             if not isinstance(p, Fraction):
                 raise TypeError(f"probability {p!r} is not a Fraction")
-            if p < 0:
+            ratios.append(p.as_integer_ratio())
+            if ratios[-1][0] < 0:
                 raise ValueError(f"negative probability {p}")
-            total += p
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        (total, den) = _sum_of_ratios(ratios)
+        if total != den:
+            raise ValueError(f"probabilities sum to {Fraction(total, den)}, not 1")
 
     def canonical(self) -> tuple:
-        """Sorted multiset of positive ``(value_key(value), prob)`` pairs;
-        decides ``equiv``.  Values enter by their structural key, so
-        ``True`` and ``1`` (equal in Python) stay apart."""
-        return tuple(sorted((value_key(v), p) for (_, v, p) in self.entries if p > 0))
+        """``(den, pairs)``: ``pairs`` is the sorted multiset of positive
+        ``(value_key(value), numerator)`` pairs over the common denominator
+        ``den``; decides ``equiv``.
+
+        Fractions are reduced, so ``den`` (the lcm of the positive
+        probabilities' denominators) and every numerator are fixed by the
+        multiset of positive probabilities: equal multisets give equal
+        forms, whatever the entry order, indices or zero entries.  Values
+        enter by their structural key, so ``True`` and ``1`` (equal in
+        Python) stay apart.  Forms hash and compare as ints and keys."""
+        den = _common_denominator(self.entries)
+        return (den, tuple(sorted([(value_key(v), p.numerator * (den // p.denominator))
+                                   for (_, v, p) in self.entries if p.numerator])))
 
     def __repr__(self):
         inner = ", ".join(f"{v!r}@{p}" for (_, v, p) in self.entries)
@@ -106,13 +147,17 @@ class IndexedValuation:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Finite distribution: value -> positive Fraction, summing to 1."""
+    """Finite distribution: value -> positive exact rational, summing to 1.
+
+    The sum is taken over the lcm of the weights' denominators, on
+    integers; a weight that is not an exact rational (a float) is a
+    ``TypeError``."""
 
     weights: tuple  # sorted tuple of (value, prob)
 
     def __post_init__(self):
-        total = Fraction(0)
         seen = set()
+        ratios = []
         for (v, p) in self.weights:
             k = value_key(v)
             if k in seen:
@@ -120,9 +165,10 @@ class Distribution:
             seen.add(k)
             if p <= 0:
                 raise ValueError("distribution weights must be positive")
-            total += p
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
+            ratios.append(_as_ratio(p))
+        (total, den) = _sum_of_ratios(ratios)
+        if total != den:
+            raise ValueError(f"weights sum to {Fraction(total, den)}, not 1")
 
 
 def ret(v: Value) -> IndexedValuation:
@@ -190,18 +236,24 @@ def equiv(a: IndexedValuation, b: IndexedValuation) -> bool:
     return a.canonical() == b.canonical()
 
 
-def to_distribution(a: IndexedValuation) -> Distribution:
-    """Collapse to a distribution by summing probabilities of equal values."""
+def collapsed(a: IndexedValuation) -> tuple:
+    """``(den, acc)``: ``acc`` maps the ``value_key`` of each value of the
+    indicial support to ``(value, numerator)``, its summed probability as an
+    integer over the common denominator ``den``."""
+    den = _common_denominator(a.entries)
     acc: dict = {}
     for (_, v, p) in a.entries:
-        if p > 0:
+        if p.numerator:
             k = value_key(v)
-            if k in acc:
-                acc[k] = (v, acc[k][1] + p)
-            else:
-                acc[k] = (v, p)
-    items = sorted(acc.values(), key=lambda vp: value_key(vp[0]))
-    return Distribution(tuple(items))
+            n = p.numerator * (den // p.denominator)
+            acc[k] = (v, acc[k][1] + n) if k in acc else (v, n)
+    return (den, acc)
+
+
+def to_distribution(a: IndexedValuation) -> Distribution:
+    """Collapse to a distribution by summing probabilities of equal values."""
+    (den, acc) = collapsed(a)
+    return Distribution(tuple((v, Fraction(n, den)) for (_, (v, n)) in sorted(acc.items())))
 
 
 def prob_equiv(a: IndexedValuation, b: IndexedValuation) -> bool:
@@ -214,13 +266,22 @@ def prob_equiv(a: IndexedValuation, b: IndexedValuation) -> bool:
 
 
 def expected_value(f: Callable[[Value], Rational], a: IndexedValuation) -> Fraction:
-    """Exact expectation of ``f`` over ``a`` (finite, so it always exists)."""
-    total = Fraction(0)
+    """Exact expectation of ``f`` over ``a`` (finite, so it always exists).
+
+    The terms ``p * f(v)`` are summed as integers over the lcm of their
+    denominators, and one Fraction is built at the end."""
+    (num, den) = (0, 1)
     for (_, v, p) in a.entries:
-        if p == 0:
+        if not p.numerator:
             continue
-        total += p * as_rational(f(v))
-    return total
+        (n, d) = _as_ratio(f(v))
+        d *= p.denominator
+        if den % d:
+            common = lcm(den, d)
+            num *= common // den
+            den = common
+        num += n * p.numerator * (den // d)
+    return Fraction(num, den)
 
 
 def support(a: IndexedValuation) -> tuple:

@@ -12,12 +12,27 @@ by the columns, and it is what the falsifying expectation functions in
 
 Pivoting uses Bland's rule, which cannot cycle, and all arithmetic is
 exact, so termination and decisions are guaranteed.
+
+The arithmetic is on integers (fraction-free pivoting: Edmonds 1967,
+Bareiss 1968).  With ``L`` the lcm of every denominator in ``A`` and
+``b``, the tableau holds ``L A`` and ``L b`` beside unit artificial
+columns, so the starting basis is the identity; it is kept as integers
+``T`` over one divisor ``D``, starting at 1, and a pivot on ``a = T[r][e]``
+replaces every other row ``T[i]`` by ``(a T[i] - T[i][e] T[r]) / D``, an
+exact division, then sets ``D = a`` (the determinant of the basis).  The
+ratio test compares ``T[i][rhs] / T[i][e]`` by cross-multiplication.  The
+integer tableau is the Fraction tableau of ``A x = b`` with its structural
+columns, right-hand side and basic rows scaled by positive factors, so
+every sign, every ratio comparison, and hence Bland's choices are the same:
+the same bases in the same order, the same solution
+(``T[i][rhs] / D``) and the same certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 
@@ -36,40 +51,34 @@ def solve_equality_feasibility(A: list, b: list) -> FeasibilityResult:
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    rows = [[Fraction(x) for x in row] for row in A]
-    rhs = [Fraction(x) for x in b]
-    sign = [Fraction(1)] * m
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-            sign[i] = Fraction(-1)
-
     if m == 0:
         return FeasibilityResult(True, [Fraction(0)] * n, None)
+    A = [[_exact(x) for x in row] for row in A]
+    b = [_exact(x) for x in b]
+    scale = lcm(*[x.denominator for row in A for x in row], *[x.denominator for x in b])
+    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in A]
+    rhs = [x.numerator * (scale // x.denominator) for x in b]
 
-    # Tableau columns: n structural + m artificial + rhs.
+    # Tableau columns: n structural + m artificial + rhs; rows with a
+    # negative right-hand side are negated.
     width = n + m
+    sign = [-1 if r < 0 else 1 for r in rhs]
     tab = []
     for i in range(m):
-        row = rows[i] + [Fraction(0)] * m + [rhs[i]]
-        row[n + i] = Fraction(1)
+        row = [sign[i] * x for x in rows[i]] + [0] * m + [sign[i] * rhs[i]]
+        row[n + i] = 1
         tab.append(row)
     basis = [n + i for i in range(m)]
 
     # Phase-1 objective: minimize the sum of artificials.  The reduced-cost
     # row starts as -(sum of constraint rows) on structural columns, with
-    # objective value -(sum of rhs); entry j holds c_j - y.A_j.
-    obj = [Fraction(0)] * (width + 1)
-    for j in range(width + 1):
-        s = Fraction(0)
-        for i in range(m):
-            s += tab[i][j]
-        obj[j] = (Fraction(1) if n <= j < width else Fraction(0)) - s
-    # Artificial columns start basic, reduced cost 0.
+    # objective value -(sum of rhs); entry j holds c_j - y.A_j, and the
+    # artificial columns start basic, reduced cost 0.
+    obj = [-sum(col) for col in zip(*tab)]
     for i in range(m):
-        obj[n + i] = Fraction(0)
+        obj[n + i] = 0
 
+    den = 1
     while True:
         enter = -1
         for j in range(width):  # Bland: smallest eligible index
@@ -79,54 +88,60 @@ def solve_equality_feasibility(A: list, b: list) -> FeasibilityResult:
         if enter < 0:
             break
         leave = -1
-        best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = tab[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                # tab[i][width] / a against the best ratio, cross-multiplied
+                (x, y) = (tab[i][width] * tab[leave][enter], tab[leave][width] * a)
+                if x < y or (x == y and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise ArithmeticError("phase-1 objective unbounded; malformed tableau")
-        pivot(tab, obj, leave, enter, width)
+        den = pivot(tab, obj, leave, enter, den)
         basis[leave] = enter
 
-    value = -obj[width]  # current objective value (sum of artificials)
-    if value == 0:
+    if obj[width] == 0:  # the sum of artificials is 0
         x = [Fraction(0)] * n
         for i in range(m):
             if basis[i] < n:
-                x[basis[i]] = tab[i][width]
+                x[basis[i]] = Fraction(tab[i][width], den)
         return FeasibilityResult(True, x, None)
 
     # Infeasible: dual prices from reduced costs of the artificial columns,
-    # mapped back through the row sign flips.
-    y = []
-    for i in range(m):
-        yi = Fraction(1) - obj[n + i]
-        y.append(sign[i] * yi)
-    # Exactness self-check: the certificate must actually separate.
-    ydotb = sum(y[i] * Fraction(b[i]) for i in range(m))
-    if ydotb <= 0:
+    # mapped back through the row sign flips; y = ys / den.
+    ys = [sign[i] * (den - obj[n + i]) for i in range(m)]
+    # Exactness self-check on the scaled input: the certificate must
+    # actually separate.
+    if sum(ys[i] * rhs[i] for i in range(m)) <= 0:
         raise ArithmeticError("separating certificate failed y.b > 0")
     for j in range(n):
-        col = sum(y[i] * Fraction(A[i][j]) for i in range(m))
-        if col > 0:
+        if sum(ys[i] * rows[i][j] for i in range(m)) > 0:
             raise ArithmeticError("separating certificate failed y.A <= 0")
-    return FeasibilityResult(False, None, y)
+    return FeasibilityResult(False, None, [Fraction(y, den) for y in ys])
 
 
-def pivot(tab: list, obj: list, leave: int, enter: int, width: int) -> None:
-    piv = tab[leave][enter]
-    tab[leave] = [x / piv for x in tab[leave]]
-    for i in range(len(tab)):
-        if i != leave and tab[i][enter] != 0:
-            c = tab[i][enter]
-            tab[i] = [tab[i][j] - c * tab[leave][j] for j in range(width + 1)]
-    if obj[enter] != 0:
-        c = obj[enter]
-        for j in range(width + 1):
-            obj[j] -= c * tab[leave][j]
+def _exact(x):
+    return x if isinstance(x, (Fraction, int)) else Fraction(x)
+
+
+def pivot(tab: list, obj: list, leave: int, enter: int, den: int) -> int:
+    """One fraction-free pivot on ``tab[leave][enter]``; returns the new
+    divisor.  The tableau ``tab / den`` and objective ``obj / den`` become
+    the pivoted ones: the pivot row stays, every other row ``r`` becomes
+    ``(r * a - r[enter] * tab[leave]) // den`` with ``a`` the pivot, exactly
+    divisible (Bareiss), and ``a`` is the new divisor."""
+    top = tab[leave]
+    a = top[enter]
+    for (i, row) in enumerate(tab):
+        if i != leave:
+            c = row[enter]
+            tab[i] = [(x * a - c * y) // den for (x, y) in zip(row, top)]
+    c = obj[enter]
+    obj[:] = [(x * a - c * y) // den for (x, y) in zip(obj, top)]
+    return a
 
 
 def convex_hull_membership(point: list, generators: list) -> FeasibilityResult:

@@ -14,7 +14,10 @@ probabilistic choice that is not observable in the value.  The selections
 number the product of the continuation sizes over the support, but a
 composite's form depends only on the forms chosen, so ``bind`` folds over
 canonical forms and returns one member per distinct composite;
-``bind_forms`` is the set of forms of that same fold.
+``bind_forms`` is the set of forms of that same fold.  A form is
+``(den, sorted (value_key, numerator))`` in lowest terms (see
+``IndexedValuation.canonical``), so the forms, the fold and the set
+comparisons hash and compare ints and keys, never Fractions.
 
 The coarse order ``subset_p`` ("every bounded function's maximal
 expectation is dominated") is decided by exact convex-hull membership of
@@ -27,13 +30,15 @@ membership in the closed convex hull, and the hull of finitely many points
 needs no closure.  When the LP says no, its dual certificate *is* a
 function whose maximal expectation violates the domination, which the
 property suite uses as an independent falsifier.  Members with the same
-distribution share one LP solve.
+distribution share one LP solve; a distribution is keyed by its integer
+numerators over their lowest common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Callable, Optional
 
 from ivalbench import ival, lp
@@ -100,24 +105,46 @@ def _bind_fold(a: ProcessSet, f: Callable[[Value], ProcessSet]):
     member's form scaled by ``p``; it depends only on the forms chosen.  So
     each member of ``a`` folds over its positive entries a deduplicated dict
     of partial sorted multisets, merging every partial with every distinct
-    form of ``f(v)``.  Dicts, never sets, keep the order independent of
-    string hashing.
+    form of ``f(v)``.  The partials of one member are integer numerators
+    over one denominator ``den``, a common multiple of every product
+    ``p * q`` it can meet, so they hash and compare as ints; dividing a
+    finished partial and ``den`` by their gcd gives its canonical form.
+    Dicts, never sets, keep the order independent of string hashing.
     """
     conts: dict = {}  # value_key -> (f(v), its distinct forms); f once per value
     out: dict = {}
     for m in a.members:
-        partials = {(): None}
+        picks = []  # (p, distinct forms of f(v)) per positive entry
         for (_, v, p) in m.entries:
-            if p == 0:
+            if not p.numerator:
                 continue
             k = value_key(v)
             if k not in conts:
                 cont = f(v)
                 conts[k] = (cont, dict.fromkeys(x.canonical() for x in cont.members))
-            scaled = [tuple((w, p * q) for (w, q) in form) for form in conts[k][1]]
+            picks.append((p, conts[k][1]))
+        den = lcm(*[p.denominator * d for (p, forms) in picks for (d, _) in forms])
+        partials = {(): None}
+        for (p, forms) in picks:
+            scaled = []
+            for (d, pairs) in forms:
+                c = p.numerator * (den // (p.denominator * d))
+                scaled.append(tuple([(w, c * q) for (w, q) in pairs]))
             partials = dict.fromkeys(
                 tuple(sorted(part + t)) for part in partials for t in scaled)
-        out.update(partials)
+        # (g, id(pair)) -> the pair's numerator divided by g: the forms share
+        # their pairs as the partials do, which keeps a large fold's memory
+        # at that of the partials
+        lowest: dict = {}
+        for part in partials:
+            g = gcd(den, *[n for (_, n) in part])
+            form = []
+            for pair in part:
+                k = (g, id(pair))
+                if k not in lowest:
+                    lowest[k] = (pair[0], pair[1] // g)
+                form.append(lowest[k])
+            out[(den // g, tuple(form))] = None
     return out, conts
 
 
@@ -134,8 +161,9 @@ def bind(a: ProcessSet, f: Callable[[Value], ProcessSet]) -> ProcessSet:
     values = {value_key(w): w for (cont, _) in conts.values()
               for x in cont.members for (_, w, _) in x.entries}
     return ProcessSet(tuple(
-        IndexedValuation(tuple((n, values[k], p) for (n, (k, p)) in enumerate(form)))
-        for form in out))
+        IndexedValuation(tuple((n, values[k], Fraction(q, den))
+                               for (n, (k, q)) in enumerate(pairs)))
+        for (den, pairs) in out))
 
 
 def forms(a: ProcessSet) -> frozenset:
@@ -206,21 +234,29 @@ def subset_p_certified(a: ProcessSet, b: ProcessSet):
     coords = {value_key(v): d for (d, v) in enumerate(values)}
     dim = len(values)
 
-    def vec(m: IndexedValuation) -> list:
-        out = [Fraction(0)] * dim
-        for (v, p) in ival.to_distribution(m).weights:
-            out[coords[value_key(v)]] = p
-        return out
+    def form(m: IndexedValuation) -> tuple:
+        """The distribution of ``m`` as ``(den, numerators)`` in lowest
+        terms, one numerator per coordinate: equal distributions, equal
+        forms."""
+        (den, acc) = ival.collapsed(m)
+        nums = [0] * dim
+        for (k, (_, n)) in acc.items():
+            nums[coords[k]] = n
+        g = gcd(den, *nums)
+        return (den // g, tuple([n // g for n in nums]))
 
-    generators = [vec(m) for m in b.members]
-    solved: dict = {}  # distribution vector -> its FeasibilityResult
+    def vec(key: tuple) -> list:
+        (den, nums) = key
+        return [Fraction(n, den) for n in nums]
+
+    generators = [vec(form(m)) for m in b.members]
+    solved: dict = {}  # distribution form -> its FeasibilityResult
     certs = []
     verdict = True
     for (k, m) in enumerate(a.members):
-        point = vec(m)
-        key = tuple(point)
+        key = form(m)
         if key not in solved:
-            solved[key] = lp.convex_hull_membership(point, generators)
+            solved[key] = lp.convex_hull_membership(vec(key), generators)
         res = solved[key]
         if res.feasible:
             certs.append(SubsetPCertificate(k, weights=res.solution))

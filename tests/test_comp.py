@@ -48,6 +48,42 @@ def test_extrema_of_deep_bind_chains():
         sys.setrecursionlimit(limit)
 
 
+def test_materialize_deep_bind_chains():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        assert ndset.equiv(comp.materialize(models.approx_n(2000, 0, 0)), ndset.ret(2000))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def recursive_materialize(c):
+    """The structural recursion the explicit-stack walk replaces."""
+    match c:
+        case comp.Ret(value=v):
+            return ndset.ret(v)
+        case comp.Union(parts=parts):
+            return ndset.union_all(recursive_materialize(x) for x in parts)
+        case comp.PChoice(left=l, p=p, right=r):
+            return ndset.pchoice(recursive_materialize(l), p, recursive_materialize(r))
+        case comp.Bind(source=s, cont=k):
+            return ndset.bind(recursive_materialize(s), lambda v: recursive_materialize(k(v)))
+        case comp.Lift(pset=ps):
+            return ps
+
+
+def test_materialize_keeps_member_order():
+    # the stopping points of the early-stop counter, first stop first
+    members = comp.materialize(models.approx_n_prime(3, 0, 0, 0)).members
+    assert [m.canonical() for m in members] == [ival.ret((t, t)).canonical() for t in range(4)]
+    rng = rng_for(32, "comp-materialize-order")
+    for _ in range(150):
+        term = gen_comp(rng, 3)
+        (got, want) = (comp.materialize(term), recursive_materialize(term))
+        assert [repr(m) for m in got.members] == [repr(m) for m in want.members]
+        assert [m.canonical() for m in got.members] == [m.canonical() for m in want.members]
+
+
 def test_bind_rule_splits_per_index():
     # ex_min over a bind takes the best continuation member per support
     # index independently

@@ -1,12 +1,13 @@
 """Indexed valuation kernel: constructors, relations, expectations."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ivalbench import ival
+from ivalbench import ival, ndset
 from ivalbench.ival import IndexedValuation
 from ivalbench.laws import gen_ival, prob_equiv_variant, relabel
 
@@ -127,6 +128,178 @@ def test_mass_invariant_enforced():
         IndexedValuation(((0, 1, F(1, 2)), (0, 2, F(1, 2))))  # dup index
     with pytest.raises(ValueError):
         IndexedValuation(((0, 1, F(3, 2)), (1, 2, F(-1, 2))))
+
+
+def raised(exc_type, build) -> str:
+    with pytest.raises(exc_type) as info:
+        build()
+    return str(info.value)
+
+
+def test_indexed_valuation_validation_messages():
+    ival_of = lambda *probs: lambda: IndexedValuation(
+        tuple((i, i, p) for (i, p) in enumerate(probs)))
+    assert raised(TypeError, ival_of(1)) == "probability 1 is not a Fraction"
+    assert raised(TypeError, ival_of(1.0)) == "probability 1.0 is not a Fraction"
+    assert raised(TypeError, ival_of(True)) == "probability True is not a Fraction"
+    assert raised(TypeError, ival_of(F(1, 2), 0.5)) == "probability 0.5 is not a Fraction"
+    assert raised(ValueError, ival_of(F(-1, 2), F(3, 2))) == "negative probability -1/2"
+    # entries are checked in order: the negative one before the float
+    assert raised(ValueError, ival_of(F(-1, 2), 1.5)) == "negative probability -1/2"
+    assert raised(ValueError, ival_of(F(1, 3), F(1, 4))) == \
+        "probabilities sum to 7/12, not 1"
+    assert raised(ValueError, ival_of(F(1, 3), F(2, 3), F(1, 10**12 + 39))) == \
+        f"probabilities sum to {F(1) + F(1, 10**12 + 39)}, not 1"
+    assert raised(ValueError, ival_of(F(0))) == "probabilities sum to 0, not 1"
+    assert raised(ValueError, lambda: IndexedValuation(
+        ((0, 1, F(1, 2)), (0, 2, F(1, 2))))) == "indexed valuation has duplicate indices"
+    assert raised(ValueError, lambda: IndexedValuation(
+        ((0, 1, 1.5), (0, 2, F(1, 2))))) == "indexed valuation has duplicate indices"
+
+
+def test_distribution_validation_messages():
+    D = ival.Distribution
+    # ints (bools among them) are exact rationals, as before
+    assert D(((0, 1),)).weights == ((0, 1),)
+    assert D(((0, True),)).weights == ((0, True),)
+    assert D(((0, F(1, 3)), (1, F(2, 3)))).weights == ((0, F(1, 3)), (1, F(2, 3)))
+    assert raised(TypeError, lambda: D(((0, 0.5), (1, 0.5)))) == \
+        "expected an exact rational, got 0.5"
+    assert raised(ValueError, lambda: D(((0, F(-1, 2)), (1, F(3, 2))))) == \
+        "distribution weights must be positive"
+    assert raised(ValueError, lambda: D(((0, -0.5), (1, 1.5)))) == \
+        "distribution weights must be positive"
+    assert raised(ValueError, lambda: D(((0, F(0)), (1, F(1))))) == \
+        "distribution weights must be positive"
+    assert raised(ValueError, lambda: D(((0, F(1, 2)), (1, F(1, 3))))) == \
+        "weights sum to 5/6, not 1"
+    assert raised(ValueError, lambda: D(((0, 1), (1, 1)))) == "weights sum to 2, not 1"
+    assert raised(ValueError, lambda: D(((1, F(1, 2)), (1, F(1, 2))))) == "duplicate key 1"
+    # keys are structural: True and 1 are two values
+    assert len(D(((True, F(1, 2)), (1, F(1, 2)))).weights) == 2
+
+
+BIG_PRIMES = (10007, 65537, 999983, 2**31 - 1, 2**61 - 1)
+
+
+def gen_wide_ival(rng):
+    """Probabilities with large coprime denominators (the last one takes
+    their product) and zero entries mixed in."""
+    dens = rng.sample(BIG_PRIMES, rng.randint(1, 4))
+    probs = [F(rng.randint(0, d // (len(dens) + 1)), d) for d in dens]
+    probs.append(1 - sum(probs, F(0)))
+    probs += [F(0)] * rng.randint(0, 2)
+    rng.shuffle(probs)
+    return IndexedValuation(tuple((i, rng.randint(-3, 3), p) for (i, p) in enumerate(probs)))
+
+
+def test_expected_value_matches_fraction_sum():
+    rng = random.Random(41)
+    for _ in range(500):
+        a = gen_wide_ival(rng)
+        table = {v: rng.choice([F(rng.randint(-10**6, 10**6), rng.choice(BIG_PRIMES)),
+                                rng.randint(-9, 9), F(0), True])
+                 for v in range(-3, 4)}
+        f = table.__getitem__
+        oracle = sum((p * F(f(v)) for (_, v, p) in a.entries if p != 0), F(0))
+        got = ival.expected_value(f, a)
+        assert type(got) is F and got == oracle
+    with pytest.raises(TypeError, match="expected an exact rational, got 0.5"):
+        ival.expected_value(lambda v: 0.5, ival.ret(0))
+
+
+# -- canonical forms ----------------------------------------------------------
+
+FORM_POOL = (0, 1, True, False, 2, F(1), "x", (1, True), (True, 1))
+SHARED_DENS = (2, 4, 6, 12, 18)
+COPRIME_DENS = (5, 7, 11, 13, 10007)
+
+
+def gen_form_ival(rng):
+    dens = SHARED_DENS if rng.random() < 0.5 else COPRIME_DENS
+    n = rng.randint(1, 4)
+    probs = [F(rng.randint(0, d // n), d) for d in rng.choices(dens, k=n - 1)]
+    probs.append(1 - sum(probs, F(0)))
+    return IndexedValuation(tuple((("o", i), rng.choice(FORM_POOL), p)
+                                  for (i, p) in enumerate(probs)))
+
+
+def python_twin(v):
+    """A value of another type that Python calls equal to ``v``, if any."""
+    if type(v) is bool:
+        return int(v)
+    if type(v) is int and v in (0, 1):
+        return bool(v)
+    if type(v) is F:
+        return int(v) if v.denominator == 1 else v
+    return v
+
+
+def variant(rng, a, kind):
+    """``a`` relabelled, reordered and zero-padded, or changed in one way
+    that may or may not survive: a value swapped for one Python calls equal,
+    or mass moved between two entries."""
+    entries = list(relabel(rng, a).entries)
+    if kind == "swap" and entries:
+        k = rng.randrange(len(entries))
+        (i, v, p) = entries[k]
+        entries[k] = (i, python_twin(v), p)
+    elif kind == "move" and len(entries) > 1:
+        (j, k) = rng.sample(range(len(entries)), 2)
+        e = min(entries[j][2], F(rng.randint(1, 3), rng.choice(SHARED_DENS + COPRIME_DENS)))
+        entries[j] = (entries[j][0], entries[j][1], entries[j][2] - e)
+        entries[k] = (entries[k][0], entries[k][1], entries[k][2] + e)
+    if rng.random() < 0.3:
+        entries.append((("pad", len(entries)), rng.choice(FORM_POOL), F(0)))
+    rng.shuffle(entries)
+    return IndexedValuation(tuple(entries))
+
+
+def multiset(a):
+    """The oracle: sorted positive ``(value_key, Fraction)`` pairs."""
+    return tuple(sorted((ival.value_key(v), p) for (_, v, p) in a.entries if p > 0))
+
+
+def test_canonical_forms_agree_with_the_fraction_multiset():
+    rng = random.Random(43)
+    seen = {"equal": 0, "unequal": 0, "swap": 0, "move": 0, "coprime": 0, "shared": 0}
+    for _ in range(1200):
+        a = gen_form_ival(rng)
+        kind = rng.choice(["relabel", "swap", "move", "fresh"])
+        b = gen_form_ival(rng) if kind == "fresh" else variant(rng, a, kind)
+        same = multiset(a) == multiset(b)
+        assert ival.equiv(a, b) == same
+        for m in (a, b):
+            (den, pairs) = m.canonical()
+            assert [(k, F(n, den)) for (k, n) in pairs] == list(multiset(m))
+            assert math.gcd(den, *[n for (_, n) in pairs]) == 1
+            shuffled = list(m.entries)
+            rng.shuffle(shuffled)
+            assert IndexedValuation(tuple(shuffled)).canonical() == m.canonical()
+        seen["equal" if same else "unequal"] += 1
+        if kind in ("swap", "move") and not same:
+            seen[kind] += 1
+        dens = [p.denominator for (_, _, p) in a.entries if p > 0]
+        pairs = [math.gcd(x, y) for (k, x) in enumerate(dens) for y in dens[k + 1:]
+                 if x > 1 and y > 1]
+        seen["coprime"] += 1 in pairs
+        seen["shared"] += any(g > 1 for g in pairs)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_process_set_equiv_agrees_with_the_fraction_multisets():
+    rng = random.Random(44)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1000):
+        a = [gen_form_ival(rng) for _ in range(rng.randint(1, 3))]
+        b = [variant(rng, m, rng.choice(["relabel", "relabel", "swap", "move"])) for m in a]
+        rng.shuffle(b)
+        if rng.random() < 0.3:
+            b.append(rng.choice(b))
+        same = {multiset(m) for m in a} == {multiset(m) for m in b}
+        assert ndset.equiv(ndset.ProcessSet(tuple(a)), ndset.ProcessSet(tuple(b))) == same
+        verdicts[same] += 1
+    assert min(verdicts.values()) >= 200, verdicts
 
 
 def test_support_excludes_zero_entries():

@@ -1,6 +1,10 @@
 """Exact feasibility LP: decisions and certificates."""
 
+import random
+from dataclasses import dataclass
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Optional
 
 from ivalbench import lp
 
@@ -65,7 +69,6 @@ def test_hull_membership_vertex_and_midpoint_of_three():
 
 
 def test_random_mixtures_stay_inside():
-    import random
     rng = random.Random(4)
     for _ in range(150):
         dim = rng.randint(1, 4)
@@ -80,3 +83,184 @@ def test_random_mixtures_stay_inside():
         point = [sum(F(lam[j], t) * gens[j][d] for j in range(len(gens)))
                  for d in range(dim)]
         assert lp.convex_hull_membership(point, gens).feasible
+
+
+# ---------------------------------------------------------------------------
+# the Fraction simplex, kept as the oracle of the fraction-free one
+
+
+@dataclass
+class OracleResult:
+    feasible: bool
+    solution: Optional[list]
+    certificate: Optional[list]
+
+
+def oracle_solve(A: list, b: list) -> OracleResult:
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rows = [[Fraction(x) for x in row] for row in A]
+    rhs = [Fraction(x) for x in b]
+    sign = [Fraction(1)] * m
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+            sign[i] = Fraction(-1)
+
+    if m == 0:
+        return OracleResult(True, [Fraction(0)] * n, None)
+
+    # Tableau columns: n structural + m artificial + rhs.
+    width = n + m
+    tab = []
+    for i in range(m):
+        row = rows[i] + [Fraction(0)] * m + [rhs[i]]
+        row[n + i] = Fraction(1)
+        tab.append(row)
+    basis = [n + i for i in range(m)]
+
+    # Phase-1 objective: minimize the sum of artificials.  The reduced-cost
+    # row starts as -(sum of constraint rows) on structural columns, with
+    # objective value -(sum of rhs); entry j holds c_j - y.A_j.
+    obj = [Fraction(0)] * (width + 1)
+    for j in range(width + 1):
+        s = Fraction(0)
+        for i in range(m):
+            s += tab[i][j]
+        obj[j] = (Fraction(1) if n <= j < width else Fraction(0)) - s
+    # Artificial columns start basic, reduced cost 0.
+    for i in range(m):
+        obj[n + i] = Fraction(0)
+
+    while True:
+        enter = -1
+        for j in range(width):  # Bland: smallest eligible index
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][width] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise ArithmeticError("phase-1 objective unbounded; malformed tableau")
+        oracle_pivot(tab, obj, leave, enter, width)
+        basis[leave] = enter
+
+    value = -obj[width]  # current objective value (sum of artificials)
+    if value == 0:
+        x = [Fraction(0)] * n
+        for i in range(m):
+            if basis[i] < n:
+                x[basis[i]] = tab[i][width]
+        return OracleResult(True, x, None)
+
+    # Infeasible: dual prices from reduced costs of the artificial columns,
+    # mapped back through the row sign flips.
+    y = []
+    for i in range(m):
+        yi = Fraction(1) - obj[n + i]
+        y.append(sign[i] * yi)
+    # Exactness self-check: the certificate must actually separate.
+    ydotb = sum(y[i] * Fraction(b[i]) for i in range(m))
+    if ydotb <= 0:
+        raise ArithmeticError("separating certificate failed y.b > 0")
+    for j in range(n):
+        col = sum(y[i] * Fraction(A[i][j]) for i in range(m))
+        if col > 0:
+            raise ArithmeticError("separating certificate failed y.A <= 0")
+    return OracleResult(False, None, y)
+
+
+def oracle_pivot(tab: list, obj: list, leave: int, enter: int, width: int) -> None:
+    piv = tab[leave][enter]
+    tab[leave] = [x / piv for x in tab[leave]]
+    for i in range(len(tab)):
+        if i != leave and tab[i][enter] != 0:
+            c = tab[i][enter]
+            tab[i] = [tab[i][j] - c * tab[leave][j] for j in range(width + 1)]
+    if obj[enter] != 0:
+        c = obj[enter]
+        for j in range(width + 1):
+            obj[j] -= c * tab[leave][j]
+
+
+# ---------------------------------------------------------------------------
+
+
+def random_rational(rng):
+    den = rng.choice([1, 1, 2, 3, 4, 6, 7, 9, 10, 12])
+    return F(rng.randint(-6, 6), den) if rng.random() < 0.8 else F(0)
+
+
+def random_system(rng, seen):
+    """A random ``A x = b``, bent towards the cases a pivot rule can get
+    wrong: zero and duplicate columns, proportional rows whose ratios tie,
+    right-hand sides that are negative, zero, or a nonnegative mix of
+    columns (feasible), and entries given as ints."""
+    m = rng.randint(1, 4)
+    n = rng.randint(1, 5)
+    A = [[random_rational(rng) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.3:
+        for row in A:
+            row.insert(rng.randint(0, n), F(0))
+        seen["zero column"] += 1
+    if rng.random() < 0.3:
+        j = rng.randrange(len(A[0]))
+        for row in A:
+            row.insert(rng.randint(0, len(row)), row[j])
+        seen["duplicate column"] += 1
+    if m > 1 and rng.random() < 0.3:
+        k = F(rng.randint(1, 3), rng.randint(1, 3))
+        A[rng.randrange(m)] = [k * x for x in A[0]]
+    if rng.random() < 0.5:
+        x = [F(rng.randint(0, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
+             for _ in A[0]]
+        b = [sum(a * xj for (a, xj) in zip(row, x)) for row in A]
+    else:
+        b = [random_rational(rng) for _ in range(m)]
+    if rng.random() < 0.2:
+        b[rng.randrange(m)] = F(0)
+    if rng.random() < 0.2:
+        A = [[int(x) if x.denominator == 1 else x for x in row] for row in A]
+    seen["negative rhs"] += any(v < 0 for v in b)
+    return A, b
+
+
+def test_fraction_free_simplex_agrees_with_the_fraction_oracle(monkeypatch):
+    rng = random.Random(12)
+    calls = {"new": 0, "oracle": 0, "ties": 0}
+    new_pivot, old_pivot = lp.pivot, oracle_pivot
+
+    def counted_pivot(*args):
+        calls["new"] += 1
+        return new_pivot(*args)
+
+    def counted_oracle_pivot(tab, obj, leave, enter, width):
+        calls["oracle"] += 1
+        ratios = [tab[i][width] / tab[i][enter] for i in range(len(tab)) if tab[i][enter] > 0]
+        calls["ties"] += ratios.count(min(ratios)) > 1
+        return old_pivot(tab, obj, leave, enter, width)
+
+    monkeypatch.setattr(lp, "pivot", counted_pivot)
+    monkeypatch.setitem(globals(), "oracle_pivot", counted_oracle_pivot)
+    seen = {"feasible": 0, "infeasible": 0, "zero column": 0, "duplicate column": 0,
+            "negative rhs": 0, "ratio tie": 0}
+    for _ in range(600):
+        (A, b) = random_system(rng, seen)
+        ties = calls["ties"]
+        want = oracle_solve(A, b)
+        got = lp.solve_equality_feasibility(A, b)
+        assert (got.feasible, got.solution, got.certificate) == \
+            (want.feasible, want.solution, want.certificate), (A, b)
+        assert calls["new"] == calls["oracle"], (A, b)
+        seen["feasible" if want.feasible else "infeasible"] += 1
+        seen["ratio tie"] += calls["ties"] > ties
+    assert min(seen.values()) >= 50, seen
