@@ -444,7 +444,7 @@ def main(argv=None) -> int:
         if args.out:
             write_out(args, rep, table)
         return code
-    except ConfigError as exc:
+    except (ConfigError, models.FunctionalError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except (sched.ScheduleError, coupling.CouplingError) as exc:

@@ -4,25 +4,25 @@ Explicit ``ProcessSet`` values are fine at law-suite scale, but the member
 count of an n-fold ``bind`` grows like ``c ** (2 ** n)``: every adaptive
 resolution of the nondeterminism is one member.  The bundled counter and
 skip-list specifications need expectation extrema at depths where
-materializing the set is hopeless, so computations are also represented as
-terms (ret / union / pchoice / bind / literal set), and extrema are
-computed by structural recursion:
+materializing the set is hopeless, so computations are also terms:
+ret / union / pchoice, and bind of an explicit ``ProcessSet`` ``S`` to a
+map ``F`` from its support values to terms.  Extrema are computed by
+structural recursion:
 
 * ``ex_min(f, ret v) = f(v)``
 * ``ex_min(f, union)`` is the min over the parts,
 * ``ex_min(f, pchoice(a, p, b)) = p * ex_min(f, a) + (1-p) * ex_min(f, b)``
-* ``ex_min(f, bind(a, F)) = min over members m of a of
+* ``ex_min(f, bind(S, F)) = min over members m of S of
   sum over support indices i of m of prob(i) * ex_min(f, F(value(i)))``
 
 The bind rule is exact for per-index selection semantics: a selection picks
 one continuation member independently for every support index, expectation
 is linear with nonnegative coefficients, so the inner optimum splits into
-independent per-index optima.  ``materialize`` produces the explicit set,
-whose binds are ``ndset.bind`` (one member per distinct composite), and the
-test suite checks the two routes agree on random small terms.  Both walks
-keep their own stack, so a bind chain of any depth leaves the
-interpreter's recursion limit alone; the extrema only ever materialize
-*sources* of binds, which the bundled models keep shallow.
+independent per-index optima.  Every source is explicit, so the extrema
+never materialize.  ``materialize`` produces the explicit set, whose binds
+are ``ndset.bind`` (one member per distinct composite), and the test suite
+checks the two routes agree on random small terms.  Both walks keep their
+own stack, so a bind chain of any depth leaves the recursion limit alone.
 
 Sharing matters: builders memoize their recursive calls so equal subterms
 are the same object, and extrema memoize on object identity.
@@ -64,13 +64,8 @@ class PChoice(Comp):
 
 @dataclass(frozen=True, eq=False)
 class Bind(Comp):
-    source: Comp
+    source: ProcessSet
     cont: Callable[[Value], Comp]
-
-
-@dataclass(frozen=True, eq=False)
-class Lift(Comp):
-    pset: ProcessSet
 
 
 def ret(v: Value) -> Comp:
@@ -90,12 +85,10 @@ def pchoice(left: Comp, p, right: Comp) -> Comp:
     return PChoice(left, p, right)
 
 
-def bind(source: Comp, cont: Callable[[Value], Comp]) -> Comp:
+def bind(source: ProcessSet, cont: Callable[[Value], Comp]) -> Comp:
+    if not isinstance(source, ProcessSet):
+        raise TypeError(f"a bind's source is a ProcessSet, not a {type(source).__name__}")
     return Bind(source, cont)
-
-
-def lift(pset: ProcessSet) -> Comp:
-    return Lift(pset)
 
 
 def _walk(c: Comp, evaluate):
@@ -127,17 +120,6 @@ def _walk(c: Comp, evaluate):
                 sent = hit[1]
 
 
-def _support_values(pset: ProcessSet) -> dict:
-    """value_key -> value over the positive entries of the members, in the
-    order the members and entries list them."""
-    values: dict = {}
-    for m in pset.members:
-        for (_, v, p) in m.entries:
-            if p != 0:
-                values.setdefault(ival.value_key(v), v)
-    return values
-
-
 def _materialized(c: Comp):
     match c:
         case Ret(value=v):
@@ -151,20 +133,17 @@ def _materialized(c: Comp):
             ls = yield l
             rs = yield r
             return ndset.pchoice(ls, p, rs)
-        case Bind(source=s, cont=k):
-            src = yield s
+        case Bind(source=src, cont=k):
             table = {}  # value_key -> materialized k(v)
-            for (vk, v) in _support_values(src).items():
-                table[vk] = yield k(v)
+            for v in ndset.joint_support(src):
+                table[ival.value_key(v)] = yield k(v)
             return ndset.bind(src, lambda v: table[ival.value_key(v)])
-        case Lift(pset=ps):
-            return ps
     raise TypeError(f"not a computation term: {c!r}")
 
 
 def materialize(c: Comp) -> ProcessSet:
     """Evaluate the term to an explicit ProcessSet, on an explicit stack: a
-    bind's source first, then its continuation at each support value."""
+    bind's continuation at each support value of its source."""
     return _walk(c, _materialized)
 
 
@@ -183,15 +162,12 @@ def _extremum(f, c: Comp, pick) -> Fraction:
                 lv = yield l
                 rv = yield r
                 return p * lv + (1 - p) * rv
-            case Bind(source=s, cont=k):
-                src = materialize(s)
+            case Bind(source=src, cont=k):
                 sub = {}  # value_key -> extremum of k(v)
-                for (vk, v) in _support_values(src).items():
-                    sub[vk] = yield k(v)
+                for v in ndset.joint_support(src):
+                    sub[ival.value_key(v)] = yield k(v)
                 return pick(ival.expected_value(lambda v: sub[ival.value_key(v)], m)
                             for m in src.members)
-            case Lift(pset=ps):
-                return pick(ival.expected_value(f, m) for m in ps.members)
         raise TypeError(f"not a computation term: {c!r}")
 
     return _walk(c, value)

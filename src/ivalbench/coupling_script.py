@@ -34,11 +34,18 @@ class ScriptError(Exception):
     """The script is not a well-formed derivation."""
 
 
+def show(s, depth=3) -> str:
+    """``s`` for a message, lists deeper than ``depth`` cut to ``(...)``."""
+    if isinstance(s, list):
+        return "(...)" if depth == 0 else "(" + " ".join(show(x, depth - 1) for x in s) + ")"
+    return sexpr.write(s)
+
+
 def check_arity(s: list, *counts: int) -> None:
     """Raise unless the form ``s`` has one of ``counts`` arguments."""
     if len(s) - 1 not in counts:
         want = " or ".join(str(n) for n in counts)
-        raise ScriptError(f"{s[0]!r} takes {want} argument(s): {sexpr.write(s)}")
+        raise ScriptError(f"{s[0]!r} takes {want} argument(s): {show(s)}")
 
 
 def parse_rational(s) -> Fraction:
@@ -50,7 +57,7 @@ def parse_rational(s) -> Fraction:
             return Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
             pass
-    raise ScriptError(f"expected a rational, got {s!r}")
+    raise ScriptError(f"expected a rational, got {show(s)}")
 
 
 def parse_value(s):
@@ -58,26 +65,26 @@ def parse_value(s):
         return s
     if isinstance(s, list) and s and s[0] == Symbol("tuple"):
         return tuple(parse_value(x) for x in s[1:])
-    raise ScriptError(f"expected a value, got {s!r}")
+    raise ScriptError(f"expected a value, got {show(s)}")
 
 
 def parse_ival(s) -> ival.IndexedValuation:
     if not (isinstance(s, list) and s and s[0] == Symbol("ival")):
-        raise ScriptError(f"expected (ival ...), got {s!r}")
+        raise ScriptError(f"expected (ival ...), got {show(s)}")
     entries = []
     for (k, item) in enumerate(s[1:]):
         if not (isinstance(item, list) and len(item) == 2):
-            raise ScriptError(f"expected (value prob), got {item!r}")
+            raise ScriptError(f"expected (value prob), got {show(item)}")
         entries.append((k, parse_value(item[0]), parse_rational(item[1])))
     try:
         return ival.IndexedValuation(tuple(entries))
     except ValueError as exc:
-        raise ScriptError(f"{sexpr.write(s)}: {exc}") from exc
+        raise ScriptError(f"{show(s)}: {exc}") from exc
 
 
 def parse_pset(s) -> ndset.ProcessSet:
     if not (isinstance(s, list) and s and s[0] == Symbol("pset")):
-        raise ScriptError(f"expected (pset ...), got {s!r}")
+        raise ScriptError(f"expected (pset ...), got {show(s)}")
     if len(s) < 2:
         raise ScriptError("(pset ...) needs at least one member")
     return ndset.ProcessSet(tuple(parse_ival(x) for x in s[1:]))
@@ -87,7 +94,7 @@ def parse_bexpr(s):
     if isinstance(s, bool):
         return lambda x, y: s
     if not (isinstance(s, list) and s):
-        raise ScriptError(f"expected a boolean expression, got {s!r}")
+        raise ScriptError(f"expected a boolean expression, got {show(s)}")
     head = s[0]
     if head == Symbol("and"):
         check_arity(s, 2)
@@ -114,12 +121,12 @@ def parse_bexpr(s):
                 sides.append(lambda x, y, v=v: v)
         a, b = sides
         return lambda x, y: value_key(a(x, y)) == value_key(b(x, y))
-    raise ScriptError(f"unknown boolean form {s!r}")
+    raise ScriptError(f"unknown boolean form {show(s)}")
 
 
 def parse_pred(s):
     if not (isinstance(s, list) and s):
-        raise ScriptError(f"expected a predicate form, got {s!r}")
+        raise ScriptError(f"expected a predicate form, got {show(s)}")
     head = s[0]
     if head == Symbol("pred-true"):
         check_arity(s, 0)
@@ -130,7 +137,7 @@ def parse_pred(s):
     if head == Symbol("pred-expr"):
         check_arity(s, 1)
         return parse_bexpr(s[1]), sexpr.write(s[1])
-    raise ScriptError(f"unknown predicate form {s!r}")
+    raise ScriptError(f"unknown predicate form {show(s)}")
 
 
 _ARITY = {"ret": (3,), "pchoice": (3,), "bind": (2, 3), "equiv": (3,),
@@ -139,7 +146,7 @@ _ARITY = {"ret": (3,), "pchoice": (3,), "bind": (2, 3), "equiv": (3,),
 
 def eval_script(s) -> coupling.Derivation:
     if not (isinstance(s, list) and s and isinstance(s[0], Symbol)):
-        raise ScriptError(f"expected a derivation form, got {s!r}")
+        raise ScriptError(f"expected a derivation form, got {show(s)}")
     rule = s[0].name
     if rule in _ARITY:
         check_arity(s, *_ARITY[rule])
@@ -160,7 +167,7 @@ def eval_script(s) -> coupling.Derivation:
         for item in s[2][1:]:
             if not (isinstance(item, list) and len(item) == 2
                     and isinstance(item[0], list) and len(item[0]) == 2):
-                raise ScriptError(f"case entry must be ((x y) derivation), got {item!r}")
+                raise ScriptError(f"case entry must be ((x y) derivation), got {show(item)}")
             (pair_s, sub_s) = item
             pair = (parse_value(pair_s[0]), parse_value(pair_s[1]))
             cases[value_key(pair)] = eval_script(sub_s)
@@ -170,7 +177,7 @@ def eval_script(s) -> coupling.Derivation:
                 raise ScriptError("bind's optional third block is (else-rhs ...)")
             for item in s[3][1:]:
                 if not (isinstance(item, list) and len(item) == 2):
-                    raise ScriptError(f"else-rhs entry must be (value pset), got {item!r}")
+                    raise ScriptError(f"else-rhs entry must be (value pset), got {show(item)}")
                 (vy, ps) = item
                 rhs_else[value_key(parse_value(vy))] = parse_pset(ps)
 
@@ -200,4 +207,7 @@ def eval_script(s) -> coupling.Derivation:
 
 
 def load_script(text: str) -> coupling.Derivation:
-    return eval_script(sexpr.read(text))
+    try:
+        return eval_script(sexpr.read(text))
+    except RecursionError:
+        raise ScriptError("derivation nested too deeply to evaluate") from None

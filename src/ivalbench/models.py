@@ -16,7 +16,11 @@ while stuck waiters simply stutter.
 
 Specifications are computation terms so expectation extrema stay cheap at
 depths where the explicit member sets are astronomically large; the
-``*_set`` variants materialize explicit sets for law-level checks.
+``*_set`` variants materialize explicit sets for law-level checks.  The
+skip-list specification, a union over the next key of a fair choice
+between two cached successor subterms, is the insertion step bound over
+``union(ret k, ...)`` rewritten by the laws bind-left-identity,
+bind-over-union and bind-over-pchoice, which hold up to ``ndset.equiv``.
 """
 
 from __future__ import annotations
@@ -140,8 +144,7 @@ def approx_n(n: int, l: int, max_value: int) -> comp.Comp:
         raise ValueError("increment count and accumulator must be nonnegative")
     if n == 0:
         return comp.ret(l)
-    return comp.bind(comp.lift(approx_incr(max_value)),
-                     lambda k: approx_n(n - 1, l + k, max_value))
+    return comp.bind(approx_incr(max_value), lambda k: approx_n(n - 1, l + k, max_value))
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +155,7 @@ def approx_n_prime(n: int, t: int, l: int, max_value: int) -> comp.Comp:
         return comp.ret((t, l))
     return comp.union(
         comp.ret((t, l)),
-        comp.bind(comp.lift(approx_incr(max_value)),
+        comp.bind(approx_incr(max_value),
                   lambda k: approx_n_prime(n - 1, t + 1, l + k, max_value)))
 
 
@@ -193,18 +196,17 @@ def skip_cost_bound(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _skip_spec(remaining: tuple, tl: tuple, bl: tuple) -> comp.Comp:
+    """Pick any remaining key ``k``, add it to the bottom level, and to the
+    top level with probability 1/2."""
     if not remaining:
         return comp.ret((tl, bl))
-
-    def after_pick(k):
+    picks = []
+    for k in remaining:
         rest = tuple(x for x in remaining if x != k)
-        grown = tuple(sorted(tl + (k,)))
         bl2 = tuple(sorted(bl + (k,)))
-        return comp.bind(
-            comp.pchoice(comp.ret(tl), Fraction(1, 2), comp.ret(grown)),
-            lambda tl2: _skip_spec(rest, tl2, bl2))
-
-    return comp.bind(comp.union(*[comp.ret(k) for k in remaining]), after_pick)
+        picks.append(comp.pchoice(_skip_spec(rest, tl, bl2), Fraction(1, 2),
+                                  _skip_spec(rest, tuple(sorted(tl + (k,))), bl2)))
+    return comp.union(*picks)
 
 
 def skip_list_spec(keys, tl=(), bl=()) -> comp.Comp:
@@ -471,33 +473,37 @@ def count_true_client(lb1, lb2, max_value: int = 2) -> Expr:
 # value functionals (objectives applied to the first thread's final value)
 
 
+class FunctionalError(TypeError):
+    """The final value is not of the shape the functional reads."""
+
+
 def read_int(v) -> Fraction:
     if not isinstance(v, VInt):
-        raise TypeError(f"expected an integer result, got {v!r}")
+        raise FunctionalError(f"expected an integer result, got {v!r}")
     return Fraction(v.n)
 
 
 def read_pow2_minus_1(v) -> Fraction:
     if not isinstance(v, VInt):
-        raise TypeError(f"expected an integer result, got {v!r}")
+        raise FunctionalError(f"expected an integer result, got {v!r}")
     return Fraction(2 ** v.n - 1)
 
 
 def read_true_indicator(v) -> Fraction:
     if not isinstance(v, VBool):
-        raise TypeError(f"expected a boolean result, got {v!r}")
+        raise FunctionalError(f"expected a boolean result, got {v!r}")
     return Fraction(1 if v.b else 0)
 
 
 def read_pair_cost(v) -> Fraction:
     if not isinstance(v, VPair) or not isinstance(v.snd, VInt):
-        raise TypeError(f"expected a (found, comparisons) pair, got {v!r}")
+        raise FunctionalError(f"expected a (found, comparisons) pair, got {v!r}")
     return Fraction(v.snd.n)
 
 
 def read_pair_found(v) -> Fraction:
     if not isinstance(v, VPair) or not isinstance(v.fst, VBool):
-        raise TypeError(f"expected a (found, comparisons) pair, got {v!r}")
+        raise FunctionalError(f"expected a (found, comparisons) pair, got {v!r}")
     return Fraction(1 if v.fst.b else 0)
 
 

@@ -63,24 +63,28 @@ class Reader:
                 return
 
     def read(self):
-        self.skip_blank()
-        if self.pos >= len(self.text):
-            raise self.error("unexpected end of input")
-        c = self.peek()
-        if c == "(":
-            self.advance()
-            items = []
-            while True:
-                self.skip_blank()
-                if self.pos >= len(self.text):
-                    raise self.error("unterminated list")
-                if self.peek() == ")":
-                    self.advance()
-                    return items
-                items.append(self.read())
-        if c == ")":
-            raise self.error("unexpected ')'")
-        return self.read_atom()
+        """Read one expression; open lists wait on an explicit stack."""
+        open_lists = []
+        while True:
+            self.skip_blank()
+            if self.pos >= len(self.text):
+                raise self.error("unterminated list" if open_lists
+                                 else "unexpected end of input")
+            c = self.peek()
+            if c == "(":
+                self.advance()
+                open_lists.append([])
+                continue
+            if c == ")":
+                if not open_lists:
+                    raise self.error("unexpected ')'")
+                self.advance()
+                item = open_lists.pop()
+            else:
+                item = self.read_atom()
+            if not open_lists:
+                return item
+            open_lists[-1].append(item)
 
     def read_atom(self):
         start = self.pos

@@ -112,6 +112,19 @@ def test_functional_validation():
     assert run(["mdp", "--model", "unbiased-counter", "-f", "nope"]) == 2
 
 
+def test_functional_that_does_not_fit_the_model_exits_2(capsys):
+    assert run(["mdp", "--model", "unbiased-counter", "--threads", "2",
+                "-f", "pair-cost"]) == 2
+    assert "configuration error: expected a (found, comparisons) pair" in \
+        capsys.readouterr().err
+    # with two workers the error is raised in a worker and pickled back
+    for workers in ("1", "2"):
+        assert run(["simulate", "--model", "unbiased-counter", "--threads", "2",
+                    "--trials", "20", "-f", "true-indicator", "--workers", workers]) == 2
+        assert "configuration error: expected a boolean result" in \
+            capsys.readouterr().err
+
+
 def test_couple_unreadable_or_malformed_script_exits_2(tmp_path, capsys):
     assert run(["couple", "--script", str(tmp_path / "missing.sexp")]) == 2
     bad = tmp_path / "bad.sexp"
@@ -134,6 +147,30 @@ def test_couple_malformed_script_forms_exit_2(tmp_path, capsys, script):
     bad.write_text(script + "\n")
     assert run(["couple", "--script", str(bad)]) == 2
     assert "malformed script" in capsys.readouterr().err
+
+
+def pchoice_chain(depth):
+    script = "(ret 1 1 (pred-eq))"
+    for _ in range(depth):
+        script = f"(pchoice 1/2 (ret 1 1 (pred-eq)) {script})"
+    return script
+
+
+@pytest.mark.parametrize("script", ["(" * 3000 + ")" * 3000, pchoice_chain(3000)],
+                         ids=["nested-lists", "pchoice-chain"])
+def test_couple_deeply_nested_script_exits_2(tmp_path, capsys, script):
+    deep = tmp_path / "deep.sexp"
+    deep.write_text(script + "\n")
+    assert run(["couple", "--script", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed script" in err
+    assert len(err) < 300  # the message cuts the form short
+
+
+def test_couple_chain_within_the_recursion_limit_passes(tmp_path):
+    chain = tmp_path / "chain.sexp"
+    chain.write_text(pchoice_chain(300) + "\n")
+    assert run(["couple", "--script", str(chain)]) == 0
 
 
 # two indices each select one of {5, 6}: four selections, three distinct

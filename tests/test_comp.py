@@ -3,6 +3,8 @@
 import sys
 from fractions import Fraction as F
 
+import pytest
+
 from ivalbench import comp, ival, models, ndset
 from ivalbench.laws import gen_fun_rational, gen_pset, rng_for
 
@@ -22,8 +24,8 @@ def gen_comp(rng, depth):
                             gen_comp(rng, d))
     if form == "bind":
         table = {v: gen_comp(rng, d) for v in range(8)}
-        return comp.bind(gen_comp(rng, d), lambda v: table[v % 8])
-    return comp.lift(gen_pset(rng, 2, 2))
+        return comp.bind(comp.materialize(gen_comp(rng, d)), lambda v: table[v % 8])
+    return comp.bind(gen_pset(rng, 2, 2), comp.ret)
 
 
 def test_structural_extrema_match_materialized():
@@ -67,9 +69,7 @@ def recursive_materialize(c):
         case comp.PChoice(left=l, p=p, right=r):
             return ndset.pchoice(recursive_materialize(l), p, recursive_materialize(r))
         case comp.Bind(source=s, cont=k):
-            return ndset.bind(recursive_materialize(s), lambda v: recursive_materialize(k(v)))
-        case comp.Lift(pset=ps):
-            return ps
+            return ndset.bind(s, lambda v: recursive_materialize(k(v)))
 
 
 def test_materialize_keeps_member_order():
@@ -87,12 +87,17 @@ def test_materialize_keeps_member_order():
 def test_bind_rule_splits_per_index():
     # ex_min over a bind takes the best continuation member per support
     # index independently
-    src = comp.lift(ndset.lift(ival.pchoice(ival.ret(0), F(1, 2), ival.ret(1))))
+    src = ndset.lift(ival.pchoice(ival.ret(0), F(1, 2), ival.ret(1)))
     cont = lambda v: comp.union(comp.ret(10 + v), comp.ret(20 + v))
     term = comp.bind(src, cont)
     f = lambda v: F(v)
     assert comp.ex_min(f, term) == F(10) * F(1, 2) + F(11) * F(1, 2)
     assert comp.ex_max(f, term) == F(20) * F(1, 2) + F(21) * F(1, 2)
+
+
+def test_bind_source_must_be_an_explicit_set():
+    with pytest.raises(TypeError):
+        comp.bind(comp.ret(1), comp.ret)
 
 
 def test_ret_and_pchoice_rules():

@@ -64,6 +64,14 @@ def test_parse_errors_have_positions():
         parse("(if x y)")  # arity
 
 
+def test_sexpr_reads_any_depth():
+    s = sexpr.read("(" * 3000 + "a" + ")" * 3000)
+    for _ in range(3000):
+        (s,) = s
+    assert s == sexpr.Symbol("a")
+    assert sexpr.write(sexpr.read("(a (b #t) () -3)")) == "(a (b #t) () -3)"
+
+
 def test_grammar_table_is_complete():
     # every expression constructor has exactly one form
     constructors = {c for c in vars(lang).values()

@@ -1,6 +1,7 @@
 """Case studies: counters, the counting client, and the skip list."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -166,6 +167,46 @@ def test_skip_spec_cost_bound_small_universe():
                 cost = lambda tb, k=k: F(models.skipcost(tb[0], tb[1], k))
                 n = sum(1 for i in l if i < k)
                 assert comp.ex_max(cost, spec) <= models.skip_cost_bound(n)
+
+
+@lru_cache(maxsize=None)
+def bind_skip_spec(remaining, tl, bl):
+    """The oracle: the insertion step bound over a nondeterministic pick of
+    the next key, as the skip-list spec was first written."""
+    if not remaining:
+        return comp.ret((tl, bl))
+
+    def after_pick(k):
+        rest = tuple(x for x in remaining if x != k)
+        grown = tuple(sorted(tl + (k,)))
+        bl2 = tuple(sorted(bl + (k,)))
+        return comp.bind(ndset.pchoice(ndset.ret(tl), F(1, 2), ndset.ret(grown)),
+                         lambda tl2: bind_skip_spec(rest, tl2, bl2))
+
+    return comp.bind(ndset.union_all(ndset.ret(k) for k in remaining), after_pick)
+
+
+def test_skip_spec_extrema_match_bind_oracle():
+    universe = (2, 4, 6, 8, 10)
+    for size in range(len(universe) + 1):
+        for l in combinations(universe, size):
+            (spec, oracle) = (models.skip_list_spec(l), bind_skip_spec(l, (), ()))
+            for k in universe:
+                cost = lambda tb, k=k: F(models.skipcost(tb[0], tb[1], k))
+                assert comp.ex_min(cost, spec) == comp.ex_min(cost, oracle), (l, k)
+                assert comp.ex_max(cost, spec) == comp.ex_max(cost, oracle), (l, k)
+
+
+def test_skip_spec_set_equiv_bind_oracle():
+    # the union/pchoice form lists every order of insertion; five keys
+    # would list 5 * 576 ** 2 members, so sets stop at four
+    universe = (2, 4, 6, 8, 10)
+    for size in range(len(universe)):
+        for l in combinations(universe, size):
+            assert ndset.equiv(models.skip_list_spec_set(l),
+                               comp.materialize(bind_skip_spec(l, (), ())))
+    assert len(models.skip_list_spec_set((1, 2, 3)).members) == 12
+    assert len(comp.materialize(bind_skip_spec((1, 2, 3), (), ())).members) == 1
 
 
 def test_skip_spec_rejects_bad_keys():

@@ -341,8 +341,8 @@ def test_sandwich_counter_against_spec():
 
 
 def test_sandwich_trivial_program():
-    from ivalbench import comp, ndset
-    rep = sched.soundness_sandwich_check(parse("5"), comp.lift(ndset.ret(5)), read_int,
+    from ivalbench import comp
+    rep = sched.soundness_sandwich_check(parse("5"), comp.ret(5), read_int,
                                          lambda v: F(v), 2)
     assert rep.passed and rep.mdp_lo == rep.mdp_hi == 5
 

@@ -19,8 +19,10 @@ every run, and per workload the ``failed``/``attempted`` counts and, for
 each end-to-end metric of ``BENCHMARK.json``, each side's median,
 quartiles and interquartile range, the pairs the change won and lost
 (ties count for neither), the change's median relative to the parent's,
-and whether the medians differ by more than the parent's interquartile
-range.  The file is rewritten after every pair.
+whether the medians differ by more than the parent's interquartile
+range, and whether the change's median is within the metric's ``bound``:
+no worse than the parent's by more than that fraction.  The file is
+rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -104,6 +106,8 @@ def summary(pairs: list, metrics: list) -> dict:
         (pm, cm) = (row["parent"]["median"], row["change"]["median"])
         row["change_over_parent"] = cm / pm
         row["beyond_parent_iqr"] = abs(cm - pm) > row["parent"]["iqr"]
+        row["within_bound"] = (cm <= pm * (1 + m["bound"]) if m["better"] == "lower"
+                               else cm >= pm * (1 - m["bound"]))
         out["metrics"][name] = row
     return out
 
