@@ -483,18 +483,46 @@ def parse(text: str) -> Expr:
 
 
 def from_sexpr(s) -> Expr:
+    """The term ``s`` denotes.  Built bottom-up on an explicit stack, so a
+    list nested any depth deep needs no recursion."""
+    return _bottom_up(s, _parsed)
+
+
+def _bottom_up(root, shape):
+    """Fold the tree under ``root`` bottom-up on an explicit stack.
+    ``shape(node)`` is ``(children, build)``: the node's children in order,
+    and the function from their results to the node's result."""
+    (kids, build) = shape(root)
+    stack = [(kids, build, [])]  # a node, and its children's results so far
+    while True:
+        (kids, build, done) = stack[-1]
+        if len(done) < len(kids):
+            stack.append((*shape(kids[len(done)]), []))
+            continue
+        stack.pop()
+        out = build(*done)
+        if not stack:
+            return out
+        stack[-1][2].append(out)
+
+
+def _parsed(s):
+    """``(subterms, build)`` for ``from_sexpr``: the s-expressions of the
+    subterms of the term ``s`` denotes, in order, and the function from
+    their terms to that term.  A malformed ``s`` raises here, before any of
+    its subterms is parsed."""
     if isinstance(s, bool):
-        return boolean(s)
+        return (), lambda: boolean(s)
     if isinstance(s, int):
-        return num(s)
+        return (), lambda: num(s)
     if isinstance(s, Symbol):
         if s.name in RESERVED:
             raise sexpr.SexprError(f"reserved word {s.name!r} used as a variable")
-        return Var(s.name)
+        return (), lambda: Var(s.name)
     if not isinstance(s, list):
         raise sexpr.SexprError(f"cannot parse {s!r}")
     if not s:
-        return unit
+        return (), lambda: unit
     head = s[0]
     if isinstance(head, Symbol):
         kw = head.name
@@ -502,44 +530,46 @@ def from_sexpr(s) -> Expr:
             expect(s, 2, kw)
             if type(s[1]) is not int:  # #t reads as True, an int too
                 raise sexpr.SexprError("loc expects an integer literal")
-            return Lit(VLoc(s[1]))
+            return (), lambda: Lit(VLoc(s[1]))
         if kw == "rec":
             expect(s, 3, kw)
             binder = s[1]
             if (not isinstance(binder, list) or len(binder) != 2
                     or not all(isinstance(b, Symbol) for b in binder)):
                 raise sexpr.SexprError("rec expects a (self arg) binder list")
-            return Rec(binder[0].name, binder[1].name, from_sexpr(s[2]))
+            return (s[2],), lambda body: Rec(binder[0].name, binder[1].name, body)
         if kw == "lam":
             expect(s, 3, kw)
             binder = s[1]
             if (not isinstance(binder, list) or len(binder) != 1
                     or not isinstance(binder[0], Symbol)):
                 raise sexpr.SexprError("lam expects an (arg) binder list")
-            return Rec("_", binder[0].name, from_sexpr(s[2]))
+            return (s[2],), lambda body: Rec("_", binder[0].name, body)
         if kw == "let":
             expect(s, 3, kw)
             binder = s[1]
             if (not isinstance(binder, list) or len(binder) != 2
                     or not isinstance(binder[0], Symbol)):
                 raise sexpr.SexprError("let expects an (x e) binder list")
-            return Let(binder[0].name, from_sexpr(binder[1]), from_sexpr(s[2]))
+            return (binder[1], s[2]), lambda bound, body: Let(binder[0].name, bound, body)
         if kw == "seq":
             if len(s) < 3:
                 raise sexpr.SexprError("seq expects at least two expressions")
-            return seq(*[from_sexpr(x) for x in s[1:]])
+            return s[1:], seq
         if kw in KEYWORDS:
             (form, arity) = KEYWORDS[kw]
             expect(s, 1 + arity, kw)
-            kids = tuple(map(from_sexpr, s[1:]))
-            return Prim(kw, kids) if form.cls is Prim else form.cls(*kids)
+            return s[1:], (lambda *kids: Prim(kw, kids)) if form.cls is Prim else form.cls
     # application, n-ary sugar for left-nested binary application
     if len(s) < 2:
         raise sexpr.SexprError(f"cannot parse application {s!r}")
-    out = from_sexpr(s[0])
-    for arg in s[1:]:
-        out = App(out, from_sexpr(arg))
-    return out
+    return s, _apply
+
+
+def _apply(fn: Expr, *args: Expr) -> Expr:
+    for arg in args:
+        fn = App(fn, arg)
+    return fn
 
 
 def expect(s: list, n: int, kw: str) -> None:
@@ -552,53 +582,64 @@ def expect(s: list, n: int, kw: str) -> None:
 
 
 def to_sexpr(e: Expr):
-    match e:
-        case Var(name=n):
-            return Symbol(n)
-        case Lit(value=v):
-            return val_to_sexpr(v)
-        case Rec(fname=f, xname=x, body=b):
-            return [Symbol("rec"), [Symbol(f), Symbol(x)], to_sexpr(b)]
-        case App():
-            parts = []
-            cur = e
-            while isinstance(cur, App):
-                parts.append(to_sexpr(cur.arg))
-                cur = cur.fn
-            parts.append(to_sexpr(cur))
-            return list(reversed(parts))
-        case Let(name=n, bound=b, body=body):
-            if n == "_":
-                parts = [to_sexpr(b)]
-                cur = body
-                while isinstance(cur, Let) and cur.name == "_":
-                    parts.append(to_sexpr(cur.bound))
-                    cur = cur.body
-                parts.append(to_sexpr(cur))
-                return [Symbol("seq")] + parts
-            return [Symbol("let"), [Symbol(n), to_sexpr(b)], to_sexpr(body)]
-        case Expr():
-            form = FORMS[type(e)]
-            kw = e.op if type(e) is Prim else next(iter(form.keywords))
-            return [Symbol(kw), *map(to_sexpr, form.kids(e))]
-    raise TypeError(f"not an expression: {e!r}")
+    """The canonical s-expression of ``e``.  Built bottom-up on an explicit
+    stack, so a term nested any depth deep needs no recursion."""
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
+    return _bottom_up(e, _printed)
 
 
 def val_to_sexpr(v: Val):
-    match v:
+    """The s-expression of the expression ``of_val(v)``, which denotes
+    ``v``."""
+    if not isinstance(v, Val):
+        raise TypeError(f"not a value: {v!r}")
+    return _bottom_up(v, _printed)
+
+
+def _printed(t):
+    """``(parts, build)`` for ``to_sexpr``: the terms and values whose
+    s-expressions the one of the term or value ``t`` contains, in order,
+    and the function from theirs to ``t``'s."""
+    match t:
+        case Var(name=n):
+            return (), lambda: Symbol(n)
+        case Lit(value=v):
+            return (v,), lambda x: x
+        case Rec(fname=f, xname=x, body=b) | VClosure(fname=f, xname=x, body=b):
+            return (b,), lambda body: [Symbol("rec"), [Symbol(f), Symbol(x)], body]
+        case App():
+            parts = []
+            while type(t) is App:
+                parts.append(t.arg)
+                t = t.fn
+            parts.append(t)
+            parts.reverse()
+            return parts, lambda *xs: list(xs)
+        case Let(name="_"):
+            parts = []
+            while type(t) is Let and t.name == "_":
+                parts.append(t.bound)
+                t = t.body
+            parts.append(t)
+            return parts, lambda *xs: [Symbol("seq"), *xs]
+        case Let(name=n, bound=b, body=body):
+            return (b, body), lambda b, body: [Symbol("let"), [Symbol(n), b], body]
+        case Expr():
+            form = FORMS[type(t)]
+            kw = t.op if type(t) is Prim else next(iter(form.keywords))
+            return form.kids(t), lambda *xs: [Symbol(kw), *xs]
         case VUnit():
-            return []
+            return (), list
         case VInt(n=n):
-            return n
+            return (), lambda: n
         case VBool(b=b):
-            return b
+            return (), lambda: b
         case VLoc(loc=l):
-            return [Symbol("loc"), l]
+            return (), lambda: [Symbol("loc"), l]
         case VPair(fst=a, snd=b):
-            return [Symbol("pair"), val_to_sexpr(a), val_to_sexpr(b)]
-        case VClosure(fname=f, xname=x, body=b):
-            return [Symbol("rec"), [Symbol(f), Symbol(x)], to_sexpr(b)]
-    raise TypeError(f"not a value: {v!r}")
+            return (a, b), lambda x, y: [Symbol("pair"), x, y]
+    raise TypeError(f"cannot print {t!r}")
 
 
 def unparse(e: Expr) -> str:

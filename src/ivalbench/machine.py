@@ -314,14 +314,23 @@ def _pow(a: int, b: int) -> Optional[VInt]:
     return VInt(n) if n.bit_length() <= POW_MAX_BITS else None
 
 
-def successors(c: Config, i: int):
+def successors(c: Config, i: int, memo: dict):
     """The (prob, configuration) pairs of thread ``i``'s step from ``c``,
     one per outcome of its redex, or ``None`` when ``i`` names no thread or
-    the thread is a value or stuck."""
+    the thread is a value or stuck.
+
+    A thread's outcomes depend only on its expression and the heap, so the
+    caller's ``memo``, (expression, state) -> outcomes (``()`` for a value
+    or a stuck thread), lets it step a thread that recurs in many
+    configurations once; this call reads and extends it.  A caller that
+    shares nothing passes ``{}``."""
     if not 0 <= i < len(c.threads):
         return None
-    res = outcomes(c.threads[i], c.state)
+    key = (c.threads[i], c.state)
+    res = memo.get(key)
     if res is None:
+        res = memo[key] = outcomes(*key) or ()
+    if not res:
         return None
     (head, tail) = (c.threads[:i], c.threads[i + 1:])
     return [(p, Config(head + (e2,) + tail + tuple(spawned), s2))
@@ -331,7 +340,7 @@ def successors(c: Config, i: int):
 def config_step(c: Config, i: int) -> IndexedValuation:
     """Step thread ``i``; stutter (same configuration, probability one)
     when the index is out of range or the thread cannot reduce."""
-    succ = successors(c, i)
+    succ = successors(c, i, {})
     if succ is None:
         return ival.ret(c)
     return IndexedValuation(tuple((k, c2, p) for (k, (p, c2)) in enumerate(succ)))
@@ -370,17 +379,21 @@ class TransitionTable:
     from it to its row: the successor node of a step with one outcome
     (``n`` itself for a stutter), else (successor nodes, common
     denominator, cumulative numerators).  A row is derived once from
-    ``successors``, and each successor configuration is hashed once to
-    find its node; every later step through the row is an int-keyed dict
-    probe.  Rows name nodes by number, so the table holds no reference
-    cycle and is freed as soon as its last user drops it.  Memory grows with the
-    distinct configurations the runs visit."""
+    ``successors``, through the table's step memo, so a thread that recurs
+    beside different threads is stepped once per heap; each successor
+    configuration is hashed once to find its node; every later step
+    through the row is an int-keyed dict probe.  Rows name nodes by
+    number, so the table holds no reference cycle and is freed as soon as
+    its last user drops it.  Memory grows with the distinct
+    configurations the runs visit: every outcome the step memo holds is
+    also a node."""
 
     def __init__(self):
         self.ids: dict = {}  # Config -> node
         self.configs: list = []  # node -> Config
         self.terminated: list = []  # node -> is_terminated(its Config)
         self.rows: list = []  # node -> {thread index: row}
+        self.steps: dict = {}  # (expression, state) -> the thread's outcomes
 
     def node(self, c: Config) -> int:
         n = self.ids.setdefault(c, len(self.configs))  # terms hash by identity
@@ -391,7 +404,7 @@ class TransitionTable:
         return n
 
     def row(self, n: int, i: int):
-        succ = successors(self.configs[n], i)
+        succ = successors(self.configs[n], i, self.steps)
         if succ is None:
             row = n
         elif len(succ) == 1:

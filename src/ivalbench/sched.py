@@ -27,10 +27,15 @@ or overwritten.  The initial configuration's longest path,
 ``longest_path``, is therefore the least budget at which the analysis
 succeeds (Baier & Katoen, *Principles of Model Checking*, ch. 10).
 ``explored_states`` counts distinct configurations.  ``machine.successors``
-derives each thread's step once per configuration; the threads it does not
-reject are enabled.  The walk keeps its own stack, one generator per
+builds each configuration's successors; the threads it does not reject
+are enabled.  The walk keeps its own stack, one generator per
 configuration being valued, so a schedule of any length leaves the
-interpreter's recursion limit alone.
+interpreter's recursion limit alone.  The configurations on that stack
+form a gray set (Cormen et al., depth-first search): reaching one of them
+again closes a cycle of positive probability, which an adversary can
+follow forever, so no budget suffices and the analysis says so at once.
+Without the check it would go round the cycle until the budget ran out
+and give the same ``budget insufficient`` verdict.
 
 Thread-local steps are fused.  A beta, ``let``, ``if`` or primitive step
 (``lang.Form.local``) reads and writes no heap cell, forks
@@ -57,9 +62,35 @@ entry count primitive steps, exactly as without fusion.  A pending local
 step never blocks and never terminates the configuration, so an adversary
 that runs out the budget or reaches a deadlock can always have taken it
 first; ``budget insufficient``, deadlock and the exact lo/hi are therefore
-what the unfused recursion gives at every budget, and a thread that loops
-locally runs only until the budget is spent and then raises
-``ScheduleError``.
+what the unfused recursion gives at every budget.  A thread whose local
+steps repeat an expression loops forever, so it raises ``budget
+insufficient`` soon after the repeat, which ``_local_chain`` finds in
+constant memory; one that loops without repeating runs until the budget
+is spent and then raises.
+
+A thread's work recurs in every configuration that holds it, so each
+analysis call derives it once per distinct thread, in two memos of its
+own that die with the call.  Terms are hash-consed, so a key hashes in
+O(1) however deep its expression (Filliatre & Conchon 2006).
+
+* The fused steps of a thread, keyed by (expression, is the first
+  thread): local steps read no heap, so where they lead, and how many
+  there are, depends on nothing else.  The chain is derived once, with
+  the budget then left as its limit; a later visit with fewer steps left
+  than the chain needs raises ``budget insufficient``, as running it
+  would, and otherwise spends the whole chain, so ``fused_steps`` counts
+  what the unmemoized loop counts.
+* The step of a thread, keyed by (expression, state): a thread's outcomes
+  depend on its expression and the heap alone.  ``machine.successors``
+  builds each successor configuration from them and the configuration's
+  other threads.  Beyond the settled configurations, which the analysis
+  memoizes anyway, it keeps only the successors of the steps taken.
+
+``evaluate_policy`` keeps no step memo: it holds nothing beyond its stack,
+and a memo would keep every expression of the run alive, O(steps x depth)
+nodes for a deep context that ``plug`` rebuilds on each step.  The
+extracted adversary caches, per (expression, is the first thread), whether
+a fused step is pending.
 
 Collapsing history-dependent schedulers to configuration keys is
 justified for expected-value objectives and checked empirically:
@@ -86,8 +117,8 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional
+from weakref import WeakKeyDictionary
 
 from ivalbench import comp, machine
 from ivalbench.ival import as_rational
@@ -173,7 +204,8 @@ def evaluate_policy(prog: Expr, policy: SchedulerPolicy, budget: int,
     """Exact E[f(first thread's value)] after ``budget`` steps under a policy.
 
     Raises ``ScheduleError`` on the first positive-probability path still
-    unterminated at the horizon.
+    unterminated at the horizon.  A stutter repeats the configuration and
+    spends a step.
     """
     total = Fraction(0)
     stack = [(initial_config([prog]), 0, Fraction(1))]
@@ -253,6 +285,28 @@ def fused_successor(e: Expr, s: State, first: bool) -> Optional[Expr]:
 
 
 _BUDGET_INSUFFICIENT = "budget insufficient: an adversary reaches the horizon unterminated"
+_LOCAL_LOOP = "budget insufficient: a thread's local steps repeat an expression, so they never end"
+_CYCLE = "budget insufficient: an adversary can revisit a configuration forever"
+
+
+def _local_chain(e: Expr, s: State, first: bool, limit: int) -> tuple:
+    """``(e2, n)``: the thread at ``e`` reaches ``e2`` after its ``n``
+    fused steps, and ``e2``'s next step is not fused.  Raises ``budget
+    insufficient`` when ``n`` would exceed ``limit``, or when the steps
+    repeat an expression: they then never end.  A repeat is found in
+    constant memory by comparing each expression with a mark moved to the
+    chain's positions 1, 2, 4, 8, ... (Brent 1980), within a few times the
+    length of the chain's prefix and cycle."""
+    (mark, n, lap) = (e, 0, 1)
+    while (e2 := fused_successor(e, s, first)) is not None:
+        if n == limit:
+            raise ScheduleError(_BUDGET_INSUFFICIENT)
+        if e2 is mark:  # hash-consed: equal terms are one object
+            raise ScheduleError(_LOCAL_LOOP)
+        (e, n) = (e2, n + 1)
+        if n == lap:
+            (mark, lap) = (e, 2 * lap)
+    return (e, n)
 
 
 def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult:
@@ -261,9 +315,13 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
     Fails loudly if any scheduler can exhaust the budget without the first
     thread reaching a value (including deadlock: no enabled thread).  The
     walk keeps its own stack, so a schedule of any length leaves the
-    interpreter's recursion limit alone.
+    interpreter's recursion limit alone.  The memos of thread work live
+    for this call only.
     """
     memo: dict = {}
+    chains: dict = {}  # (expression, is the first thread) -> _local_chain's (e2, n)
+    steps: dict = {}  # (expression, state) -> the thread's outcomes
+    gray: set = set()  # the settled configurations being valued on the stack
     fused = 0
 
     def settle(c: Config, k: int, todo) -> tuple:
@@ -273,10 +331,14 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
         threads = list(c.threads)
         k0 = k
         for j in todo:
-            while (e2 := fused_successor(threads[j], c.state, j == 0)) is not None:
-                if k == 0:
-                    raise ScheduleError(_BUDGET_INSUFFICIENT)
-                threads[j], k = e2, k - 1
+            key = (threads[j], j == 0)
+            chain = chains.get(key)
+            if chain is None:
+                chain = chains[key] = _local_chain(threads[j], c.state, j == 0, k)
+            elif chain[1] > k:
+                raise ScheduleError(_BUDGET_INSUFFICIENT)
+            (threads[j], n) = chain
+            k -= n
         if k == k0:
             return c, k
         fused += k0 - k
@@ -295,15 +357,19 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
             if hit[4] > left:  # valuing ``c`` again could only run out of budget
                 raise ScheduleError(_BUDGET_INSUFFICIENT)
             return (hit[0], hit[1], k - left + hit[4])
+        if c in gray:  # a cycle of positive probability: no budget suffices
+            raise ScheduleError(_CYCLE)
         n = len(c.threads)
-        steps = [(i, succ) for i in range(n) if (succ := successors(c, i)) is not None]
-        if not steps:
+        succs = [(i, succ) for i in range(n)
+                 if (succ := successors(c, i, steps)) is not None]
+        if not succs:
             raise ScheduleError(f"deadlock: no thread can step in {c}")
         if left == 0:
             raise ScheduleError(_BUDGET_INSUFFICIENT)
+        gray.add(c)
         best = None
         longest = 0
-        for (i, succ) in steps:
+        for (i, succ) in succs:
             lo_i = Fraction(0)
             hi_i = Fraction(0)
             for (p, c2) in succ:
@@ -322,6 +388,7 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
                     best[0], best[2] = lo_i, i
                 if hi_i > best[1]:
                     best[1], best[3] = hi_i, i
+        gray.remove(c)
         memo[c] = (*best, 1 + longest)
         return (best[0], best[1], k - left + 1 + longest)
 
@@ -342,14 +409,38 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
             sent = None
 
 
-def _extremal(table: Choices, step: int, c: Config) -> int:
-    i = table.get(c)
-    if i is not None:
-        return i  # a memoized configuration is settled: no step is pending
-    for (i, e) in enumerate(c.threads):
-        if fused_successor(e, c.state, i == 0) is not None:
-            return i
-    return STUTTER
+class _Extremal:
+    """``choose`` of an extracted adversary: the recorded choice in a
+    memoized configuration, else the first thread with a pending fused
+    step, else a stutter.  Whether a thread has a pending fused step
+    depends only on its expression and whether it is the first thread
+    (local steps ignore the heap), so it is derived once per pair.  The
+    answers are held weakly by expression, one table for the first thread
+    and one for the rest, so they keep no expression of a finished run
+    alive; pickling sends the table alone."""
+
+    __slots__ = ("table", "pending")
+
+    def __init__(self, table: Choices):
+        self.table = table
+        # [is the first thread]: expression -> whether a fused step is pending
+        self.pending = (WeakKeyDictionary(), WeakKeyDictionary())
+
+    def __call__(self, step: int, c: Config) -> int:
+        hit = self.table.memo.get(c)
+        if hit is not None:
+            return hit[self.table.slot]  # a memoized configuration is settled
+        for (i, e) in enumerate(c.threads):
+            known = self.pending[i == 0]
+            p = known.get(e)
+            if p is None:
+                p = known[e] = fused_successor(e, c.state, i == 0) is not None
+            if p:
+                return i
+        return STUTTER
+
+    def __reduce__(self):
+        return (_Extremal, (self.table,))
 
 
 def extract_policy(result: ExtremalResult, direction: str) -> SchedulerPolicy:
@@ -361,7 +452,7 @@ def extract_policy(result: ExtremalResult, direction: str) -> SchedulerPolicy:
     step: local steps commute, so any order reaches the memoized
     configuration with the same remaining budget."""
     table = result.policy_lo if direction == "lo" else result.policy_hi
-    return SchedulerPolicy(f"extremal-{direction}", partial(_extremal, table))
+    return SchedulerPolicy(f"extremal-{direction}", _Extremal(table))
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,36 @@ def read(text: str):
 
 
 def write(obj) -> str:
+    """Render ``obj``; the lists being written wait on an explicit stack,
+    so a list nested any depth deep needs no recursion."""
+    if not isinstance(obj, (list, tuple)):
+        return _atom(obj)
+    out = ["("]
+    stack = [iter(obj)]
+    first = True  # no item of the innermost open list written yet
+    while stack:
+        x = next(stack[-1], _END)
+        if x is _END:
+            stack.pop()
+            out.append(")")
+            first = False
+            continue
+        if not first:
+            out.append(" ")
+        if isinstance(x, (list, tuple)):
+            out.append("(")
+            stack.append(iter(x))
+            first = True
+        else:
+            out.append(_atom(x))
+            first = False
+    return "".join(out)
+
+
+_END = object()
+
+
+def _atom(obj) -> str:
     if obj is True:
         return "#t"
     if obj is False:
@@ -126,6 +156,4 @@ def write(obj) -> str:
         return str(obj)
     if isinstance(obj, Symbol):
         return obj.name
-    if isinstance(obj, (list, tuple)):
-        return "(" + " ".join(write(x) for x in obj) + ")"
     raise TypeError(f"cannot render {obj!r} as an s-expression")

@@ -217,6 +217,20 @@ def test_parse_unreadable_file_exits_2(tmp_path, capsys):
     assert run(["parse", "--file", str(good)]) == 0
 
 
+def test_parse_deep_list_literal_exits_0(tmp_path, capsys):
+    # the reader, parser and printer walk on explicit stacks
+    n = 20_000
+    deep = tmp_path / "deep.sexp"
+    deep.write_text("(pair #t " * n + "()" + ")" * n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        assert run(["parse", "--file", str(deep)]) == 0
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "round-trip ok" in capsys.readouterr().out
+
+
 def test_mdp_reports_fused_steps(tmp_path):
     out = tmp_path / "mdp.json"
     assert run(["mdp", "--model", "unbiased-counter", "--threads", "2",

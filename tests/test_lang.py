@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import random
+import sys
 import weakref
 
 import pytest
@@ -268,3 +269,26 @@ def test_subst_skips_terms_where_the_name_is_not_free():
             assert out.fv == e.fv - {name}
             if name not in e.fv:
                 assert out is e
+
+
+def test_deep_terms_print_and_parse_without_recursion():
+    # every form that nests, 5,000 deep: the parser and the printer walk
+    # on explicit stacks
+    e = lang.unit
+    for k in range(5_000):
+        e = [lang.Pair(lang.num(k), e), lang.App(lang.Var("f"), e), lang.Let("x", e, lang.Var("x")),
+             lang.seq(e, lang.num(k)), lang.Rec("f", "x", e), lang.Prim("+", (e, lang.num(1))),
+             lang.If(e, lang.unit, lang.unit)][k % 7]
+    v = lang.UNIT
+    for k in range(5_000):
+        v = lang.VPair(lang.VInt(k), v)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        text = lang.unparse(e)
+        assert lang.parse(text) is e
+        printed = sexpr.write(lang.val_to_sexpr(v))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text.count("(") == text.count(")") > 5_000
+    assert printed == "".join(f"(pair {k} " for k in reversed(range(5_000))) + "()" + ")" * 5_000

@@ -1,9 +1,11 @@
 """Scheduler policies, exact evaluation, backward induction, sampling."""
 
 import collections
+import gc
 import pickle
 import random
 import sys
+import traceback
 from fractions import Fraction as F
 from importlib import resources
 
@@ -321,14 +323,51 @@ def test_monte_carlo_stream_pinned():
 
 
 def test_monte_carlo_extracted_adversaries_on_workers():
+    # the adversary caches which threads have a pending fused step as it
+    # runs, weakly: the answers for a run's expressions go with the run.  A
+    # warmed policy still pickles, without its cache, and samples the same
+    # on one worker and on two
     prog = models.dlm_counter_program(2, bits=2)
     res = sched.extremal_expectation(prog, 80, models.read_pow2_minus_1)
     for direction in ("lo", "hi"):
         pol = sched.extract_policy(res, direction)
+        value = getattr(res, direction)
+        assert sched.evaluate_policy(prog, pol, 80, models.read_pow2_minus_1) == value
+        run = [machine.initial_config([prog])]
+        while not machine.is_terminated(run[-1]):
+            c = run[-1]
+            run.append(machine.config_step(c, pol.choose(len(run) - 1, c)).entries[0][1])
+        cached = sum(map(len, pol.choose.pending))
+        assert cached > 0
+        assert not any(pickle.loads(pickle.dumps(pol)).choose.pending)
+        del run, c
+        gc.collect()
+        assert sum(map(len, pol.choose.pending)) < cached
         a, b = (sched.monte_carlo(prog, pol, 80, models.read_pow2_minus_1, 300, seed=2,
                                   workers=w) for w in (1, 2))
-        assert (a.mean, a.variance) == (b.mean, b.variance)
-        assert a.contains(getattr(res, direction))
+        assert a == b and a.contains(value)
+
+
+def test_evaluate_policy_stutter_spends_a_step():
+    def least_budget(prog, choose):
+        pol = sched.SchedulerPolicy("test", choose)
+        for budget in range(60):
+            try:
+                return budget, sched.evaluate_policy(prog, pol, budget, read_int)
+            except sched.ScheduleError:
+                pass
+
+    # an index naming no thread
+    coin = parse("(if (flip 1 2) 1 0)")
+    for k in range(4):
+        got = least_budget(coin, lambda step, c, k=k: sched.STUTTER if step < k else 0)
+        assert got == (2 + k, F(1, 2))
+    # thread 0 blocks on ``wait`` at step 4 and is chosen until thread 1
+    # stores at step ``s``; the wait, the ``seq`` and the load follow
+    prog = parse("(let (l (alloc 0)) (seq (fork (store l 1)) (wait l 1) (load l)))")
+    for s in range(4, 8):
+        got = least_budget(prog, lambda step, c, s=s: 1 if step == s else 0)
+        assert got == (s + 4, 1)
 
 
 def test_sandwich_counter_against_spec():
@@ -563,19 +602,85 @@ def test_memo_holds_each_configuration_once():
 
 
 def test_each_configuration_is_valued_once(monkeypatch):
-    # a configuration revisited with less budget left than when it was
-    # valued reuses its entry, so no thread of it is stepped again
+    # the analysis steps each thread expression from each heap at most
+    # once, however many configurations hold it: a configuration revisited
+    # with less budget left reuses its entry, and every other one reads
+    # its threads' steps from the analysis's step memo
     stepped = collections.Counter()
+    outcomes = machine.outcomes
 
-    def counted(c, i):
-        stepped[(c, i)] += 1
-        return machine.successors(c, i)
+    def counted(e, s):
+        stepped[(e, s)] += 1
+        return outcomes(e, s)
 
-    monkeypatch.setattr(sched, "successors", counted)
+    monkeypatch.setattr(machine, "outcomes", counted)
     res = sched.extremal_expectation(models.dlm_counter_program(3, bits=1), 400,
                                      models.read_pow2_minus_1)
     assert (res.lo, res.hi) == (F(5, 2), F(19, 4))
-    assert len(stepped) == 1346 and max(stepped.values()) == 1
+    assert len(stepped) == 108 and max(stepped.values()) == 1
+    # the memo lives for one call: a second analysis steps everything again
+    sched.extremal_expectation(models.dlm_counter_program(3, bits=1), 400,
+                               models.read_pow2_minus_1)
+    assert set(stepped.values()) == {2}
+
+
+def test_cached_chain_met_with_less_budget_left():
+    # both branches of the flip end with ``(store l 1)``, the short one two
+    # steps sooner, and then thread 0 runs the same local countdown: the
+    # chain is derived on the short branch, with budget to spare, and read
+    # from the memo on the long one with less left.  Where that is too
+    # little, the analysis raises at the memo hit, as brute force fails
+    prog = parse("(let (l (alloc 0)) (seq (if (flip 1 2) (store l 1) "
+                 "(seq (store l 2) (store l 3) (store l 1))) "
+                 "((rec (f n) (if (< n 1) 0 (f (- n 1)))) 3) (load l)))")
+    threshold = assert_fused_agrees(prog)
+    raised_at = collections.Counter()
+    for budget in range(threshold):
+        with pytest.raises(sched.ScheduleError) as info:
+            sched.extremal_expectation(prog, budget, read_int)
+        raised_at[traceback.extract_tb(info.value.__traceback__)[-1].name] += 1
+    assert raised_at["settle"] > 0 and raised_at["_local_chain"] > 0
+
+
+def test_cycle_reported_at_its_first_repeat(monkeypatch):
+    # an adversary can starve the store forever, so thread 0 spins: the
+    # verdict comes at the first revisit of a configuration, whatever the
+    # budget
+    prog = parse("(let (l (alloc 0)) (seq (fork (store l 1)) "
+                 "((rec (f x) (if (cas l 0 0) (f x) (load l))) 0)))")
+    explored = []
+    successors = machine.successors
+
+    def counted(c, i, memo):
+        explored[-1].add(c)
+        return successors(c, i, memo)
+
+    monkeypatch.setattr(sched, "successors", counted)
+    for budget in (2_000, 20_000):
+        explored.append(set())
+        with pytest.raises(sched.ScheduleError, match="^budget insufficient: .*revisit"):
+            sched.extremal_expectation(prog, budget, read_int)
+    assert len(explored[0]) == len(explored[1]) < 10
+
+
+def test_local_loop_reported_at_its_first_repeat(monkeypatch):
+    calls = []
+    fused_successor = sched.fused_successor
+
+    def counted(e, s, first):
+        calls[-1] += 1
+        return fused_successor(e, s, first)
+
+    monkeypatch.setattr(sched, "fused_successor", counted)
+    # a one-step loop, the same in a forked thread, and a longer loop
+    # entered after a prefix
+    for prog in ("((rec (f x) (f x)) 0)", "(seq (fork ((rec (f x) (f x)) 0)) 1)",
+                 "(let (y #t) ((rec (f x) (if x (f #f) (f #t))) y))"):
+        for budget in (200, 10 ** 6):
+            calls.append(0)
+            with pytest.raises(sched.ScheduleError, match="^budget insufficient: .*repeat"):
+                sched.extremal_expectation(parse(prog), budget, read_int)
+        assert calls[-2] == calls[-1] < 40
 
 
 def test_fusion_shrinks_the_memo():
