@@ -19,10 +19,13 @@ The bind rule is exact for per-index selection semantics: a selection picks
 one continuation member independently for every support index, expectation
 is linear with nonnegative coefficients, so the inner optimum splits into
 independent per-index optima.  Every source is explicit, so the extrema
-never materialize.  ``materialize`` produces the explicit set, whose binds
-are ``ndset.bind`` (one member per distinct composite), and the test suite
-checks the two routes agree on random small terms.  Both walks keep their
-own stack, so a bind chain of any depth leaves the recursion limit alone.
+never materialize: a bind sums over its source's forms.  ``materialize``
+produces the explicit set, each step of it up to ``equiv`` of members: a
+bind is ``ndset.bind`` and a union or pchoice goes through ``ndset.dedup``,
+so each distinct member form is kept once, first occurrence first.  The
+test suite checks the two routes agree on random small terms.  Both walks
+keep their own stack, so a bind chain of any depth leaves the recursion
+limit alone.
 
 Sharing matters: builders memoize their recursive calls so equal subterms
 are the same object, and extrema memoize on object identity.
@@ -128,11 +131,11 @@ def _materialized(c: Comp):
             sets = []
             for x in parts:
                 sets.append((yield x))
-            return ndset.union_all(sets)
+            return ndset.dedup(ndset.union_all(sets))
         case PChoice(left=l, p=p, right=r):
             ls = yield l
             rs = yield r
-            return ndset.pchoice(ls, p, rs)
+            return ndset.dedup(ndset.pchoice(ls, p, rs))
         case Bind(source=src, cont=k):
             table = {}  # value_key -> materialized k(v)
             for v in ndset.joint_support(src):
@@ -164,10 +167,9 @@ def _extremum(f, c: Comp, pick) -> Fraction:
                 return p * lv + (1 - p) * rv
             case Bind(source=src, cont=k):
                 sub = {}  # value_key -> extremum of k(v)
-                for v in ndset.joint_support(src):
-                    sub[ival.value_key(v)] = yield k(v)
-                return pick(ival.expected_value(lambda v: sub[ival.value_key(v)], m)
-                            for m in src.members)
+                for key in ndset.support_keys(src):
+                    sub[key] = yield k(src.values[key])
+                return pick(ndset.expectations(sub.__getitem__, src))
         raise TypeError(f"not a computation term: {c!r}")
 
     return _walk(c, value)

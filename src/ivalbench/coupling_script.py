@@ -87,7 +87,7 @@ def parse_pset(s) -> ndset.ProcessSet:
         raise ScriptError(f"expected (pset ...), got {show(s)}")
     if len(s) < 2:
         raise ScriptError("(pset ...) needs at least one member")
-    return ndset.ProcessSet(tuple(parse_ival(x) for x in s[1:]))
+    return ndset.lift(*[parse_ival(x) for x in s[1:]])
 
 
 def parse_bexpr(s):

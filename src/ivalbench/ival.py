@@ -236,23 +236,16 @@ def equiv(a: IndexedValuation, b: IndexedValuation) -> bool:
     return a.canonical() == b.canonical()
 
 
-def collapsed(a: IndexedValuation) -> tuple:
-    """``(den, acc)``: ``acc`` maps the ``value_key`` of each value of the
-    indicial support to ``(value, numerator)``, its summed probability as an
-    integer over the common denominator ``den``."""
+def to_distribution(a: IndexedValuation) -> Distribution:
+    """Collapse to a distribution by summing probabilities of equal values,
+    as integer numerators over the common denominator."""
     den = _common_denominator(a.entries)
-    acc: dict = {}
+    acc: dict = {}  # value_key -> (value, summed numerator)
     for (_, v, p) in a.entries:
         if p.numerator:
             k = value_key(v)
             n = p.numerator * (den // p.denominator)
             acc[k] = (v, acc[k][1] + n) if k in acc else (v, n)
-    return (den, acc)
-
-
-def to_distribution(a: IndexedValuation) -> Distribution:
-    """Collapse to a distribution by summing probabilities of equal values."""
-    (den, acc) = collapsed(a)
     return Distribution(tuple((v, Fraction(n, den)) for (_, (v, n)) in sorted(acc.items())))
 
 
@@ -265,29 +258,24 @@ def prob_equiv(a: IndexedValuation, b: IndexedValuation) -> bool:
     return keyed(a) == keyed(b)
 
 
+def weighted_sum(den: int, terms) -> Fraction:
+    """``sum(n * x for (n, x) in terms) / den`` for integers ``n`` and exact
+    rationals ``x``, summed as integers over the lcm of the denominators;
+    one Fraction is built at the end."""
+    (num, d) = (0, 1)
+    for (n, x) in terms:
+        (xn, xd) = _as_ratio(x)
+        if d % xd:
+            common = lcm(d, xd)
+            num *= common // d
+            d = common
+        num += n * xn * (d // xd)
+    return Fraction(num, d * den)
+
+
 def expected_value(f: Callable[[Value], Rational], a: IndexedValuation) -> Fraction:
-    """Exact expectation of ``f`` over ``a`` (finite, so it always exists).
-
-    The terms ``p * f(v)`` are summed as integers over the lcm of their
-    denominators, and one Fraction is built at the end."""
-    (num, den) = (0, 1)
-    for (_, v, p) in a.entries:
-        if not p.numerator:
-            continue
-        (n, d) = _as_ratio(f(v))
-        d *= p.denominator
-        if den % d:
-            common = lcm(den, d)
-            num *= common // den
-            den = common
-        num += n * p.numerator * (den // d)
-    return Fraction(num, den)
-
-
-def support(a: IndexedValuation) -> tuple:
-    """Distinct values occurring with positive probability, value-ordered."""
-    seen: dict = {}
-    for (_, v, p) in a.entries:
-        if p > 0:
-            seen.setdefault(value_key(v), v)
-    return tuple(sorted(seen.values(), key=value_key))
+    """Exact expectation of ``f`` over ``a`` (finite, so it always exists),
+    as a ``weighted_sum`` over the common denominator."""
+    den = _common_denominator(a.entries)
+    return weighted_sum(den, [(p.numerator * (den // p.denominator), f(v))
+                              for (_, v, p) in a.entries if p.numerator])

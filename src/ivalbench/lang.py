@@ -46,8 +46,10 @@ construction only.  The tables hold their nodes weakly: a node leaves its
 table when its last reference goes, so intermediate terms are not kept.
 Pickling a node records its class and constructor arguments, and
 unpickling constructs it again, so a node sent to a worker process is
-interned there too.  Each expression caches its free variables (``fv``);
-``subst`` returns a term in which the name is not free unchanged.
+interned there too.  Each expression caches its free variables (``fv``)
+and whether it is a value (``is_val``), so neither is ever recomputed by
+recursion; ``subst`` returns a term in which the name is not free
+unchanged.
 """
 
 from __future__ import annotations
@@ -193,13 +195,18 @@ _CLOSED = frozenset()
 
 
 class Expr(_Node):
-    __slots__ = ("fv",)  # the names free in the expression, a frozenset
+    # fv: the names free in the expression, a frozenset; is_val: whether
+    # the expression is a value
+    __slots__ = ("fv", "is_val")
 
     def __post_init__(self):
         """Cache the free variables, from the children's cached sets; a
         set equal to a child's is that child's set.  ``_`` is never free:
-        it binds nothing, so ``subst`` never replaces it."""
+        it binds nothing, so ``subst`` never replaces it.  Cache whether
+        the expression is a value, from the children's flags."""
         t = type(self)
+        object.__setattr__(self, "is_val", t is Lit or t is Rec or (
+            t is Pair and self.fst.is_val and self.snd.is_val))
         if t is Var:
             fv = _CLOSED if self.name == "_" else frozenset((self.name,))
         elif t is Rec:
@@ -429,21 +436,24 @@ unit = Lit(UNIT)
 
 
 def is_value(e: Expr) -> bool:
-    t = type(e)
-    if t is Lit or t is Rec:
-        return True
-    if t is Pair:
-        return is_value(e.fst) and is_value(e.snd)
-    return False
+    return e.is_val
 
 
 def to_val(e: Expr) -> Val:
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Rec):
-        return VClosure(e.fname, e.xname, e.body)
-    if isinstance(e, Pair):
-        return VPair(to_val(e.fst), to_val(e.snd))
+    """The value ``e`` denotes.  A pair is built bottom-up on an explicit
+    stack, so one nested any depth deep needs no recursion."""
+    return e.value if type(e) is Lit else _bottom_up(e, _valued)
+
+
+def _valued(e):
+    """``(parts, build)`` for ``to_val``."""
+    t = type(e)
+    if t is Lit:
+        return (), lambda: e.value
+    if t is Rec:
+        return (), lambda: VClosure(e.fname, e.xname, e.body)
+    if t is Pair:
+        return (e.fst, e.snd), VPair
     raise ValueError(f"not a value: {e!r}")
 
 

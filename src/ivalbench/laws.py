@@ -37,13 +37,13 @@ def rng_for(seed: int, label: str) -> random.Random:
     return random.Random(seed * 1000003 + zlib.crc32(label.encode()))
 
 
-def gen_prob(rng: random.Random, max_den: int = 6) -> Fraction:
-    den = rng.randint(1, max_den)
+def gen_prob(rng: random.Random) -> Fraction:
+    den = rng.randint(1, 6)
     return Fraction(rng.randint(0, den), den)
 
 
-def gen_rational(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 4) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+def gen_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
 
 def gen_ival(rng: random.Random, max_support: int = 5, pool=VALUE_POOL) -> IndexedValuation:
@@ -60,7 +60,7 @@ def gen_ival(rng: random.Random, max_support: int = 5, pool=VALUE_POOL) -> Index
 def gen_pset(rng: random.Random, max_members: int = 4, max_support: int = 5,
              pool=VALUE_POOL) -> ProcessSet:
     n = rng.randint(1, max_members)
-    return ProcessSet(tuple(gen_ival(rng, max_support, pool) for _ in range(n)))
+    return ndset.lift(*[gen_ival(rng, max_support, pool) for _ in range(n)])
 
 
 def gen_fun_rational(rng: random.Random, domain) -> Callable:
@@ -83,9 +83,9 @@ def gen_fun_pset(rng: random.Random, domain, max_members: int = 2,
     return f
 
 
-def gen_fun_ival(rng: random.Random, domain, max_support: int = 3) -> Callable:
-    table = {value_key(v): gen_ival(rng, max_support) for v in domain}
-    default = gen_ival(rng, max_support)
+def gen_fun_ival(rng: random.Random, domain) -> Callable:
+    table = {value_key(v): gen_ival(rng, 3) for v in domain}
+    default = gen_ival(rng, 3)
 
     def f(v):
         return table.get(value_key(v), default)
@@ -133,11 +133,12 @@ def prob_equiv_variant(rng: random.Random, m: IndexedValuation) -> IndexedValuat
 
 
 def pset_equiv_variant(rng: random.Random, s: ProcessSet) -> ProcessSet:
-    members = [relabel(rng, m) for m in s.members]
+    members = s.members
+    out = [relabel(rng, m) for m in members]
     if rng.random() < 0.4:
-        members.append(relabel(rng, rng.choice(s.members)))
-    rng.shuffle(members)
-    return ProcessSet(tuple(members))
+        out.append(relabel(rng, rng.choice(members)))
+    rng.shuffle(out)
+    return ndset.lift(*out)
 
 
 def superset_of(rng: random.Random, s: ProcessSet) -> ProcessSet:
@@ -148,16 +149,17 @@ def superset_of(rng: random.Random, s: ProcessSet) -> ProcessSet:
 def mixture_member(rng: random.Random, s: ProcessSet) -> IndexedValuation:
     """A random convex combination of members of ``s`` (via pchoice trees),
     hence a valuation whose distribution lies in the hull of ``s``."""
-    m = rng.choice(s.members)
+    members = s.members
+    m = rng.choice(members)
     for _ in range(rng.randint(0, 2)):
-        m = ival.pchoice(m, gen_prob(rng), rng.choice(s.members))
+        m = ival.pchoice(m, gen_prob(rng), rng.choice(members))
     return m
 
 
 def dominated_by(rng: random.Random, s: ProcessSet) -> ProcessSet:
     """A set that is ``subset_p`` of ``s`` by construction."""
     n = rng.randint(1, 3)
-    return ProcessSet(tuple(mixture_member(rng, s) for _ in range(n)))
+    return ndset.lift(*[mixture_member(rng, s) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +343,7 @@ def law_subset_bind_cong(rng):
     def f2(v):
         return table[value_key(v)]
 
-    if not ndset.bind_forms(a, f1) <= ndset.bind_forms(b, f2):
+    if not ndset.subset(ndset.bind(a, f1), ndset.bind(b, f2)):
         return f"a={a} b={b}"
 
 
@@ -444,8 +446,8 @@ def law_ps_trans(rng):
 def law_ps_weaken(rng):
     b = gen_pset(rng, 2, 3)
     a = dominated_by(rng, b)
-    a_sub = ProcessSet(tuple(
-        relabel(rng, m) for m in a.members[: rng.randint(1, len(a.members))]))
+    a_sub = ndset.lift(*[
+        relabel(rng, m) for m in a.members[: rng.randint(1, len(a.members))]])
     b_sup = superset_of(rng, b)
     if not ndset.subset_p(a_sub, b_sup):
         return f"a'={a_sub} b'={b_sup}"

@@ -35,6 +35,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+from ivalbench.ival import as_rational
+
 
 @dataclass
 class FeasibilityResult:
@@ -47,14 +49,16 @@ def solve_equality_feasibility(A: list, b: list) -> FeasibilityResult:
     """Decide whether ``A x = b`` has a solution with ``x >= 0``.
 
     ``A`` is a list of m rows, each a list of n Fractions; ``b`` has m
-    Fractions.  Returns a feasible point or a separating certificate.
+    Fractions.  Ints are taken as Fractions, and any other entry (a float)
+    is a ``TypeError``.  Returns a feasible point or a separating
+    certificate.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     if m == 0:
         return FeasibilityResult(True, [Fraction(0)] * n, None)
-    A = [[_exact(x) for x in row] for row in A]
-    b = [_exact(x) for x in b]
+    A = [[as_rational(x) for x in row] for row in A]
+    b = [as_rational(x) for x in b]
     scale = lcm(*[x.denominator for row in A for x in row], *[x.denominator for x in b])
     rows = [[x.numerator * (scale // x.denominator) for x in row] for row in A]
     rhs = [x.numerator * (scale // x.denominator) for x in b]
@@ -121,10 +125,6 @@ def solve_equality_feasibility(A: list, b: list) -> FeasibilityResult:
         if sum(ys[i] * rows[i][j] for i in range(m)) > 0:
             raise ArithmeticError("separating certificate failed y.A <= 0")
     return FeasibilityResult(False, None, [Fraction(y, den) for y in ys])
-
-
-def _exact(x):
-    return x if isinstance(x, (Fraction, int)) else Fraction(x)
 
 
 def pivot(tab: list, obj: list, leave: int, enter: int, den: int) -> int:

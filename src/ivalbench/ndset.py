@@ -1,10 +1,15 @@
 """Finite nonempty sets of indexed valuations (nondeterminism over chance).
 
-A ``ProcessSet`` is a finite nonempty sequence of indexed valuations; each
+A ``ProcessSet`` is a finite nonempty set of indexed valuations; each
 member is one way the scheduler could resolve all nondeterministic choices.
-Duplicates are permitted structurally and irrelevant semantically: ``forms``,
-the frozenset of member canonical forms, is the set up to ``equiv`` of
-members that ``subset`` and ``equiv`` compare.
+Every relation on a set respects ``equiv`` of its members, so a set holds
+its members' canonical forms ``(den, sorted (value_key, numerator))`` in
+lowest terms (see ``IndexedValuation.canonical``), in order and with
+repeats, beside a ``value_key -> value`` table through which ``ex_min``
+and ``ex_max`` call their function on real values.  ``lift`` is the one
+constructor from valuations; ``members`` rebuilds them (index = position)
+for the callers that need indices.  Every operation works on the forms,
+which hash and compare as ints and keys, never Fractions.
 
 ``bind`` selects *per index*: each member and each assignment of one
 continuation member to every index in its indicial support give one
@@ -13,11 +18,7 @@ indices: later nondeterminism may be resolved differently on the basis of a
 probabilistic choice that is not observable in the value.  The selections
 number the product of the continuation sizes over the support, but a
 composite's form depends only on the forms chosen, so ``bind`` folds over
-canonical forms and returns one member per distinct composite;
-``bind_forms`` is the set of forms of that same fold.  A form is
-``(den, sorted (value_key, numerator))`` in lowest terms (see
-``IndexedValuation.canonical``), so the forms, the fold and the set
-comparisons hash and compare ints and keys, never Fractions.
+forms and returns each distinct composite form once.
 
 The coarse order ``subset_p`` ("every bounded function's maximal
 expectation is dominated") is decided by exact convex-hull membership of
@@ -36,7 +37,7 @@ numerators over their lowest common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Callable, Optional
@@ -49,87 +50,106 @@ Value = Any
 
 @dataclass(frozen=True)
 class ProcessSet:
-    """Finite nonempty set of indexed valuations."""
+    """Finite nonempty set of valuations: their canonical ``forms``, in
+    order with repeats, and ``values``, a ``value_key -> value`` table
+    holding at least every key of the forms."""
 
-    members: tuple
+    forms: tuple
+    values: dict = field(compare=False)
 
     def __post_init__(self):
-        if not self.members:
+        if not self.forms:
             raise ValueError("process set must be nonempty")
-        for m in self.members:
-            if not isinstance(m, IndexedValuation):
-                raise TypeError(f"member {m!r} is not an IndexedValuation")
+
+    @property
+    def members(self) -> tuple:
+        """The members as valuations, rebuilt with index = position."""
+        return tuple(IndexedValuation(tuple((i, self.values[k], Fraction(n, den))
+                                            for (i, (k, n)) in enumerate(pairs)))
+                     for (den, pairs) in self.forms)
 
     def __repr__(self):
-        return "PSet{" + ", ".join(repr(m) for m in self.members) + "}"
+        return "PSet{" + ", ".join("IVal[" + ", ".join(
+            f"{self.values[k]!r}@{Fraction(n, den)}" for (k, n) in pairs) + "]"
+            for (den, pairs) in self.forms) + "}"
+
+
+def lift(*members: IndexedValuation) -> ProcessSet:
+    """The set of ``members``, one form each, in order."""
+    return ProcessSet(tuple(m.canonical() for m in members),
+                      {value_key(v): v for m in members for (_, v, _) in m.entries})
 
 
 def ret(v: Value) -> ProcessSet:
     """Unit: the singleton set containing ``ival.ret(v)``."""
-    return ProcessSet((ival.ret(v),))
-
-
-def lift(member: IndexedValuation, *more: IndexedValuation) -> ProcessSet:
-    return ProcessSet((member,) + more)
+    return ProcessSet(((1, ((value_key(v), 1),)),), {value_key(v): v})
 
 
 def union(a: ProcessSet, b: ProcessSet) -> ProcessSet:
     """Nondeterministic choice: set union (concatenation of members)."""
-    return ProcessSet(a.members + b.members)
+    return union_all((a, b))
 
 
 def union_all(sets) -> ProcessSet:
-    members = ()
+    (forms, values) = ((), {})
     for s in sets:
-        members += s.members
-    return ProcessSet(members)
+        forms += s.forms
+        values.update(s.values)
+    return ProcessSet(forms, values)
 
 
 def pchoice(a: ProcessSet, p, b: ProcessSet) -> ProcessSet:
-    """Pairwise probabilistic choice of members."""
+    """Pairwise probabilistic choice of members: the form of
+    ``ival.pchoice(x, p, y)`` for each pair, mixed over the common
+    denominator ``p.denominator * lcm(dx, dy)`` and reduced by the gcd."""
     p = as_rational(p)
     if not 0 <= p <= 1:
         raise ValueError(f"choice weight {p} outside [0, 1]")
-    return ProcessSet(tuple(
-        ival.pchoice(x, p, y) for x in a.members for y in b.members
-    ))
+    (pn, pd) = (p.numerator, p.denominator)
+    forms = []
+    for (dx, xs) in a.forms:
+        for (dy, ys) in b.forms:
+            l = lcm(dx, dy)
+            (cx, cy) = (pn * (l // dx), (pd - pn) * (l // dy))
+            pairs = [(k, cx * n) for (k, n) in xs if cx] + [(k, cy * n) for (k, n) in ys if cy]
+            g = gcd(pd * l, *[n for (_, n) in pairs])
+            forms.append((pd * l // g, tuple(sorted([(k, n // g) for (k, n) in pairs]))))
+    return ProcessSet(tuple(forms), {**a.values, **b.values})
 
 
-def _bind_fold(a: ProcessSet, f: Callable[[Value], ProcessSet]):
-    """The distinct composite forms of the per-index bind, as the keys of a
-    dict in the order the fold first reaches them, and ``f(v)`` per value
-    key reached.
+def bind(a: ProcessSet, f: Callable[[Value], ProcessSet]) -> ProcessSet:
+    """Per-index selection bind, up to ``equiv`` of members: each distinct
+    composite form once, in the order the fold first reaches it.
 
-    A composite's canonical form is the multiset union, over the positive
-    entries ``(i, v, p)`` of its source member, of the chosen continuation
-    member's form scaled by ``p``; it depends only on the forms chosen.  So
-    each member of ``a`` folds over its positive entries a deduplicated dict
-    of partial sorted multisets, merging every partial with every distinct
-    form of ``f(v)``.  The partials of one member are integer numerators
-    over one denominator ``den``, a common multiple of every product
-    ``p * q`` it can meet, so they hash and compare as ints; dividing a
-    finished partial and ``den`` by their gcd gives its canonical form.
-    Dicts, never sets, keep the order independent of string hashing.
+    A composite's form is the multiset union, over the pairs ``(k, n)`` of
+    its source member's form, of the chosen continuation member's form
+    scaled by ``n / den``; it depends only on the forms chosen.  So each
+    member of ``a`` folds over its pairs a deduplicated dict of partial
+    sorted multisets, merging every partial with every distinct form of
+    ``f(v)``, and ``f`` is called once per value key.  The partials of one
+    member are integer numerators over one denominator ``den``, a common
+    multiple of every product it can meet, so they hash and compare as
+    ints; dividing a finished partial and ``den`` by their gcd gives its
+    form.  Dicts, never sets, keep the order independent of string hashing.
     """
-    conts: dict = {}  # value_key -> (f(v), its distinct forms); f once per value
+    conts: dict = {}  # value_key -> the distinct forms of f(v)
+    values: dict = {}
     out: dict = {}
-    for m in a.members:
-        picks = []  # (p, distinct forms of f(v)) per positive entry
-        for (_, v, p) in m.entries:
-            if not p.numerator:
-                continue
-            k = value_key(v)
+    for (mden, pairs) in a.forms:
+        picks = []  # (numerator, distinct forms of f(v)) per pair
+        for (k, n) in pairs:
             if k not in conts:
-                cont = f(v)
-                conts[k] = (cont, dict.fromkeys(x.canonical() for x in cont.members))
-            picks.append((p, conts[k][1]))
-        den = lcm(*[p.denominator * d for (p, forms) in picks for (d, _) in forms])
+                cont = f(a.values[k])
+                conts[k] = tuple(dict.fromkeys(cont.forms))
+                values.update(cont.values)
+            picks.append((n, conts[k]))
+        den = lcm(*[mden * d for (_, forms) in picks for (d, _) in forms])
         partials = {(): None}
-        for (p, forms) in picks:
+        for (n, forms) in picks:
             scaled = []
-            for (d, pairs) in forms:
-                c = p.numerator * (den // (p.denominator * d))
-                scaled.append(tuple([(w, c * q) for (w, q) in pairs]))
+            for (d, cpairs) in forms:
+                c = n * (den // (mden * d))
+                scaled.append(tuple([(w, c * q) for (w, q) in cpairs]))
             partials = dict.fromkeys(
                 tuple(sorted(part + t)) for part in partials for t in scaled)
         # (g, id(pair)) -> the pair's numerator divided by g: the forms share
@@ -137,7 +157,7 @@ def _bind_fold(a: ProcessSet, f: Callable[[Value], ProcessSet]):
         # at that of the partials
         lowest: dict = {}
         for part in partials:
-            g = gcd(den, *[n for (_, n) in part])
+            g = gcd(den, *[q for (_, q) in part])
             form = []
             for pair in part:
                 k = (g, id(pair))
@@ -145,72 +165,48 @@ def _bind_fold(a: ProcessSet, f: Callable[[Value], ProcessSet]):
                     lowest[k] = (pair[0], pair[1] // g)
                 form.append(lowest[k])
             out[(den // g, tuple(form))] = None
-    return out, conts
-
-
-def bind(a: ProcessSet, f: Callable[[Value], ProcessSet]) -> ProcessSet:
-    """Per-index selection bind, up to ``equiv`` of members.
-
-    Every selection of one member of ``f(value)`` per support index of a
-    member of ``a`` gives a composite with dependent-pair indices and
-    product probabilities.  One member stands for each distinct composite
-    form, rebuilt with index = position, in the order the fold first
-    reaches it.
-    """
-    out, conts = _bind_fold(a, f)
-    values = {value_key(w): w for (cont, _) in conts.values()
-              for x in cont.members for (_, w, _) in x.entries}
-    return ProcessSet(tuple(
-        IndexedValuation(tuple((n, values[k], Fraction(q, den))
-                               for (n, (k, q)) in enumerate(pairs)))
-        for (den, pairs) in out))
-
-
-def forms(a: ProcessSet) -> frozenset:
-    """The members' canonical forms: ``a`` up to ``equiv`` of members."""
-    return frozenset(m.canonical() for m in a.members)
-
-
-def bind_forms(a: ProcessSet, f: Callable[[Value], ProcessSet]) -> frozenset:
-    """``forms(bind(a, f))``, without building the composites."""
-    return frozenset(_bind_fold(a, f)[0])
+    return ProcessSet(tuple(out), values)
 
 
 def dedup(a: ProcessSet) -> ProcessSet:
-    """Merge ``equiv``-equal members, keeping first representatives."""
-    seen = {}
-    for m in a.members:
-        seen.setdefault(m.canonical(), m)
-    return ProcessSet(tuple(seen.values()))
+    """Merge ``equiv``-equal members, keeping first occurrences."""
+    return ProcessSet(tuple(dict.fromkeys(a.forms)), a.values)
 
 
 def subset(a: ProcessSet, b: ProcessSet) -> bool:
     """Every member of ``a`` is ``equiv`` to some member of ``b``."""
-    return forms(a) <= forms(b)
+    return set(a.forms) <= set(b.forms)
 
 
 def equiv(a: ProcessSet, b: ProcessSet) -> bool:
     """Mutual ``subset``."""
-    return forms(a) == forms(b)
+    return set(a.forms) == set(b.forms)
+
+
+def expectations(g: Callable, a: ProcessSet) -> list:
+    """Each member's expected value of ``g``, a function of value keys."""
+    return [ival.weighted_sum(den, [(n, g(k)) for (k, n) in pairs])
+            for (den, pairs) in a.forms]
 
 
 def ex_min(f: Callable[[Value], Fraction], a: ProcessSet) -> Fraction:
     """Minimal expected value of ``f`` over the members (attained: finite)."""
-    return min(ival.expected_value(f, m) for m in a.members)
+    return min(expectations(lambda k: f(a.values[k]), a))
 
 
 def ex_max(f: Callable[[Value], Fraction], a: ProcessSet) -> Fraction:
     """Maximal expected value of ``f`` over the members."""
-    return max(ival.expected_value(f, m) for m in a.members)
+    return max(expectations(lambda k: f(a.values[k]), a))
+
+
+def support_keys(a: ProcessSet) -> list:
+    """The value keys of the union of member supports, sorted."""
+    return sorted({k for (_, pairs) in a.forms for (k, _) in pairs})
 
 
 def joint_support(a: ProcessSet) -> tuple:
     """Union of member supports, value-ordered."""
-    seen: dict = {}
-    for m in a.members:
-        for v in ival.support(m):
-            seen.setdefault(value_key(v), v)
-    return tuple(sorted(seen.values(), key=value_key))
+    return tuple([a.values[k] for k in support_keys(a)])
 
 
 @dataclass
@@ -230,18 +226,18 @@ class SubsetPCertificate:
 
 def subset_p_certified(a: ProcessSet, b: ProcessSet):
     """Decide ``a subset_p b`` with certificates; see module docstring."""
-    values = joint_support(union(a, b))
-    coords = {value_key(v): d for (d, v) in enumerate(values)}
-    dim = len(values)
+    both = union(a, b)
+    keys = support_keys(both)
+    coords = {k: d for (d, k) in enumerate(keys)}
 
-    def form(m: IndexedValuation) -> tuple:
-        """The distribution of ``m`` as ``(den, numerators)`` in lowest
+    def dist(form: tuple) -> tuple:
+        """The member's distribution as ``(den, numerators)`` in lowest
         terms, one numerator per coordinate: equal distributions, equal
-        forms."""
-        (den, acc) = ival.collapsed(m)
-        nums = [0] * dim
-        for (k, (_, n)) in acc.items():
-            nums[coords[k]] = n
+        keys."""
+        (den, pairs) = form
+        nums = [0] * len(keys)
+        for (k, n) in pairs:
+            nums[coords[k]] += n
         g = gcd(den, *nums)
         return (den // g, tuple([n // g for n in nums]))
 
@@ -249,21 +245,21 @@ def subset_p_certified(a: ProcessSet, b: ProcessSet):
         (den, nums) = key
         return [Fraction(n, den) for n in nums]
 
-    generators = [vec(form(m)) for m in b.members]
-    solved: dict = {}  # distribution form -> its FeasibilityResult
+    generators = [vec(dist(form)) for form in b.forms]
+    solved: dict = {}  # distribution -> its FeasibilityResult
     certs = []
     verdict = True
-    for (k, m) in enumerate(a.members):
-        key = form(m)
+    for (i, form) in enumerate(a.forms):
+        key = dist(form)
         if key not in solved:
             solved[key] = lp.convex_hull_membership(vec(key), generators)
         res = solved[key]
         if res.feasible:
-            certs.append(SubsetPCertificate(k, weights=res.solution))
+            certs.append(SubsetPCertificate(i, weights=res.solution))
         else:
-            sep = [(values[d], res.certificate[d]) for d in range(dim)
+            sep = [(both.values[keys[d]], res.certificate[d]) for d in range(len(keys))
                    if res.certificate[d] != 0]
-            certs.append(SubsetPCertificate(k, separating=sep))
+            certs.append(SubsetPCertificate(i, separating=sep))
             verdict = False
     return verdict, certs
 

@@ -297,14 +297,14 @@ def test_process_set_equiv_agrees_with_the_fraction_multisets():
         if rng.random() < 0.3:
             b.append(rng.choice(b))
         same = {multiset(m) for m in a} == {multiset(m) for m in b}
-        assert ndset.equiv(ndset.ProcessSet(tuple(a)), ndset.ProcessSet(tuple(b))) == same
+        assert ndset.equiv(ndset.lift(*a), ndset.lift(*b)) == same
         verdicts[same] += 1
     assert min(verdicts.values()) >= 200, verdicts
 
 
 def test_support_excludes_zero_entries():
     a = ival.pchoice(ival.ret(0), F(1), ival.ret(1))
-    assert ival.support(a) == (0,)
+    assert ndset.joint_support(ndset.lift(a)) == (0,)
 
 
 # -- property tests ----------------------------------------------------------

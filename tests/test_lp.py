@@ -6,6 +6,8 @@ from fractions import Fraction
 from fractions import Fraction as F
 from typing import Optional
 
+import pytest
+
 from ivalbench import lp
 
 
@@ -15,6 +17,15 @@ def test_feasible_point_system():
         [[F(1), F(1)], [F(1), F(-1)]], [F(1), F(0)])
     assert res.feasible
     assert res.solution == [F(1, 2), F(1, 2)]
+
+
+def test_floats_are_refused():
+    # a float is a binary fraction, not the rational it was written as
+    with pytest.raises(TypeError):
+        lp.solve_equality_feasibility([[0.5, 1]], [0.25])
+    with pytest.raises(TypeError):
+        lp.solve_equality_feasibility([[F(1, 2), 1]], [0.25])
+    assert lp.solve_equality_feasibility([[F(1, 2), 1]], [F(1, 4)]).feasible
 
 
 def test_infeasible_produces_separating_certificate():

@@ -6,8 +6,8 @@ from itertools import product
 import pytest
 
 from ivalbench import comp, ival, lp, models, ndset
-from ivalbench.laws import (VALUE_POOL, dominated_by, gen_fun_rational, gen_pset,
-                            relabel, rng_for)
+from ivalbench.laws import (VALUE_POOL, dominated_by, gen_fun_rational, gen_ival,
+                            gen_pset, relabel, rng_for)
 from ivalbench.ndset import ProcessSet
 
 
@@ -29,7 +29,9 @@ def test_ret_singleton():
 
 def test_nonempty_enforced():
     with pytest.raises(ValueError):
-        ProcessSet(())
+        ProcessSet((), {})
+    with pytest.raises(ValueError):
+        ndset.lift()
 
 
 def test_union_laws_and_upper_bound():
@@ -71,7 +73,7 @@ def product_bind(a, f):
         conts = [f(v).members for (_, v, p) in m.entries if p > 0]
         for selection in product(*conts):
             out.append(ival.bind_per_index(m, dict(zip(indices, selection))))
-    return ProcessSet(tuple(out))
+    return ndset.lift(*out)
 
 
 def test_bind_selects_per_index():
@@ -90,7 +92,7 @@ def test_bind_selects_per_index():
 
 def test_dedup_merges_equiv_members():
     m = two_point(0, 1)
-    s = ProcessSet((m, m, ival.ret(5)))
+    s = ndset.lift(m, m, ival.ret(5))
     assert len(ndset.dedup(s).members) == 2
 
 
@@ -102,7 +104,7 @@ def test_orderings_tell_values_apart_by_structure():
 def test_subset_and_equiv():
     a = ndset.ret(1)
     assert not ndset.subset(a, ndset.ret(0))
-    dup = ProcessSet((ival.ret(2), ival.ret(2)))
+    dup = ndset.lift(ival.ret(2), ival.ret(2))
     assert ndset.equiv(dup, ndset.ret(2))
 
 
@@ -179,65 +181,108 @@ def test_subset_p_boundedness_transfer():
 CONT_POOL = (0, 1, 2, True, False, F(1), F(2), (1,), (True,))
 
 
+def gen_members(rng, max_members, max_support, pool=VALUE_POOL):
+    """The valuations ``gen_pset`` lifts, on the same draws."""
+    return [gen_ival(rng, max_support, pool) for _ in range(rng.randint(1, max_members))]
+
+
 def gen_cont(rng):
     """A continuation over ``VALUE_POOL`` into sets over ``CONT_POOL`` that
-    may repeat a member, as itself or relabelled."""
-    table = {}
+    may repeat a member, as itself or relabelled, and the valuations each
+    set was lifted from."""
+    (table, raw) = ({}, {})
     for v in VALUE_POOL:
-        s = gen_pset(rng, 2, 3, CONT_POOL)
+        ms = gen_members(rng, 2, 3, CONT_POOL)
         if rng.random() < 0.4:
-            m = rng.choice(s.members)
-            s = ndset.union(s, ndset.lift(m if rng.random() < 0.5 else relabel(rng, m)))
-        table[v] = s
-    return table.__getitem__
+            m = rng.choice(ms)
+            ms.append(m if rng.random() < 0.5 else relabel(rng, m))
+        (table[v], raw[v]) = (ndset.lift(*ms), ms)
+    return (table.__getitem__, raw)
 
 
-def test_bind_forms_agrees_with_bind():
+def test_bind_agrees_with_product_bind():
     rng = rng_for(26, "ndset-bind-forms")
     seen = {"zero in a": 0, "zero in f": 0, "equal values": 0, "duplicate members": 0,
             "equal across types": 0}
     for _ in range(500):
-        a = gen_pset(rng, 3, 4)
-        f = gen_cont(rng)
+        raw = gen_members(rng, 3, 4)
+        a = ndset.lift(*raw)
+        (f, raw_f) = gen_cont(rng)
         bound = product_bind(a, f)
-        expected = list(dict.fromkeys(m.canonical() for m in bound.members))
-        # one member per distinct form, in first-selection order
-        assert [m.canonical() for m in ndset.bind(a, f).members] == expected
-        assert ndset.bind_forms(a, f) == set(expected)
-        entries = [e for m in a.members for e in m.entries]
+        expected = tuple(dict.fromkeys(bound.forms))
+        # one form per distinct composite, in first-selection order
+        assert ndset.bind(a, f).forms == expected
+        assert set(ndset.bind(a, f).forms) == set(bound.forms)
+        entries = [e for m in raw for e in m.entries]
         support = {v for (_, v, p) in entries if p > 0}
-        conts = [f(v) for v in support]
         seen["zero in a"] += any(p == 0 for (_, _, p) in entries)
-        seen["zero in f"] += any(p == 0 for c in conts for m in c.members
+        seen["zero in f"] += any(p == 0 for v in support for m in raw_f[v]
                                  for (_, _, p) in m.entries)
-        seen["equal values"] += any(len(ival.support(m)) < sum(p > 0 for (_, _, p) in m.entries)
-                                    for m in a.members)
-        seen["duplicate members"] += any(len(ndset.forms(c)) < len(c.members) for c in conts)
+        seen["equal values"] += any(
+            len({ival.value_key(v) for (_, v, p) in m.entries if p > 0})
+            < sum(p > 0 for (_, _, p) in m.entries) for m in raw)
+        seen["duplicate members"] += any(len(set(f(v).forms)) < len(f(v).forms)
+                                         for v in support)
         seen["equal across types"] += any(
-            len(set(ival.support(m))) < len({ival.value_key(w) for w in ival.support(m)})
-            for m in bound.members)
+            len(set(vals)) < len({ival.value_key(w) for w in vals})
+            for vals in [[v for (_, v, p) in m.entries if p > 0] for m in bound.members])
     assert min(seen.values()) >= 50, seen
 
 
-def test_bind_forms_decides_subset_of_binds():
+def test_bind_decides_subset_of_binds():
     # dropping one continuation member: the forms route says no exactly
     # where the oracle's binds do
     rng = rng_for(27, "ndset-bind-forms-drop")
     verdicts = set()
     for _ in range(300):
         a = gen_pset(rng, 2, 3)
-        f = gen_cont(rng)
+        (f, _) = gen_cont(rng)
         v = rng.choice(ndset.joint_support(a))
         members = f(v).members
         if len(members) < 2:
             continue
         k = rng.randrange(len(members))
-        dropped = ndset.ProcessSet(members[:k] + members[k + 1:])
+        dropped = ndset.lift(*(members[:k] + members[k + 1:]))
         f2 = lambda x: dropped if x == v else f(x)
         expected = ndset.subset(product_bind(a, f), product_bind(a, f2))
-        assert (ndset.bind_forms(a, f) <= ndset.bind_forms(a, f2)) == expected
+        assert ndset.subset(ndset.bind(a, f), ndset.bind(a, f2)) == expected
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def test_pchoice_forms_agree_with_valuation_pchoice():
+    rng = rng_for(29, "ndset-pchoice-forms")
+    seen = {"p=0": 0, "p=1": 0, "zero entry": 0}
+    for _ in range(400):
+        (xs, ys) = (gen_members(rng, 3, 4), gen_members(rng, 3, 4))
+        den = rng.randint(1, 6)
+        p = F(rng.choice([0, den, rng.randint(0, den)]), den)
+        got = ndset.pchoice(ndset.lift(*xs), p, ndset.lift(*ys))
+        assert got.forms == tuple(ival.pchoice(x, p, y).canonical() for x in xs for y in ys)
+        seen["p=0"] += p == 0
+        seen["p=1"] += p == 1
+        seen["zero entry"] += any(q == 0 for m in xs + ys for (_, _, q) in m.entries)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_extrema_agree_with_member_expectations():
+    rng = rng_for(30, "ndset-extrema-forms")
+    for _ in range(300):
+        raw = gen_members(rng, 4, 5)
+        a = ndset.lift(*raw)
+        f = gen_fun_rational(rng, ndset.joint_support(a))
+        assert ndset.ex_max(f, a) == max(ival.expected_value(f, m) for m in raw)
+        assert ndset.ex_min(f, a) == min(ival.expected_value(f, m) for m in raw)
+        assert ndset.ex_max(f, a) == max(ival.expected_value(f, m) for m in a.members)
+
+
+def test_lift_of_members_keeps_the_forms():
+    rng = rng_for(33, "ndset-lift-members")
+    for _ in range(200):
+        (a, b) = (gen_pset(rng, 3, 3), gen_pset(rng, 2, 2))
+        (f, _) = gen_cont(rng)
+        for s in (a, ndset.union(a, a), ndset.pchoice(a, F(1, 3), b), ndset.bind(a, f)):
+            assert ndset.lift(*s.members).forms == s.forms
 
 
 def test_subset_p_solves_each_distribution_once(monkeypatch):

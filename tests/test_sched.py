@@ -153,6 +153,22 @@ def test_extremal_long_schedule_needs_no_recursion_limit(monkeypatch):
     assert res.longest_path == 18_006
 
 
+def test_deep_values_step_without_recursion():
+    # a pair 2,000 deep is a value and is read as one on the machine's
+    # own stack, at the default recursion limit
+    deep = "(pair #t " * 2000 + "()" + ")" * 2000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = sched.extremal_expectation(parse(f"(fst {deep})"), 10,
+                                         models.read_true_indicator)
+        assert res.lo == res.hi == 1
+        assert lang.is_value(parse(deep))
+        assert lang.to_val(parse(f"(snd {deep})").args[0]).fst == lang.TRUE
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_extracted_adversary_ignores_the_step_count():
     # the adversary is a map from configuration to thread: a memoized
     # configuration gets its recorded choice at any step
