@@ -87,26 +87,18 @@ class Verdict:
         return {f.clause for f in self.failures}
 
 
-def marginal_left(joint: IndexedValuation) -> IndexedValuation:
-    return ival.map_values(lambda xy: xy[0], joint)
-
-
-def marginal_right(joint: IndexedValuation) -> IndexedValuation:
-    return ival.map_values(lambda xy: xy[1], joint)
-
-
 def check_witness(goal: CouplingGoal, w: CouplingWitness) -> Verdict:
     """Evaluate all four clauses; failures name the clause and a witness."""
     failures = []
 
-    left = marginal_left(w.joint)
+    left = ival.map_values(lambda xy: xy[0], w.joint)
     if not ival.prob_equiv(left, goal.lhs):
         failures.append(ClauseFailure(
             CLAUSE_LHS,
             f"marginal {ival.to_distribution(left).weights} != "
             f"lhs {ival.to_distribution(goal.lhs).weights}"))
 
-    right = marginal_right(w.joint)
+    right = ival.map_values(lambda xy: xy[1], w.joint)
     if not ival.prob_equiv(right, w.rhs_pick):
         failures.append(ClauseFailure(
             CLAUSE_RHS_PICK,

@@ -599,14 +599,6 @@ def to_sexpr(e: Expr):
     return _bottom_up(e, _printed)
 
 
-def val_to_sexpr(v: Val):
-    """The s-expression of the expression ``of_val(v)``, which denotes
-    ``v``."""
-    if not isinstance(v, Val):
-        raise TypeError(f"not a value: {v!r}")
-    return _bottom_up(v, _printed)
-
-
 def _printed(t):
     """``(parts, build)`` for ``to_sexpr``: the terms and values whose
     s-expressions the one of the term or value ``t`` contains, in order,

@@ -11,6 +11,10 @@ members, probabilistically dominated sets by mixing members with
 ``pchoice``, probabilistically equivalent valuations by mass splitting,
 merging and index relabelling.  The conclusion is then checked with the
 actual decision procedures.
+
+Set premises are built on member forms, which every set relation
+respects: relabelling keeps a form, so ``relabel_form`` only makes
+``relabel``'s draws, and the laws' random streams stay pinned.
 """
 
 from __future__ import annotations
@@ -63,46 +67,50 @@ def gen_pset(rng: random.Random, max_members: int = 4, max_support: int = 5,
     return ndset.lift(*[gen_ival(rng, max_support, pool) for _ in range(n)])
 
 
+def keyed(table: dict, default=None) -> Callable:
+    """``v -> table[value_key(v)]``, or ``default`` off the table."""
+    return lambda v: table.get(value_key(v), default)
+
+
 def gen_fun_rational(rng: random.Random, domain) -> Callable:
-    table = {value_key(v): gen_rational(rng) for v in domain}
-
-    def f(v):
-        return table.get(value_key(v), Fraction(0))
-
-    return f
+    return keyed({value_key(v): gen_rational(rng) for v in domain}, Fraction(0))
 
 
 def gen_fun_pset(rng: random.Random, domain, max_members: int = 2,
                  max_support: int = 2) -> Callable:
     table = {value_key(v): gen_pset(rng, max_members, max_support) for v in domain}
-    default = gen_pset(rng, max_members, max_support)
-
-    def f(v):
-        return table.get(value_key(v), default)
-
-    return f
+    return keyed(table, gen_pset(rng, max_members, max_support))
 
 
 def gen_fun_ival(rng: random.Random, domain) -> Callable:
     table = {value_key(v): gen_ival(rng, 3) for v in domain}
-    default = gen_ival(rng, 3)
+    return keyed(table, gen_ival(rng, 3))
 
-    def f(v):
-        return table.get(value_key(v), default)
 
-    return f
+def _relabel_draws(rng: random.Random, entries: list) -> tuple:
+    """Shuffle ``entries``, then draw an index salt and a zero-pad value
+    or ``None``; the draws depend only on ``len(entries)``."""
+    rng.shuffle(entries)
+    salt = rng.randint(0, 10**6)
+    return salt, (rng.choice(VALUE_POOL) if rng.random() < 0.3 else None)
 
 
 def relabel(rng: random.Random, m: IndexedValuation) -> IndexedValuation:
     """An ``equiv`` variant: permute entries, relabel indices, toggle
     zero-probability padding."""
     entries = [e for e in m.entries if e[2] > 0]
-    rng.shuffle(entries)
-    salt = rng.randint(0, 10**6)
+    (salt, pad) = _relabel_draws(rng, entries)
     out = [(("rl", salt, i), v, p) for (i, (_, v, p)) in enumerate(entries)]
-    if rng.random() < 0.3:
-        out.append((("rl", salt, len(out)), rng.choice(VALUE_POOL), Fraction(0)))
+    if pad is not None:
+        out.append((("rl", salt, len(out)), pad, Fraction(0)))
     return IndexedValuation(tuple(out))
+
+
+def relabel_form(rng: random.Random, form: tuple) -> tuple:
+    """Make ``relabel``'s draws for a member of canonical form ``form``
+    and return ``form``, which relabelling keeps."""
+    _relabel_draws(rng, list(form[1]))
+    return form
 
 
 def prob_equiv_variant(rng: random.Random, m: IndexedValuation) -> IndexedValuation:
@@ -133,12 +141,11 @@ def prob_equiv_variant(rng: random.Random, m: IndexedValuation) -> IndexedValuat
 
 
 def pset_equiv_variant(rng: random.Random, s: ProcessSet) -> ProcessSet:
-    members = s.members
-    out = [relabel(rng, m) for m in members]
+    out = [relabel_form(rng, form) for form in s.forms]
     if rng.random() < 0.4:
-        out.append(relabel(rng, rng.choice(members)))
+        out.append(relabel_form(rng, rng.choice(s.forms)))
     rng.shuffle(out)
-    return ndset.lift(*out)
+    return ProcessSet(tuple(out), s.values)
 
 
 def superset_of(rng: random.Random, s: ProcessSet) -> ProcessSet:
@@ -146,20 +153,20 @@ def superset_of(rng: random.Random, s: ProcessSet) -> ProcessSet:
     return pset_equiv_variant(rng, ndset.union(s, extra))
 
 
-def mixture_member(rng: random.Random, s: ProcessSet) -> IndexedValuation:
-    """A random convex combination of members of ``s`` (via pchoice trees),
-    hence a valuation whose distribution lies in the hull of ``s``."""
-    members = s.members
-    m = rng.choice(members)
+def mixture_member(rng: random.Random, s: ProcessSet) -> tuple:
+    """The form of a random convex combination of members of ``s`` (via
+    pchoice trees), whose distribution lies in the hull of ``s``."""
+    singles = [ProcessSet((form,), s.values) for form in s.forms]
+    m = rng.choice(singles)
     for _ in range(rng.randint(0, 2)):
-        m = ival.pchoice(m, gen_prob(rng), rng.choice(members))
-    return m
+        m = ndset.pchoice(m, gen_prob(rng), rng.choice(singles))
+    return m.forms[0]
 
 
 def dominated_by(rng: random.Random, s: ProcessSet) -> ProcessSet:
     """A set that is ``subset_p`` of ``s`` by construction."""
     n = rng.randint(1, 3)
-    return ndset.lift(*[mixture_member(rng, s) for _ in range(n)])
+    return ProcessSet(tuple([mixture_member(rng, s) for _ in range(n)]), s.values)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +345,7 @@ def law_subset_bind_cong(rng):
     b = superset_of(rng, a)
     domain = ndset.joint_support(b)
     f1 = gen_fun_pset(rng, domain)
-    table = {value_key(v): superset_of(rng, f1(v)) for v in domain}
-
-    def f2(v):
-        return table[value_key(v)]
-
+    f2 = keyed({value_key(v): superset_of(rng, f1(v)) for v in domain})
     if not ndset.subset(ndset.bind(a, f1), ndset.bind(b, f2)):
         return f"a={a} b={b}"
 
@@ -391,11 +394,7 @@ def law_pe_bind_cong(rng):
     m1 = gen_ival(rng, 3)
     m2 = prob_equiv_variant(rng, m1)
     f1 = gen_fun_ival(rng, VALUE_POOL)
-    table = {value_key(v): prob_equiv_variant(rng, f1(v)) for v in VALUE_POOL}
-
-    def f2(v):
-        return table[value_key(v)]
-
+    f2 = keyed({value_key(v): prob_equiv_variant(rng, f1(v)) for v in VALUE_POOL})
     if not ival.prob_equiv(ival.bind(m1, f1), ival.bind(m2, f2)):
         return f"m1={m1} m2={m2}"
 
@@ -446,8 +445,8 @@ def law_ps_trans(rng):
 def law_ps_weaken(rng):
     b = gen_pset(rng, 2, 3)
     a = dominated_by(rng, b)
-    a_sub = ndset.lift(*[
-        relabel(rng, m) for m in a.members[: rng.randint(1, len(a.members))]])
+    kept = a.forms[: rng.randint(1, len(a.forms))]
+    a_sub = ProcessSet(tuple([relabel_form(rng, form) for form in kept]), a.values)
     b_sup = superset_of(rng, b)
     if not ndset.subset_p(a_sub, b_sup):
         return f"a'={a_sub} b'={b_sup}"
@@ -459,11 +458,7 @@ def law_ps_bind_cong(rng):
     a = dominated_by(rng, b)
     domain = ndset.joint_support(ndset.union(a, b))
     f2 = gen_fun_pset(rng, domain)
-    table = {value_key(v): dominated_by(rng, f2(v)) for v in domain}
-
-    def f1(v):
-        return table[value_key(v)]
-
+    f1 = keyed({value_key(v): dominated_by(rng, f2(v)) for v in domain})
     if not ndset.subset_p(ndset.bind(a, f1), ndset.bind(b, f2)):
         return f"a={a} b={b}"
 
@@ -533,11 +528,7 @@ def law_ex_pchoice(rng):
 @_law(LAWS, "extrema", "compose-map")
 def law_ex_compose(rng):
     a = gen_pset(rng, 3, 3)
-    table = {value_key(v): rng.choice(VALUE_POOL) for v in VALUE_POOL}
-
-    def fmap(v):
-        return table[value_key(v)]
-
+    fmap = keyed({value_key(v): rng.choice(VALUE_POOL) for v in VALUE_POOL})
     g = gen_fun_rational(rng, VALUE_POOL)
     mapped = ndset.bind(a, lambda x: ndset.ret(fmap(x)))
     if ndset.ex_min(lambda v: g(fmap(v)), a) != ndset.ex_min(g, mapped):

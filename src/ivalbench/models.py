@@ -486,7 +486,7 @@ def read_int(v) -> Fraction:
 def read_pow2_minus_1(v) -> Fraction:
     if not isinstance(v, VInt):
         raise FunctionalError(f"expected an integer result, got {v!r}")
-    return Fraction(2 ** v.n - 1)
+    return Fraction(2) ** v.n - 1
 
 
 def read_true_indicator(v) -> Fraction:

@@ -7,9 +7,10 @@ its members' canonical forms ``(den, sorted (value_key, numerator))`` in
 lowest terms (see ``IndexedValuation.canonical``), in order and with
 repeats, beside a ``value_key -> value`` table through which ``ex_min``
 and ``ex_max`` call their function on real values.  ``lift`` is the one
-constructor from valuations; ``members`` rebuilds them (index = position)
-for the callers that need indices.  Every operation works on the forms,
-which hash and compare as ints and keys, never Fractions.
+constructor from valuations; ``members``, the one place that rebuilds
+them (index = position), serves only ``coupling.couple_trivial``.  Every
+operation works on the forms, which hash and compare as ints and keys,
+never Fractions.
 
 ``bind`` selects *per index*: each member and each assignment of one
 continuation member to every index in its indicial support give one
@@ -63,7 +64,8 @@ class ProcessSet:
 
     @property
     def members(self) -> tuple:
-        """The members as valuations, rebuilt with index = position."""
+        """The members as valuations, rebuilt with index = position: the
+        one rebuild, read only by ``coupling.couple_trivial``."""
         return tuple(IndexedValuation(tuple((i, self.values[k], Fraction(n, den))
                                             for (i, (k, n)) in enumerate(pairs)))
                      for (den, pairs) in self.forms)

@@ -564,6 +564,8 @@ def monte_carlo(prog: Expr, policy: SchedulerPolicy, budget: int, f: Callable,
     fails to terminate within the budget is an error, not a silent
     truncation.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, not {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
     if workers > 1 and trials >= 2 * workers:

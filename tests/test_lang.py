@@ -287,7 +287,7 @@ def test_deep_terms_print_and_parse_without_recursion():
     try:
         text = lang.unparse(e)
         assert lang.parse(text) is e
-        printed = sexpr.write(lang.val_to_sexpr(v))
+        printed = sexpr.write(lang.to_sexpr(lang.of_val(v)))
     finally:
         sys.setrecursionlimit(limit)
     assert text.count("(") == text.count(")") > 5_000

@@ -69,12 +69,18 @@ def test_dlm_two_thread_bias():
     assert res.lo < 2 < res.hi
 
 
+def test_read_pow2_minus_1_exact_for_negative_counts():
+    assert models.read_pow2_minus_1(VInt(3)) == 7
+    assert models.read_pow2_minus_1(VInt(-1)) == F(-1, 2)
+    assert models.read_pow2_minus_1(VInt(-2000)) == F(1, 2**2000) - 1
+
+
 # -- monadic counter specifications -------------------------------------------
 
 
 def test_approx_incr_members():
     s = models.approx_incr(4)
-    assert len(s.members) == 5
+    assert len(s.forms) == 5
     for (k, m) in enumerate(s.members):
         assert ival.expected_value(ident, m) == 1
         assert dict(ival.to_distribution(m).weights)[k + 1] == F(1, k + 1)
@@ -117,7 +123,7 @@ def test_approx_n_prime_base_and_member_count():
     assert ndset.equiv(comp.materialize(models.approx_n_prime(0, 4, 9, 1)), ndset.ret((4, 9)))
     # counted by hand-expanding the early-stop recursion at n=2, cap 1:
     # 13 members, two of them equiv, so the bind keeps 12
-    assert len(comp.materialize(models.approx_n_prime(2, 0, 0, 1)).members) == 12
+    assert len(comp.materialize(models.approx_n_prime(2, 0, 0, 1)).forms) == 12
 
 
 # -- skip list cost model ------------------------------------------------------
@@ -147,7 +153,7 @@ def test_skip_spec_base_case():
 
 def test_skip_spec_single_key_expansion():
     one = comp.materialize(models.skip_list_spec((5,)))
-    assert len(one.members) == 1
+    assert len(one.forms) == 1
     assert ival.to_distribution(one.members[0]).weights == \
         ((((), (5,)), F(1, 2)), (((5,), (5,)), F(1, 2)))
 
@@ -205,8 +211,8 @@ def test_skip_spec_set_equiv_bind_oracle():
         for l in combinations(universe, size):
             assert ndset.equiv(models.skip_list_spec_set(l),
                                comp.materialize(bind_skip_spec(l, (), ())))
-    assert len(models.skip_list_spec_set((1, 2, 3)).members) == 1
-    assert len(comp.materialize(bind_skip_spec((1, 2, 3), (), ())).members) == 1
+    assert len(models.skip_list_spec_set((1, 2, 3)).forms) == 1
+    assert len(comp.materialize(bind_skip_spec((1, 2, 3), (), ())).forms) == 1
 
 
 def test_skip_spec_rejects_bad_keys():

@@ -21,7 +21,7 @@ def two_point(a, b, p=F(1, 2)):
 
 def test_ret_singleton():
     s = ndset.ret(0)
-    assert len(s.members) == 1
+    assert len(s.forms) == 1
     assert ndset.ex_min(ident, ndset.ret(7)) == 7
     assert ndset.ex_max(ident, ndset.ret(7)) == 7
     assert ndset.equiv(ndset.ret(3), ndset.ret(3))
@@ -46,7 +46,7 @@ def test_union_laws_and_upper_bound():
 def test_pchoice_cartesian_count():
     a = ndset.union(ndset.ret(0), ndset.ret(1))
     b = ndset.union(ndset.ret(2), ndset.union(ndset.ret(3), ndset.ret(4)))
-    assert len(ndset.pchoice(a, F(1, 2), b).members) == 2 * 3
+    assert len(ndset.pchoice(a, F(1, 2), b).forms) == 2 * 3
 
 
 def test_pchoice_one_keeps_left():
@@ -83,8 +83,8 @@ def test_bind_selects_per_index():
     src = ndset.lift(two_point(0, 1))
     cont = lambda _: ndset.union(ndset.ret(10), ndset.ret(20))
     out = ndset.bind(src, cont)
-    assert len(product_bind(src, cont).members) == 4
-    assert len(out.members) == 3
+    assert len(product_bind(src, cont).forms) == 4
+    assert len(out.forms) == 3
     dists = {ival.to_distribution(m).weights for m in out.members}
     mixed = ((10, F(1, 2)), (20, F(1, 2)))
     assert mixed in dists
@@ -93,12 +93,12 @@ def test_bind_selects_per_index():
 def test_dedup_merges_equiv_members():
     m = two_point(0, 1)
     s = ndset.lift(m, m, ival.ret(5))
-    assert len(ndset.dedup(s).members) == 2
+    assert len(ndset.dedup(s).forms) == 2
 
 
 def test_orderings_tell_values_apart_by_structure():
     assert not ndset.equiv(ndset.ret(F(2)), ndset.ret(2))
-    assert len(ndset.dedup(ndset.union(ndset.ret(0), ndset.ret(False))).members) == 2
+    assert len(ndset.dedup(ndset.union(ndset.ret(0), ndset.ret(False))).forms) == 2
 
 
 def test_subset_and_equiv():
@@ -318,7 +318,7 @@ def test_subset_p_solves_each_distribution_once(monkeypatch):
                 sep = [(values[d], c) for (d, c) in enumerate(res.certificate[:len(values)])
                        if c != 0]
                 assert (cert.weights, cert.separating) == (None, sep)
-        n = len(a.members)
+        n = len(a.forms)
         for j in range(n):
             assert (certs[j + n].weights, certs[j + n].separating) == \
                 (certs[j].weights, certs[j].separating)

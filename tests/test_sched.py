@@ -261,6 +261,13 @@ def test_monte_carlo_worker_invariance():
         sched.monte_carlo(prog, sched.round_robin(), 80, read_int, 600, seed=8, workers=0)
 
 
+def test_monte_carlo_needs_a_trial():
+    prog = parse("(flip 1 2)")
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sched.monte_carlo(prog, sched.round_robin(), 3, read_int, trials, seed=1)
+
+
 class StubRng:
     """``random()`` returns a fixed float, ``getrandbits(53)`` fixed bits."""
 
