@@ -262,7 +262,7 @@ def couple_conseq(d: Derivation, predicate, name: str = "P'") -> Derivation:
 
 def couple_trivial(lhs: IndexedValuation, rhs: ProcessSet) -> Derivation:
     """The always-true coupling: pair lhs product-style with any member."""
-    pick = rhs.members[0]
+    pick = rhs.member(0)
     joint = ival.bind(lhs, lambda x: ival.map_values(lambda y: (x, y), pick))
     goal = CouplingGoal(lhs, rhs, lambda x, y: True, "TRUE")
     return Derivation(goal, CouplingWitness(joint, pick, "TRUE"))

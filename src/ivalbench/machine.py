@@ -9,13 +9,18 @@ against the current heap on every scheduling, which is what lets ``wait``
 block and later resume.
 
 A step is decompose, rule, plug (Felleisen & Hieb 1992; Danvy &
-Nielsen, "Refocusing in reduction semantics", 2004).  ``decompose`` walks
+Nielsen, "Refocusing in reduction semantics", 2004).  ``refocus`` walks
 down the evaluation positions that ``lang.FORMS`` lists, always into the
-first one that is not a value, and returns the context as a list of
-frames with the redex below it; ``RULES`` holds one rule per redex
-constructor, which gives the redex's outcomes in the current heap; and
-``plug`` rebuilds each outcome's context around it.  The walk is a loop,
-so a deep context needs no recursion.
+first one that is not a value, and keeps the context as a list of frames
+above its focus; a value focus fills the hole of the innermost frame,
+which is popped, and the walk goes on from the rebuilt node.
+``decompose`` is ``refocus`` from the empty context.  ``RULES`` holds one
+rule per redex constructor, which gives the redex's outcomes in the
+current heap, and ``plug`` rebuilds each outcome's context around it.
+Refocusing a contractum from the hole instead finds the next redex
+without rebuilding the context: a run of steps then costs O(redex) each,
+not O(depth), and is plugged once, which the exact analysis's fused local
+steps use.  The walks are loops, so a deep context needs no recursion.
 
 A configuration is a nonempty thread pool plus a heap; stepping thread
 ``i`` replaces its expression, applies the heap effect, and appends any
@@ -125,23 +130,53 @@ _TRUE_LIT = Lit(lang.TRUE)
 _FALSE_LIT = Lit(lang.FALSE)
 
 
-def decompose(e: Expr):
-    """``(frames, redex)`` with ``plug(frames, redex) is e``, or ``None``
-    when ``e`` is a value or its next redex would be a variable (an open
-    term, which no rule reduces).  A frame ``(node, k)`` is a node whose
-    evaluation positions before its ``k``-th are values and whose ``k``-th
-    is not; the redex is the first node on that path whose evaluation
-    positions are all values.  Iterative, so context depth is not bounded
-    by the recursion limit."""
-    frames = []
+def refocus(frames: list, e: Expr) -> Expr:
+    """Continue decomposition with ``e`` in the hole of the context
+    ``frames``, extending or popping ``frames`` in place, and return the
+    focus: ``plug(frames, focus)`` is ``plug(frames, e)`` as it was called.
+    The focus is the next redex (its type is in ``RULES``), or a value with
+    no frame left, or a variable where the next redex would be (an open
+    term, which no rule reduces).
+
+    A frame ``(node, k)`` is a node whose evaluation positions before its
+    ``k``-th are values and whose ``k``-th is not.  A non-value focus is
+    descended into, through its first evaluation position that is not a
+    value.  A value focus fills the hole of the innermost frame, which is
+    popped and rebuilt around it; the rebuilt node is the new focus, so a
+    node whose later evaluation positions are values becomes the redex,
+    and one with a later non-value position is descended into again.
+    After a rule fires, ``refocus(frames, contractum)`` finds the next
+    redex from the hole, without plugging from the root (Danvy & Nielsen
+    2004).  A frame left in place keeps the child it was pushed with at
+    its hole, which ``plug`` replaces.  Iterative, so context depth is not
+    bounded by the recursion limit."""
     while True:
+        if e.is_val:
+            if not frames:
+                return e
+            (node, k) = frames.pop()
+            form = FORMS[type(node)]
+            kids = form.kids(node)
+            e = form.make(node, kids[:k] + (e,) + kids[k + 1:])
+            continue
         for (k, c) in enumerate(FORMS[type(e)].evaluated(e)):
-            if not is_value(c):
+            if not c.is_val:
                 frames.append((e, k))
                 e = c
                 break
         else:
-            return (frames, e) if type(e) in RULES else None
+            return e
+
+
+def decompose(e: Expr):
+    """``(frames, redex)`` with ``plug(frames, redex) is e``, or ``None``
+    when ``e`` is a value or its next redex would be a variable: the
+    ``refocus`` of ``e`` in the empty context.  The redex is the first
+    node on the path of first non-value evaluation positions whose
+    evaluation positions are all values."""
+    frames = []
+    focus = refocus(frames, e)
+    return (frames, focus) if type(focus) in RULES else None
 
 
 def plug(frames: list, e: Expr) -> Expr:

@@ -7,8 +7,8 @@ its members' canonical forms ``(den, sorted (value_key, numerator))`` in
 lowest terms (see ``IndexedValuation.canonical``), in order and with
 repeats, beside a ``value_key -> value`` table through which ``ex_min``
 and ``ex_max`` call their function on real values.  ``lift`` is the one
-constructor from valuations; ``members``, the one place that rebuilds
-them (index = position), serves only ``coupling.couple_trivial``.  Every
+constructor from valuations; ``member``, the one place that rebuilds
+one (index = position), serves only ``coupling.couple_trivial``.  Every
 operation works on the forms, which hash and compare as ints and keys,
 never Fractions.
 
@@ -62,13 +62,17 @@ class ProcessSet:
         if not self.forms:
             raise ValueError("process set must be nonempty")
 
+    def member(self, j: int) -> IndexedValuation:
+        """Member ``j`` as a valuation, rebuilt with index = position: the
+        one rebuild, read only by ``coupling.couple_trivial``."""
+        (den, pairs) = self.forms[j]
+        return IndexedValuation(tuple((i, self.values[k], Fraction(n, den))
+                                      for (i, (k, n)) in enumerate(pairs)))
+
     @property
     def members(self) -> tuple:
-        """The members as valuations, rebuilt with index = position: the
-        one rebuild, read only by ``coupling.couple_trivial``."""
-        return tuple(IndexedValuation(tuple((i, self.values[k], Fraction(n, den))
-                                            for (i, (k, n)) in enumerate(pairs)))
-                     for (den, pairs) in self.forms)
+        """Every member, as ``member`` rebuilds it."""
+        return tuple(self.member(j) for j in range(len(self.forms)))
 
     def __repr__(self):
         return "PSet{" + ", ".join("IVal[" + ", ".join(

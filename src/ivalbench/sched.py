@@ -29,11 +29,17 @@ succeeds (Baier & Katoen, *Principles of Model Checking*, ch. 10).
 ``explored_states`` counts distinct configurations.  ``machine.successors``
 builds each configuration's successors; the threads it does not reject
 are enabled.  The walk keeps its own stack, one generator per
-configuration being valued, so a schedule of any length leaves the
-interpreter's recursion limit alone.  The configurations on that stack
-form a gray set (Cormen et al., depth-first search): reaching one of them
-again closes a cycle of positive probability, which an adversary can
-follow forever, so no budget suffices and the analysis says so at once.
+configuration being expanded, so a schedule of any length leaves the
+interpreter's recursion limit alone.  A configuration values each of its
+successors in place when it is terminated or settles into a memoized
+configuration, so only a memo miss starts a generator.  A successor with
+one outcome passes its (lo, hi) through; several outcomes are summed as
+integers over one common denominator (``ival.weighted_sum``), one
+``Fraction`` per bound.  The
+configurations on that stack form a gray set (Cormen et al., depth-first
+search): reaching one of them again closes a cycle of positive
+probability, which an adversary can follow forever, so no budget suffices
+and the analysis says so at once.
 Without the check it would go round the cycle until the budget ran out
 and give the same ``budget insufficient`` verdict.
 
@@ -66,10 +72,13 @@ what the unfused recursion gives at every budget.  A thread whose local
 steps repeat an expression loops forever, so it raises ``budget
 insufficient`` soon after the repeat, which ``_local_chain`` finds in
 constant memory; one that loops without repeating runs until the budget
-is spent and then raises.
+is spent and then raises.  ``_local_chain`` keeps the thread as
+(frames, redex) and refocuses each contractum from the hole
+(``machine.refocus``), so a fused step costs O(redex) however deep its
+context, and the thread is plugged once, at the chain's end.
 
 A thread's work recurs in every configuration that holds it, so each
-analysis call derives it once per distinct thread, in two memos of its
+analysis call derives it once per distinct thread, in three memos of its
 own that die with the call.  Terms are hash-consed, so a key hashes in
 O(1) however deep its expression (Filliatre & Conchon 2006).
 
@@ -80,6 +89,9 @@ O(1) however deep its expression (Filliatre & Conchon 2006).
   than the chain needs raises ``budget insufficient``, as running it
   would, and otherwise spends the whole chain, so ``fused_steps`` counts
   what the unmemoized loop counts.
+* The contractum of a local redex, keyed by the redex: a local rule
+  ignores the heap, so a redex that several threads or chains reach is
+  substituted once.  It holds O(distinct redexes), never a context.
 * The step of a thread, keyed by (expression, state): a thread's outcomes
   depend on its expression and the heap alone.  ``machine.successors``
   builds each successor configuration from them and the configuration's
@@ -90,7 +102,8 @@ O(1) however deep its expression (Filliatre & Conchon 2006).
 and a memo would keep every expression of the run alive, O(steps x depth)
 nodes for a deep context that ``plug`` rebuilds on each step.  The
 extracted adversary caches, per (expression, is the first thread), whether
-a fused step is pending.
+a fused step is pending, which it decides by decomposing the thread and
+applying the rule, without plugging.
 
 Collapsing history-dependent schedulers to configuration keys is
 justified for expected-value objectives and checked empirically:
@@ -117,12 +130,12 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 from weakref import WeakKeyDictionary
 
 from ivalbench import comp, machine
-from ivalbench.ival import as_rational
-from ivalbench.lang import FORMS, Expr, is_value, to_val
+from ivalbench.ival import as_rational, weighted_sum
+from ivalbench.lang import FORMS, Expr, Pair, is_value, to_val
 from ivalbench.machine import (
     Config, State, config_step, initial_config, is_terminated, outcomes, successors,
 )
@@ -269,19 +282,28 @@ def enabled_threads(c: Config) -> list:
             if not is_value(e) and outcomes(e, c.state) is not None]
 
 
-def fused_successor(e: Expr, s: State, first: bool) -> Optional[Expr]:
-    """The thread's expression after its next step if the analysis fuses
-    that step, else None.  Fused: an enabled thread-local step, except the
-    one that turns the ``first`` thread into a value."""
+_STUCK = object()  # the contractum memo's entry for a stuck local redex
+
+
+def _plugs_to_value(frames: list, v: Expr) -> bool:
+    """Whether ``plug(frames, v)`` is a value, for a value ``v``: every
+    frame must be a pair whose other position is a value."""
+    return all(type(node) is Pair and (k or node.snd.is_val) for (node, k) in frames)
+
+
+def _pending(e: Expr, s: State, first: bool) -> bool:
+    """Whether the analysis fuses the thread's next step: an enabled
+    thread-local step, except the one that turns the ``first`` thread into
+    a value."""
     split = machine.decompose(e)
     if split is None or not FORMS[type(split[1])].local:
-        return None
+        return False
     (frames, redex) = split
     res = machine.RULES[type(redex)](redex, s)
     if res is None:
-        return None  # stuck for good: a local side condition ignores the heap
-    e2 = machine.plug(frames, res[0][1])
-    return None if first and is_value(e2) else e2
+        return False  # stuck for good: a local side condition ignores the heap
+    r = res[0][1]
+    return not (first and r.is_val and _plugs_to_value(frames, r))
 
 
 _BUDGET_INSUFFICIENT = "budget insufficient: an adversary reaches the horizon unterminated"
@@ -289,24 +311,44 @@ _LOCAL_LOOP = "budget insufficient: a thread's local steps repeat an expression,
 _CYCLE = "budget insufficient: an adversary can revisit a configuration forever"
 
 
-def _local_chain(e: Expr, s: State, first: bool, limit: int) -> tuple:
+def _local_chain(e: Expr, s: State, first: bool, limit: int, contracta: dict) -> tuple:
     """``(e2, n)``: the thread at ``e`` reaches ``e2`` after its ``n``
     fused steps, and ``e2``'s next step is not fused.  Raises ``budget
     insufficient`` when ``n`` would exceed ``limit``, or when the steps
-    repeat an expression: they then never end.  A repeat is found in
-    constant memory by comparing each expression with a mark moved to the
-    chain's positions 1, 2, 4, 8, ... (Brent 1980), within a few times the
-    length of the chain's prefix and cycle."""
-    (mark, n, lap) = (e, 0, 1)
-    while (e2 := fused_successor(e, s, first)) is not None:
+    repeat an expression: they then never end.
+
+    The thread is kept as (frames, focus) and refocused after each step,
+    so a step costs O(redex), not O(depth); it is plugged once, at the
+    chain's end.  ``contracta`` maps each local redex to its contractum (or
+    ``_STUCK``), which the heap cannot change.  A repeat is found in
+    constant memory by comparing each state with a mark moved to the
+    chain's positions 1, 2, 4, 8, ... (Brent 1980).  A frame may keep a
+    stale child at its hole, so two states of one expression can differ;
+    after one more round of the cycle they agree, so the repeat is still
+    found within a few times the length of the chain's prefix and cycle."""
+    frames: list = []
+    focus = machine.refocus(frames, e)
+    (mark, n, lap) = (None, 0, 1)
+    while FORMS[type(focus)].local:
+        r = contracta.get(focus)
+        if r is None:
+            res = machine.RULES[type(focus)](focus, s)
+            r = contracta[focus] = _STUCK if res is None else res[0][1]
+        if r is _STUCK:
+            break  # stuck for good: a local side condition ignores the heap
+        if first and r.is_val and _plugs_to_value(frames, r):
+            break  # the step that ends the run stays a scheduling choice
         if n == limit:
             raise ScheduleError(_BUDGET_INSUFFICIENT)
-        if e2 is mark:  # hash-consed: equal terms are one object
+        if mark is None:
+            mark = (frames.copy(), focus)
+        focus = machine.refocus(frames, r)
+        if focus is mark[1] and frames == mark[0]:  # hash-consed: compared by identity
             raise ScheduleError(_LOCAL_LOOP)
-        (e, n) = (e2, n + 1)
+        n += 1
         if n == lap:
-            (mark, lap) = (e, 2 * lap)
-    return (e, n)
+            (mark, lap) = ((frames.copy(), focus), 2 * lap)
+    return (e, 0) if n == 0 else (machine.plug(frames, focus), n)
 
 
 def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult:
@@ -320,6 +362,7 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
     """
     memo: dict = {}
     chains: dict = {}  # (expression, is the first thread) -> _local_chain's (e2, n)
+    contracta: dict = {}  # local redex -> its contractum, or _STUCK
     steps: dict = {}  # (expression, state) -> the thread's outcomes
     gray: set = set()  # the settled configurations being valued on the stack
     fused = 0
@@ -334,7 +377,7 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
             key = (threads[j], j == 0)
             chain = chains.get(key)
             if chain is None:
-                chain = chains[key] = _local_chain(threads[j], c.state, j == 0, k)
+                chain = chains[key] = _local_chain(threads[j], c.state, j == 0, k, contracta)
             elif chain[1] > k:
                 raise ScheduleError(_BUDGET_INSUFFICIENT)
             (threads[j], n) = chain
@@ -344,19 +387,12 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
         fused += k0 - k
         return Config(tuple(threads), c.state), k
 
-    def value(c: Config, k: int, todo):
-        """(lo, hi, longest path) of ``c`` with ``k`` steps left, as a
-        generator: it yields the arguments of each successor it needs
-        valued and is sent that successor's triple."""
-        if is_terminated(c):
-            v = as_rational(f(to_val(c.threads[0])))
-            return (v, v, 0)
-        (c, left) = settle(c, k, todo)
-        hit = memo.get(c)
-        if hit is not None:
-            if hit[4] > left:  # valuing ``c`` again could only run out of budget
-                raise ScheduleError(_BUDGET_INSUFFICIENT)
-            return (hit[0], hit[1], k - left + hit[4])
+    def expand(c: Config, left: int):
+        """The memo entry of the settled ``c``, which is not memoized yet,
+        with ``left`` steps left, as a generator.  A successor that is
+        terminated or settles into a memoized configuration is valued in
+        place; for any other, it yields the settled successor and its
+        budget and is sent that successor's entry."""
         if c in gray:  # a cycle of positive probability: no budget suffices
             raise ScheduleError(_CYCLE)
         n = len(c.threads)
@@ -369,18 +405,33 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
         gray.add(c)
         best = None
         longest = 0
+        k = left - 1
         for (i, succ) in succs:
-            lo_i = Fraction(0)
-            hi_i = Fraction(0)
+            valued = []  # (prob, lo, hi) of each outcome
             for (p, c2) in succ:
                 if p == 0:
                     continue
+                if c2.threads[0].is_val:  # terminated
+                    v = as_rational(f(to_val(c2.threads[0])))
+                    valued.append((p, v, v))
+                    continue
                 # only the stepped thread and a thread it forked can have
                 # a pending local step
-                (lo2, hi2, longest2) = yield (c2, left - 1, (i, *range(n, len(c2.threads))))
-                lo_i += p * lo2
-                hi_i += p * hi2
-                longest = max(longest, longest2)
+                (c2, left2) = settle(c2, k, (i, *range(n, len(c2.threads))))
+                hit = memo.get(c2)
+                if hit is None:
+                    hit = yield (c2, left2)
+                elif hit[4] > left2:  # valuing ``c2`` again could only run out of budget
+                    raise ScheduleError(_BUDGET_INSUFFICIENT)
+                valued.append((p, hit[0], hit[1]))
+                longest = max(longest, k - left2 + hit[4])
+            if len(valued) == 1:
+                (_, lo_i, hi_i) = valued[0]
+            else:  # integer weights over one denominator
+                den = math.lcm(*(p.denominator for (p, _, _) in valued))
+                weights = [p.numerator * (den // p.denominator) for (p, _, _) in valued]
+                lo_i = weighted_sum(den, zip(weights, [lo for (_, lo, _) in valued]))
+                hi_i = weighted_sum(den, zip(weights, [hi for (_, _, hi) in valued]))
             if best is None:
                 best = [lo_i, hi_i, i, i]
             else:
@@ -389,23 +440,27 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
                 if hi_i > best[1]:
                     best[1], best[3] = hi_i, i
         gray.remove(c)
-        memo[c] = (*best, 1 + longest)
-        return (best[0], best[1], k - left + 1 + longest)
+        memo[c] = entry = (*best, 1 + longest)
+        return entry
 
     c0 = initial_config([prog])
-    stack = [value(c0, budget, range(len(c0.threads)))]
+    if is_terminated(c0):
+        v = as_rational(f(to_val(c0.threads[0])))
+        return ExtremalResult(v, v, 0, 0, 0, memo)
+    (c, left) = settle(c0, budget, range(len(c0.threads)))
+    stack = [expand(c, left)]
     sent = None
     while True:
         try:
             args = stack[-1].send(sent)
         except StopIteration as done:
             stack.pop()
-            if not stack:
-                (lo, hi, longest) = done.value
-                return ExtremalResult(lo, hi, len(memo), fused, longest, memo)
             sent = done.value
+            if not stack:
+                return ExtremalResult(sent[0], sent[1], len(memo), fused,
+                                      budget - left + sent[4], memo)
         else:
-            stack.append(value(*args))
+            stack.append(expand(*args))
             sent = None
 
 
@@ -434,7 +489,7 @@ class _Extremal:
             known = self.pending[i == 0]
             p = known.get(e)
             if p is None:
-                p = known[e] = fused_successor(e, c.state, i == 0) is not None
+                p = known[e] = _pending(e, c.state, i == 0)
             if p:
                 return i
         return STUTTER

@@ -163,6 +163,28 @@ def test_trivial_rule():
         assert coupling.check_witness(d.goal, d.witness).passed
 
 
+def test_trivial_rule_rebuilds_one_member(monkeypatch):
+    # the derivation is the one built from the first of all the rebuilt
+    # members, but only that member is rebuilt
+    rng = rng_for(43, "coupling-trivial-member")
+    lhs = gen_ival(rng, 3)
+    rhs = ndset.lift(*[gen_ival(rng, 3) for _ in range(300)])
+    pick = rhs.members[0]
+    want = ival.bind(lhs, lambda x: ival.map_values(lambda y: (x, y), pick))
+    built = []
+    rebuild = ndset.IndexedValuation
+
+    def counted(entries):
+        built.append(entries)
+        return rebuild(entries)
+
+    monkeypatch.setattr(ndset, "IndexedValuation", counted)
+    d = coupling.couple_trivial(lhs, rhs)
+    assert len(built) == 1
+    assert (d.goal.lhs, d.goal.rhs, d.goal.name) == (lhs, rhs, "TRUE")
+    assert (d.witness.joint, d.witness.rhs_pick, d.witness.predicate_name) == (want, pick, "TRUE")
+
+
 def test_sandwich_counter_exact():
     for k in range(5):
         d = counter_derivation(k, cap=4)

@@ -474,6 +474,37 @@ def random_concurrent_program(rng: random.Random):
     return Let("l", Alloc(random_local(rng, 2)), seq(*forks, *mine, final))
 
 
+def fused_successor(e, s, first):
+    """The reference fused step, plugged from the root: the thread's
+    expression after its next step if the analysis fuses that step, else
+    None.  Fused: an enabled thread-local step, except the one that turns
+    the ``first`` thread into a value."""
+    split = machine.decompose(e)
+    if split is None or not lang.FORMS[type(split[1])].local:
+        return None
+    (frames, redex) = split
+    res = machine.RULES[type(redex)](redex, s)
+    if res is None:
+        return None  # stuck for good: a local side condition ignores the heap
+    e2 = machine.plug(frames, res[0][1])
+    return None if first and lang.is_value(e2) else e2
+
+
+def reference_chain(e, s, first, limit):
+    """The reference for ``sched._local_chain``: one ``fused_successor``
+    per step, with Brent's check on whole expressions."""
+    (mark, n, lap) = (e, 0, 1)
+    while (e2 := fused_successor(e, s, first)) is not None:
+        if n == limit:
+            raise sched.ScheduleError(sched._BUDGET_INSUFFICIENT)
+        if e2 is mark:
+            raise sched.ScheduleError(sched._LOCAL_LOOP)
+        (e, n) = (e2, n + 1)
+        if n == lap:
+            (mark, lap) = (e, 2 * lap)
+    return (e, n)
+
+
 def extrema_or_error(analysis, prog, budget):
     """The analysis result, or the message of the ScheduleError it raised."""
     try:
@@ -502,7 +533,7 @@ def assert_fused_agrees(prog, max_budget: int = 40):
         else:
             assert (res.lo, res.hi) == (bf.lo, bf.hi), where
             for c in res.policy_lo:  # the memo holds fused configurations only
-                assert not any(sched.fused_successor(e, c.state, i == 0) is not None
+                assert not any(fused_successor(e, c.state, i == 0) is not None
                                for (i, e) in enumerate(c.threads))
             for direction in ("lo", "hi"):
                 pol = sched.extract_policy(res, direction)
@@ -518,6 +549,143 @@ def test_fused_matches_brute_force_on_random_programs():
     rng = random.Random(2024)
     thresholds = [assert_fused_agrees(random_concurrent_program(rng)) for _ in range(60)]
     assert 1 <= thresholds.count(None) <= 10  # deadlocks are covered, but are rare
+
+
+def reachable_threads(prog, limit: int = 200) -> set:
+    """(expression, state) of every thread of the first ``limit``
+    configurations that some schedule reaches from ``prog``."""
+    start = machine.initial_config([prog])
+    (seen, queue, threads) = ({start}, [start], set())
+    for c in queue:
+        if len(seen) > limit:
+            break
+        for (i, e) in enumerate(c.threads):
+            threads.add((e, c.state))
+            for (_, c2, _) in machine.config_step(c, i).entries:
+                if c2 not in seen:
+                    seen.add(c2)
+                    queue.append(c2)
+    return threads
+
+
+def chain_or_error(chain, *args):
+    try:
+        return chain(*args)
+    except sched.ScheduleError as exc:
+        return str(exc)
+
+
+def assert_refocus_agrees(e, s):
+    """After each outcome of ``e``'s redex, refocusing from the hole finds
+    the redex that decomposing the plugged thread finds, on the same path,
+    and plugs back to that thread."""
+    split = machine.decompose(e)
+    if split is None:
+        return 0
+    (frames, redex) = split
+    for (_, r, _, _) in machine.RULES[type(redex)](redex, s) or ():
+        after = list(frames)
+        focus = machine.refocus(after, r)
+        e2 = machine.plug(frames, r)
+        assert machine.plug(after, focus) is e2
+        want = machine.decompose(e2)
+        if want is None:
+            assert type(focus) not in machine.RULES
+            assert not after if e2.is_val else type(focus) is Var
+        else:
+            assert focus is want[1]
+            assert [(type(n), k) for (n, k) in after] == [(type(n), k) for (n, k) in want[0]]
+    return 1
+
+
+def test_fast_paths_match_the_plugging_reference():
+    # on the threads the random programs of the agreement test reach: the
+    # refocused chain against one plug per step at several budgets, for the
+    # first thread and any other, with one contractum memo per program;
+    # refocusing against decomposing the plugged thread; and the extracted
+    # adversary's pending test against the reference fused step
+    rng = random.Random(2024)
+    (chained, refocused) = (collections.Counter(), 0)
+    for _ in range(60):
+        contracta = {}
+        for (e, s) in reachable_threads(random_concurrent_program(rng)):
+            for first in (True, False):
+                assert sched._pending(e, s, first) == (fused_successor(e, s, first) is not None)
+                for limit in (0, 1, 3, 8, 1000):
+                    got = chain_or_error(sched._local_chain, e, s, first, limit, contracta)
+                    assert got == chain_or_error(reference_chain, e, s, first, limit)
+                    chained[type(got) is str or got[1] > 0] += 1
+            refocused += assert_refocus_agrees(e, s)
+    assert chained[True] > 500 and refocused > 1000
+    # a redex under pairs: for the first thread, only the step that
+    # completes every pair around it ends the chain
+    s = machine.State(((0, lang.VInt(1)),), 1)
+    for text in ("(pair (+ 1 2) (+ 3 4))", "(pair 1 (+ 1 2))", "(pair (pair 1 (+ 1 2)) 5)",
+                 "(pair (pair (+ 0 1) 2) (pair 3 (+ 1 3)))", "(fst (pair (+ 1 2) 4))"):
+        e = parse(text)
+        for first in (True, False):
+            assert sched._pending(e, s, first) == (fused_successor(e, s, first) is not None)
+            for limit in (0, 1, 3, 1000):
+                assert (chain_or_error(sched._local_chain, e, s, first, limit, {})
+                        == chain_or_error(reference_chain, e, s, first, limit)), (text, first)
+        refocused += assert_refocus_agrees(e, s)
+    # random terms of the whole grammar, pairs and open terms among them
+    rng = random.Random(31)
+    for _ in range(500):
+        e = lang.gen_expr(rng, depth=4)
+        refocused += assert_refocus_agrees(e, s)
+        for first in (True, False):
+            assert sched._pending(e, s, first) == (fused_successor(e, s, first) is not None)
+    assert refocused > 1200
+
+
+def list_count(n: int):
+    """The non-tail-recursive length of an ``n``-element list: every
+    step is local, in a context that grows to ``n`` frames."""
+    lst = "()"
+    for _ in range(n):
+        lst = f"(pair #t {lst})"
+    return parse(f"((rec (len l) (if (= l ()) 0 (+ 1 (len (snd l))))) {lst})")
+
+
+def test_deep_chain_plugs_once(monkeypatch):
+    # a fused step refocuses from the hole, so the 2,002 fused steps of the
+    # count's one chain plug nothing until the chain ends; the other plug
+    # is the last step's, which stays unfused
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(machine, "plug", counted("plug", machine.plug))
+    monkeypatch.setattr(sched, "_local_chain", counted("chain", sched._local_chain))
+    res = sched.extremal_expectation(list_count(400), 10 ** 4, read_int)
+    assert (res.lo, res.hi, res.fused_steps, res.longest_path) == (400, 400, 2002, 2003)
+    assert calls == {"chain": 1, "plug": 2}
+
+
+def test_each_local_redex_contracted_once_per_call(monkeypatch):
+    applied = collections.Counter()
+
+    def counted(rule):
+        def call(e, s):
+            applied[e] += 1
+            return rule(e, s)
+        return call
+
+    for (cls, form) in lang.FORMS.items():
+        if form.local:
+            monkeypatch.setitem(machine.RULES, cls, counted(machine.RULES[cls]))
+    prog = models.dlm_counter_program(3, bits=1)
+    res = sched.extremal_expectation(prog, 400, models.read_pow2_minus_1)
+    assert (res.lo, res.hi, res.fused_steps) == (F(5, 2), F(19, 4), 4502)
+    assert len(applied) == 48 and set(applied.values()) == {1}
+    # the memo lives for one call: a second analysis contracts them again
+    sched.extremal_expectation(prog, 400, models.read_pow2_minus_1)
+    assert set(applied.values()) == {2}
 
 
 def test_fused_rejoining_branches():
@@ -687,14 +855,19 @@ def test_cycle_reported_at_its_first_repeat(monkeypatch):
 
 
 def test_local_loop_reported_at_its_first_repeat(monkeypatch):
+    # the rules applied and the refocusings (one per fused step, and one
+    # per decomposition) do not grow with the budget
     calls = []
-    fused_successor = sched.fused_successor
 
-    def counted(e, s, first):
-        calls[-1] += 1
-        return fused_successor(e, s, first)
+    def counted(fn):
+        def call(*args):
+            calls[-1] += 1
+            return fn(*args)
+        return call
 
-    monkeypatch.setattr(sched, "fused_successor", counted)
+    for (cls, rule) in list(machine.RULES.items()):
+        monkeypatch.setitem(machine.RULES, cls, counted(rule))
+    monkeypatch.setattr(machine, "refocus", counted(machine.refocus))
     # a one-step loop, the same in a forked thread, and a longer loop
     # entered after a prefix
     for prog in ("((rec (f x) (f x)) 0)", "(seq (fork ((rec (f x) (f x)) 0)) 1)",
@@ -703,7 +876,7 @@ def test_local_loop_reported_at_its_first_repeat(monkeypatch):
             calls.append(0)
             with pytest.raises(sched.ScheduleError, match="^budget insufficient: .*repeat"):
                 sched.extremal_expectation(parse(prog), budget, read_int)
-        assert calls[-2] == calls[-1] < 40
+        assert 0 < calls[-2] == calls[-1] < 40
 
 
 def test_fusion_shrinks_the_memo():
