@@ -55,7 +55,6 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import repeat
 from operator import attrgetter
 from weakref import ref
 
@@ -471,16 +470,41 @@ def subst(e: Expr, name: str, replacement: Expr) -> Expr:
     """``e`` with ``replacement`` for the free occurrences of ``name``;
     ``e`` itself, unwalked, when ``name`` is not free in it.  A binder
     that ``name`` is free under is not ``name``, so only a ``let`` whose
-    body rebinds it needs care."""
+    body rebinds it needs care.  Rebuilt bottom-up on an explicit stack
+    of the nodes that ``name`` is free in, so a term nested any depth deep
+    needs no recursion."""
     if name not in e.fv:
         return e
-    t = type(e)
-    if t is Var:
+    if type(e) is Var:
         return replacement
-    if t is Let and e.name == name:
-        return Let(name, subst(e.bound, name, replacement), e.body)
-    form = FORMS[t]
-    return form.make(e, tuple(map(subst, form.kids(e), repeat(name), repeat(replacement))))
+    stack = [(e, _subst_kids(e, name), [])]  # a node, its children, their results so far
+    while True:
+        (node, kids, done) = stack[-1]
+        if len(done) < len(kids):
+            kid = kids[len(done)]
+            if name not in kid.fv:
+                done.append(kid)
+            elif type(kid) is Var:
+                done.append(replacement)
+            else:
+                stack.append((kid, _subst_kids(kid, name), []))
+            continue
+        stack.pop()
+        if type(node) is Let and node.name == name:  # only the bound was walked
+            out = Let(name, done[0], node.body)
+        else:
+            out = FORMS[type(node)].make(node, tuple(done))
+        if not stack:
+            return out
+        stack[-1][2].append(out)
+
+
+def _subst_kids(e: Expr, name: str) -> tuple:
+    """The children of ``e`` that ``subst`` walks: all of them, except
+    the body of a ``let`` that rebinds ``name``."""
+    if type(e) is Let and e.name == name:
+        return (e.bound,)
+    return FORMS[type(e)].kids(e)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ A scheduler is a Markov policy ``choose(step, config) -> thread index``.
 of binds over ``config_step``.  ``sample_run`` is the path for Monte-Carlo
 work: it follows a single run, sampling flip outcomes exactly, over a
 ``TransitionTable`` that the runs of one sampling call build and share.
+A run can differ from another only where it draws, so the runs also share
+a memo of the deterministic segments between draws: a segment walked once
+is replayed by one dict probe.
 """
 
 from __future__ import annotations
@@ -110,19 +113,23 @@ def initial_config(exprs, heap=()) -> Config:
 
 
 def val_eq(a: Val, b: Val) -> Optional[bool]:
-    """Structural equality on closure-free values; None when undecidable."""
-    if isinstance(a, VClosure) or isinstance(b, VClosure):
-        return None
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, VPair):
-        left = val_eq(a.fst, b.fst)
-        if left is None:
+    """Structural equality on closure-free values; None when undecidable.
+    Pairs are compared left to right, ``fst`` before ``snd``, and the
+    first closure or mismatch met decides.  Walked on an explicit stack,
+    so a pair nested any depth deep needs no recursion."""
+    stack = [(a, b)]
+    while stack:
+        (a, b) = stack.pop()
+        if isinstance(a, VClosure) or isinstance(b, VClosure):
             return None
-        if not left:
+        if type(a) is not type(b):
             return False
-        return val_eq(a.snd, b.snd)
-    return a == b
+        if isinstance(a, VPair):
+            stack.append((a.snd, b.snd))
+            stack.append((a.fst, b.fst))
+        elif a != b:
+            return False
+    return True
 
 
 _ONE = Fraction(1)
@@ -417,7 +424,9 @@ class TransitionTable:
     ``successors``, through the table's step memo, so a thread that recurs
     beside different threads is stepped once per heap; each successor
     configuration is hashed once to find its node; every later step
-    through the row is an int-keyed dict probe.  Rows name nodes by
+    through the row is an int-keyed dict probe.  ``sample_run`` walks the
+    rows once per deterministic segment and replays a segment it has
+    walked from its own memo, without the rows.  Rows name nodes by
     number, so the table holds no reference cycle and is freed as soon as
     its last user drops it.  Memory grows with the distinct
     configurations the runs visit: every outcome the step memo holds is
@@ -479,18 +488,47 @@ def pick_outcome(den: int, cums: tuple, rng: random.Random) -> int:
 
 def sample_run(table: TransitionTable, start: int,
                choose: Callable[[int, Config], int], budget: int,
-               rng: random.Random) -> int:
+               rng: random.Random, segments: dict) -> int:
     """Follow one sampled run from node ``start`` until termination or
     budget exhaustion, extending ``table`` with the rows it steps through;
-    returns the last node."""
-    configs, terminated, rows = table.configs, table.terminated, table.rows
-    n = start
-    for step in range(budget):
-        if terminated[n]:
+    returns the last node.
+
+    ``choose`` must be pure, so a run is fixed from node ``n`` at step
+    ``s`` until it reaches a terminated node, the budget or a row with
+    several outcomes, where it draws.  ``segments`` memoizes those
+    deterministic segments, ``(n, s) -> (end node, end step, the row
+    drawn from there or None)``, for the runs of one ``table``, ``choose``
+    and ``budget`` that share it: the first run through a segment walks
+    it step by step, building the rows the walk needs, and every later one
+    pays one dict probe per draw.  Draws come in the same order either
+    way, so ``rng`` gives the same stream.  The memo grows with the
+    distinct ``(n, s)`` pairs where segments start: the start, and every
+    outcome of a draw at the step after it."""
+    n, step = start, 0
+    while True:
+        seg = segments.get((n, step))
+        if seg is None:
+            seg = segments[(n, step)] = _segment(table, n, step, choose, budget)
+        (n, step, row) = seg
+        if row is None:
             return n
+        n = row[0][pick_outcome(row[1], row[2], rng)]
+        step += 1
+
+
+def _segment(table: TransitionTable, n: int, step: int,
+             choose: Callable[[int, Config], int], budget: int) -> tuple:
+    """The deterministic segment of a run from node ``n`` at ``step``:
+    ``(end node, end step, row)``, where ``row`` is the row with several
+    outcomes chosen at the end, or None when the run ends there."""
+    configs, terminated, rows = table.configs, table.terminated, table.rows
+    while step < budget and not terminated[n]:
         i = choose(step, configs[n])
         row = rows[n].get(i)
         if row is None:
             row = table.row(n, i)
-        n = row if type(row) is int else row[0][pick_outcome(row[1], row[2], rng)]
-    return n
+        if type(row) is not int:
+            return (n, step, row)
+        n = row
+        step += 1
+    return (n, step, None)

@@ -149,9 +149,12 @@ class ScheduleError(Exception):
 class SchedulerPolicy:
     """A Markov scheduler: ``choose(step, config)`` is the index of the
     thread to step next; an index naming no thread that can step is a
-    stutter.  ``choose`` is a module-level function, a ``functools.partial``
-    of one or a picklable callable object, so that a policy pickles and
-    ``monte_carlo`` can send it to worker processes."""
+    stutter.  ``choose`` must be pure, a function of its arguments alone
+    (a cache inside it is fine): ``monte_carlo`` asks it once per run
+    segment between draws and replays the segment for every later trial
+    that reaches it.  ``choose`` is a module-level function, a
+    ``functools.partial`` of one or a picklable callable object, so that a
+    policy pickles and ``monte_carlo`` can send it to worker processes."""
 
     name: str
     choose: Callable[[int, Config], int]
@@ -588,14 +591,16 @@ class MonteCarloResult:
 
 
 def _run_trials(prog, policy, budget, f, seed, lo, hi):
-    """Trials ``lo`` to ``hi`` over one transition table: (sum, sum of
-    squares), from the number of trials ending at each terminal node."""
+    """Trials ``lo`` to ``hi`` over one transition table and one memo of
+    deterministic run segments: (sum, sum of squares), from the number of
+    trials ending at each terminal node."""
     table = machine.TransitionTable()
     start = table.node(initial_config([prog]))
+    segments: dict = {}  # see machine.sample_run
     ends: dict = {}  # terminal node -> trials ending there
     for trial in range(lo, hi):
         rng = random.Random(_mix(seed, trial))
-        end = machine.sample_run(table, start, policy.choose, budget, rng)
+        end = machine.sample_run(table, start, policy.choose, budget, rng, segments)
         if not table.terminated[end]:
             raise ScheduleError(f"trial {trial} unterminated after {budget} steps")
         ends[end] = ends.get(end, 0) + 1
@@ -615,7 +620,8 @@ def monte_carlo(prog: Expr, policy: SchedulerPolicy, budget: int, f: Callable,
     Each trial runs on its own deterministic (seed, trial) sub-seed and
     sample sums are accumulated exactly, so the result is identical no
     matter how trials are chunked across the ``workers`` processes; each
-    worker samples over its own ``machine.TransitionTable``.  A path that
+    worker samples over its own ``machine.TransitionTable`` and memo of run
+    segments, which live as long as its share of the call.  A path that
     fails to terminate within the budget is an error, not a silent
     truncation.
     """

@@ -78,6 +78,45 @@ def test_cas_success_and_failure():
     assert to_val(e) == lang.FALSE and s3.lookup(0) == VInt(2)
 
 
+def recursive_val_eq(a, b):
+    """The reference for ``machine.val_eq``, one call per pair level."""
+    if isinstance(a, lang.VClosure) or isinstance(b, lang.VClosure):
+        return None
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, lang.VPair):
+        left = recursive_val_eq(a.fst, b.fst)
+        if left is None:
+            return None
+        if not left:
+            return False
+        return recursive_val_eq(a.snd, b.snd)
+    return a == b
+
+
+def test_val_eq_left_to_right():
+    # the first closure or mismatch met, fst before snd, decides
+    (one, two, clo) = (VInt(1), VInt(2), lang.VClosure("f", "x", lang.Var("x")))
+    pair = lang.VPair
+    assert machine.val_eq(pair(clo, one), pair(clo, two)) is None
+    assert machine.val_eq(pair(one, clo), pair(two, clo)) is False
+    assert machine.val_eq(pair(one, clo), pair(one, clo)) is None
+    assert machine.val_eq(pair(one, pair(two, one)), pair(one, pair(two, one))) is True
+    assert machine.val_eq(pair(one, two), one) is False
+    leaves = [one, two, lang.TRUE, lang.UNIT, VLoc(1), clo]
+    rng = random.Random(5)
+
+    def gen(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        return pair(gen(depth - 1), gen(depth - 1))
+
+    for _ in range(2_000):
+        (a, b) = (gen(4), gen(4))
+        assert machine.val_eq(a, b) is recursive_val_eq(a, b)
+        assert machine.val_eq(a, a) is recursive_val_eq(a, a)
+
+
 def test_wait_blocks_until_match():
     s = State(((0, VInt(0)),), 1)
     assert outcomes(parse("(wait (loc 0) 1)"), s) is None

@@ -2,12 +2,14 @@
 
 import collections
 import gc
+import importlib.util
 import pickle
 import random
 import sys
 import traceback
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +171,48 @@ def test_deep_values_step_without_recursion():
         sys.setrecursionlimit(limit)
 
 
+DEEP_LIST = "(pair 1 " * 3000 + "()" + ")" * 3000
+
+
+@pytest.mark.parametrize("text", [
+    f"(let (l {DEEP_LIST}) (= l l))",
+    f"(let (r (alloc {DEEP_LIST})) (cas r {DEEP_LIST} 0))",
+    f"(let (r (alloc {DEEP_LIST})) (seq (wait r {DEEP_LIST}) #t))",
+], ids=["=", "cas", "wait"])
+def test_deep_values_compare_without_recursion(text):
+    # comparing a 3,000-deep pair list with itself walks an explicit
+    # stack in the exact analysis, a replay and sampling
+    prog = parse(text)
+    f = models.read_true_indicator
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = sched.extremal_expectation(prog, 10, f)
+        assert res.lo == res.hi == 1
+        assert sched.evaluate_policy(prog, sched.round_robin(), 10, f) == 1
+        assert sched.monte_carlo(prog, sched.round_robin(), 10, f, 3, seed=1).mean == 1.0
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deep_let_substitutes_without_recursion():
+    # a let whose body nests 3,000 deep: ``subst`` rebuilds the body on
+    # an explicit stack
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        chain = parse("(let (x 1) " + "(+ 1 " * 3000 + "x" + ")" * 3001)
+        res = sched.extremal_expectation(chain, 4000, read_int)
+        assert res.lo == res.hi == 3001
+        # the same depth of substitution, then one step: a replay and
+        # sampling plug each step from the root
+        prog = parse("(let (x 1) (fst " + "(pair x " * 3000 + "()" + ")" * 3002)
+        assert sched.evaluate_policy(prog, sched.round_robin(), 2, read_int) == 1
+        assert sched.monte_carlo(prog, sched.round_robin(), 2, read_int, 3, seed=1).mean == 1.0
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_extracted_adversary_ignores_the_step_count():
     # the adversary is a map from configuration to thread: a memoized
     # configuration gets its recorded choice at any step
@@ -285,7 +329,7 @@ class StubRng:
 def sampled_first_thread(text: str, rng) -> lang.Expr:
     table = machine.TransitionTable()
     start = table.node(machine.initial_config([parse(text)]))
-    end = machine.sample_run(table, start, sched.round_robin().choose, 1, rng)
+    end = machine.sample_run(table, start, sched.round_robin().choose, 1, rng, {})
     return table.configs[end].threads[0]
 
 
@@ -301,6 +345,181 @@ def test_sample_run_chooses_exactly():
     assert sampled_first_thread("(flip 1 4)", StubRng(0.25 - 2 ** -53)) == lang.Lit(lang.TRUE)
     assert sampled_first_thread("(flip 1 1)", StubRng(1 - 2 ** -53)) == lang.Lit(lang.TRUE)
     assert sampled_first_thread("(flip 0 1)", StubRng(0.0)) == lang.Lit(lang.FALSE)
+
+
+def reference_sample_run(table, start, choose, budget, rng):
+    """The reference for ``machine.sample_run``: one ``choose`` call, row
+    probe and loop turn per step, with no memo of run segments."""
+    configs, terminated, rows = table.configs, table.terminated, table.rows
+    n = start
+    for step in range(budget):
+        if terminated[n]:
+            return n
+        i = choose(step, configs[n])
+        row = rows[n].get(i)
+        if row is None:
+            row = table.row(n, i)
+        n = row if type(row) is int else row[0][machine.pick_outcome(row[1], row[2], rng)]
+    return n
+
+
+def test_segment_memo_matches_the_reference_sampler():
+    # the random programs of the agreement tests below and both extracted
+    # adversaries of the DLM counter: each trial ends at the same node with
+    # the same rng state, and the two tables grow the same rows in the same
+    # order
+    rng = random.Random(2024)
+    progs = [random_concurrent_program(rng) for _ in range(60)]
+    cases = [(prog, pol, budget) for prog in progs
+             for pol in (sched.round_robin(), sched.seeded_random(3))
+             for budget in (1, 4, 12, 40)]
+    dlm = models.dlm_counter_program(2, bits=2)
+    res = sched.extremal_expectation(dlm, 80, models.read_pow2_minus_1)
+    cases += [(dlm, sched.extract_policy(res, d), 80) for d in ("lo", "hi")]
+    # the second draw's outcomes are reached one step apart, and from there
+    # the run ends within the budget or at it
+    staggered = parse("(let (x (if (flip 1 2) 0 (let (y 0) 0))) "
+                      "(if (flip 1 2) 1 (+ 0 (+ 0 0))))")
+    cases += [(staggered, sched.round_robin(), budget) for budget in range(10)]
+    seen = collections.Counter()
+    for (prog, pol, budget) in cases:
+        (ref, table) = (machine.TransitionTable(), machine.TransitionTable())
+        start = ref.node(machine.initial_config([prog]))
+        assert table.node(machine.initial_config([prog])) == start
+        segments = {}
+        for trial in range(30):
+            (want_rng, got_rng) = (random.Random(sched._mix(1, trial)) for _ in range(2))
+            path = []
+
+            def recording(step, c):
+                path.append((c, pol.choose(step, c)))
+                return path[-1][1]
+
+            want = reference_sample_run(ref, start, recording, budget, want_rng)
+            got = machine.sample_run(table, start, pol.choose, budget, got_rng, segments)
+            assert got == want and got_rng.getstate() == want_rng.getstate()
+            steps = [(ref.ids[c], ref.rows[ref.ids[c]][i]) for (c, i) in path]
+            seen["stutter"] += any(row == n for (n, row) in steps)
+            if steps and type(steps[-1][1]) is not int:
+                seen["ends right after a draw"] += 1
+            elif len(steps) == budget and not ref.terminated[want]:
+                seen["stops mid-segment at the budget"] += 1
+        assert table.configs == ref.configs and table.rows == ref.rows
+    assert len(seen) == 3 and min(seen.values()) > 100, seen
+
+
+def test_segment_memo_replays_without_choosing():
+    # the same trials again over the same table and memo: every segment is
+    # a memo hit, so the policy is never asked
+    prog = models.dlm_counter_program(2, bits=2)
+    choose = sched.seeded_random(0).choose
+    calls = []
+
+    def counting(step, c):
+        calls.append(step)
+        return choose(step, c)
+
+    (table, segments) = (machine.TransitionTable(), {})
+    start = table.node(machine.initial_config([prog]))
+
+    def ends():
+        return [machine.sample_run(table, start, counting, 3000,
+                                   random.Random(sched._mix(1, trial)), segments)
+                for trial in range(100)]
+
+    first = ends()
+    assert calls and all(table.terminated[n] for n in first)
+    calls.clear()
+    assert ends() == first
+    assert not calls
+
+
+def load_bench(name: str):
+    """The module ``bench/<name>.py``, loaded once; ``bench/`` lies
+    outside the test paths."""
+    key = f"bench_{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
+
+
+def test_sample_pass_steps_each_thread_once(monkeypatch):
+    # one pass of the benchmark's ``sample`` workload with the segment
+    # memo and with the reference sampler: the same results, the same
+    # thread steps, and a ``choose`` call per segment instead of per step
+    workloads = load_bench("workloads")
+    counts = collections.Counter()
+    step_thread = machine.outcomes
+
+    def outcomes(e, s):
+        counts["outcomes"] += 1
+        return step_thread(e, s)
+
+    def counting_policies():
+        def wrap(pol):
+            def choose(step, c):
+                counts["choose"] += 1
+                return pol.choose(step, c)
+            return sched.SchedulerPolicy(pol.name, choose)
+        return {pname: wrap(pol) for (pname, pol) in workloads.policies().items()}
+
+    def one_pass():
+        counts.clear()
+        progs = workloads.read_programs()
+        results = [sched.monte_carlo(progs[name], pol, workloads.SAMPLE_BUDGET,
+                                     workloads.functional(name), workloads.SAMPLE_TRIALS,
+                                     workloads.SAMPLE_SEED)
+                   for name in workloads.CONCURRENT for pol in counting_policies().values()]
+        return results, dict(counts)
+
+    monkeypatch.setattr(machine, "outcomes", outcomes)
+    (got, got_counts) = one_pass()
+    sample_run = machine.sample_run
+    monkeypatch.setattr(machine, "sample_run",
+                        lambda table, start, choose, budget, rng, segments:
+                        reference_sample_run(table, start, choose, budget, rng))
+    (want, want_counts) = one_pass()
+    monkeypatch.setattr(machine, "sample_run", sample_run)
+    assert got == want
+    assert got_counts["outcomes"] == want_counts["outcomes"] == 2_237
+    assert (got_counts["choose"], want_counts["choose"]) == (6_335, 221_021)
+
+
+def recursive_subst(e, name, replacement):
+    """The reference for ``lang.subst``: one call per node it rebuilds."""
+    if name not in e.fv:
+        return e
+    t = type(e)
+    if t is Var:
+        return replacement
+    if t is Let and e.name == name:
+        return Let(name, recursive_subst(e.bound, name, replacement), e.body)
+    form = lang.FORMS[t]
+    return form.make(e, tuple(recursive_subst(k, name, replacement) for k in form.kids(e)))
+
+
+def test_subst_matches_the_recursive_reference_on_a_pass(monkeypatch):
+    # every substitution of one ``explore`` and one ``sample`` pass of the
+    # benchmark gives the node the recursive version gives
+    workloads = load_bench("workloads")
+    subst = lang.subst
+    calls = collections.Counter()
+    workload = None
+
+    def checked(e, name, replacement):
+        out = subst(e, name, replacement)
+        assert out is recursive_subst(e, name, replacement)
+        calls[workload] += 1
+        return out
+
+    monkeypatch.setattr(machine, "subst", checked)
+    for workload in ("explore", "sample"):
+        for item in workloads.WORKLOADS[workload](1).items:
+            assert item.run()[1] > 0
+    assert calls["explore"] > 500 and calls["sample"] > 500, calls
 
 
 # (mean, variance, ci_lo, ci_hi) of ``monte_carlo`` on the concurrent
