@@ -150,7 +150,7 @@ def build_model_program(args):
               "n": args.n}
     try:
         return models.build_registered(args.model, params)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

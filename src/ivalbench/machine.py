@@ -29,7 +29,9 @@ analysis, ``config_step`` and ``TransitionTable`` all derive theirs from
 it.  Scheduling a value, a stuck thread, or an out-of-range index is a
 stutter: the configuration repeats with probability one.  A
 configuration has terminated when the first thread is a value; nothing
-can change that thread afterwards, so termination is absorbing.
+can change that thread afterwards, so termination is absorbing.  Every
+engine keys dicts on configurations, so a ``Config`` and its ``State``
+compute their hash once, when they are built.
 
 A scheduler is a Markov policy ``choose(step, config) -> thread index``.
 ``trace_step_ival_n`` is the monadic n-step semantics under one: a chain
@@ -63,8 +65,18 @@ from ivalbench.lang import (
 # states, configurations
 
 
+class _HashSlot:
+    """The slot of a hash computed once, at construction.  It is not a
+    dataclass field: ``fields``, ``==``, ``repr`` and ``ival.value_key``
+    do not see it.  A subclass pickles as its constructor call, so a
+    loaded copy hashes again: terms hash by identity, which differs
+    between processes."""
+
+    __slots__ = ("_hash",)
+
+
 @dataclass(frozen=True, slots=True)
-class State:
+class State(_HashSlot):
     heap: tuple = ()  # sorted (loc, Val) pairs
     next_loc: int = 0
 
@@ -74,6 +86,13 @@ class State:
             raise ValueError("heap must be sorted with distinct locations")
         if locs and locs[-1] >= self.next_loc:
             raise ValueError("allocation counter must exceed every location")
+        object.__setattr__(self, "_hash", hash((self.heap, self.next_loc)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return (State, (self.heap, self.next_loc))
 
     def lookup(self, loc: int) -> Optional[Val]:
         for (l, v) in self.heap:
@@ -91,13 +110,20 @@ class State:
 
 
 @dataclass(frozen=True, slots=True)
-class Config:
+class Config(_HashSlot):
     threads: tuple
     state: State
 
     def __post_init__(self):
         if not self.threads:
             raise ValueError("thread pool must be nonempty")
+        object.__setattr__(self, "_hash", hash((self.threads, self.state)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return (Config, (self.threads, self.state))
 
 
 def initial_config(exprs, heap=()) -> Config:

@@ -539,7 +539,7 @@ MODELS = {
 def build_registered(name: str, params: dict) -> Expr:
     """Validate ``params`` against the model's schema and build its program."""
     if name not in MODELS:
-        raise KeyError(f"unknown model {name!r}; known: {sorted(MODELS)}")
+        raise ValueError(f"unknown model {name!r}; known: {sorted(MODELS)}")
     entry = MODELS[name]
     checked = {}
     for (pname, (ptype, minimum)) in entry["params"].items():

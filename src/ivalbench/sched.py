@@ -4,10 +4,12 @@ A policy is a Markov scheduler: one picklable function of the step count
 and the current configuration that names the thread to step.  The one
 interface serves exact evaluation, adversary extraction and sampling.
 ``evaluate_policy`` computes the exact expected value of a functional of
-the first thread's final value after ``n`` steps under one policy, in a
-single walk of its run tree.  ``extremal_expectation`` computes the range
-of that quantity over *all* deterministic policies by backward induction
-memoized on the configuration:
+the first thread's final value after ``n`` steps under one policy, by
+carrying the run's distribution forward over its frontier, one step at a
+time, so runs that meet again at a step are stepped once from there.
+``extremal_expectation`` computes the range of that quantity over *all*
+deterministic policies by backward induction memoized on the
+configuration:
 
 * a terminated configuration is worth ``f(first thread's value)`` --
   nothing a scheduler does afterwards can change that thread;
@@ -80,7 +82,9 @@ context, and the thread is plugged once, at the chain's end.
 A thread's work recurs in every configuration that holds it, so each
 analysis call derives it once per distinct thread, in three memos of its
 own that die with the call.  Terms are hash-consed, so a key hashes in
-O(1) however deep its expression (Filliatre & Conchon 2006).
+O(1) however deep its expression (Filliatre & Conchon 2006), and a
+``Config`` or ``State`` computes its hash once, when it is built, so a
+probe of the memo, the gray set or the step memo hashes nothing.
 
 * The fused steps of a thread, keyed by (expression, is the first
   thread): local steps read no heap, so where they lead, and how many
@@ -98,9 +102,11 @@ O(1) however deep its expression (Filliatre & Conchon 2006).
   other threads.  Beyond the settled configurations, which the analysis
   memoizes anyway, it keeps only the successors of the steps taken.
 
-``evaluate_policy`` keeps no step memo: it holds nothing beyond its stack,
-and a memo would keep every expression of the run alive, O(steps x depth)
-nodes for a deep context that ``plug`` rebuilds on each step.  The
+``evaluate_policy`` keeps no step memo: it holds nothing beyond the
+current frontier and the next, one configuration per step on a
+deterministic run and the widest step's leaves on a tree whose runs never
+meet, and a memo would keep every expression of the run alive, O(steps x
+depth) nodes for a deep context that ``plug`` rebuilds on each step.  The
 extracted adversary caches, per (expression, is the first thread), whether
 a fused step is pending, which it decides by decomposing the thread and
 applying the rule, without plugging.
@@ -215,27 +221,46 @@ def seeded_random(seed: int) -> SchedulerPolicy:
 # exact policy evaluation
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, not {budget}")
+
+
 def evaluate_policy(prog: Expr, policy: SchedulerPolicy, budget: int,
                     f: Callable) -> Fraction:
     """Exact E[f(first thread's value)] after ``budget`` steps under a policy.
 
-    Raises ``ScheduleError`` on the first positive-probability path still
+    Raises ``ScheduleError`` when a positive-probability run is still
     unterminated at the horizon.  A stutter repeats the configuration and
     spends a step.
+
+    The run's distribution is carried forward a step at a time: the
+    frontier maps each configuration reached at step ``s`` to its exact
+    weight, each is stepped once, and successors that coincide are summed
+    into the next frontier (the transient distribution of a Markov chain;
+    Baier & Katoen, *Principles of Model Checking*, ch. 10).  Only the
+    current frontier and the next are held.
     """
+    _check_budget(budget)
     total = Fraction(0)
-    stack = [(initial_config([prog]), 0, Fraction(1))]
-    while stack:
-        (c, step, w) = stack.pop()
-        if is_terminated(c):
-            total += w * as_rational(f(to_val(c.threads[0])))
-            continue
-        if step == budget:
-            raise ScheduleError(
-                f"program does not terminate within {budget} steps under {policy.name}")
-        for (_, c2, p) in config_step(c, policy.choose(step, c)).entries:
-            if p > 0:
-                stack.append((c2, step + 1, w * p))
+    frontier = {initial_config([prog]): Fraction(1)}
+    step = 0
+    while frontier:
+        after: dict = {}
+        for (c, w) in frontier.items():
+            if is_terminated(c):
+                total += w * as_rational(f(to_val(c.threads[0])))
+                continue
+            if step == budget:
+                raise ScheduleError(
+                    f"program does not terminate within {budget} steps under {policy.name}")
+            entries = config_step(c, policy.choose(step, c)).entries
+            for (_, c2, p) in entries:
+                if p > 0:
+                    q = w if len(entries) == 1 else w * p  # one outcome has p = 1
+                    prev = after.get(c2)
+                    after[c2] = q if prev is None else prev + q
+        (frontier, step) = (after, step + 1)
     return total
 
 
@@ -363,6 +388,7 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
     interpreter's recursion limit alone.  The memos of thread work live
     for this call only.
     """
+    _check_budget(budget)
     memo: dict = {}
     chains: dict = {}  # (expression, is the first thread) -> _local_chain's (e2, n)
     contracta: dict = {}  # local redex -> its contractum, or _STUCK
@@ -536,6 +562,7 @@ def brute_force_extrema(prog: Expr, budget: int, f: Callable,
     stutter moves (each consuming budget), which lets the suite check that
     excluding stutters is harmless.
     """
+    _check_budget(budget)
     nodes = 0
 
     def go(c: Config, k: int, stutters: int):
@@ -625,6 +652,7 @@ def monte_carlo(prog: Expr, policy: SchedulerPolicy, budget: int, f: Callable,
     fails to terminate within the budget is an error, not a silent
     truncation.
     """
+    _check_budget(budget)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, not {trials}")
     if workers < 1:

@@ -112,6 +112,12 @@ def test_functional_validation():
     assert run(["mdp", "--model", "unbiased-counter", "-f", "nope"]) == 2
 
 
+def test_unknown_model_message_is_bare(capsys):
+    assert run(["mdp", "--model", "nope"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: unknown model 'nope'; known: {sorted(models.MODELS)}\n")
+
+
 def test_functional_that_does_not_fit_the_model_exits_2(capsys):
     assert run(["mdp", "--model", "unbiased-counter", "--threads", "2",
                 "-f", "pair-cost"]) == 2

@@ -1,12 +1,18 @@
 """Operational semantics: redexes, configurations, runs, invariants."""
 
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import ivalbench
 from ivalbench import ival, lang, machine, sched
 from ivalbench.lang import FORMS, Lit, VInt, VLoc, parse, to_val
 from ivalbench.machine import (
@@ -148,6 +154,53 @@ def test_config_step_appends_forked_thread():
     c = initial_config([parse("(seq (fork 1) 2)")])
     [(_, c2, p)] = config_step(c, 0).entries
     assert p == 1 and len(c2.threads) == 2 and c2.threads[1] == parse("1")
+
+
+def heap_config():
+    """A two-thread configuration over one cell, and its successor after
+    the second thread's ``faa``."""
+    c = initial_config([parse("(flip 1 2)"), parse("(faa (loc 0) 1)")], [(0, VInt(1))])
+    [(_, after, _)] = config_step(c, 1).entries
+    return c, after
+
+
+def test_configuration_hash_is_cached_at_construction():
+    # the hash the generated one gives, computed once and seen by nothing
+    # that reads the fields
+    (c, after) = heap_config()
+    for x in (c, after):
+        assert hash(x) == hash((x.threads, x.state))
+        assert hash(x.state) == hash((x.state.heap, x.state.next_loc))
+        assert x == machine.Config(x.threads, State(x.state.heap, x.state.next_loc))
+        assert repr(x) == f"Config(threads={x.threads!r}, state={x.state!r})"
+    assert c != after and c.state != after.state
+    assert [f.name for f in dataclasses.fields(machine.Config)] == ["threads", "state"]
+    assert [f.name for f in dataclasses.fields(State)] == ["heap", "next_loc"]
+    key = ival.value_key
+    assert key(c.state) == (6, "State", (key(c.state.heap), key(c.state.next_loc)))
+    assert key(c) == (6, "Config", (key(c.threads), key(c.state)))
+
+
+def test_configuration_pickles_as_its_constructor_call():
+    # a loaded configuration hashes again: terms hash by identity, which a
+    # fresh interpreter assigns anew
+    (c, after) = heap_config()
+    assert c.__reduce__() == (machine.Config, (c.threads, c.state))
+    assert c.state.__reduce__() == (State, (c.state.heap, c.state.next_loc))
+    copy = pickle.loads(pickle.dumps(c))
+    assert copy == c and hash(copy) == hash(c)
+    src = str(Path(ivalbench.__file__).resolve().parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    check = ("import pickle, sys\n"
+             "cs = pickle.load(sys.stdin.buffer)\n"
+             "table = {c: k for (k, c) in enumerate(cs)}\n"
+             "print(all(hash(c) == hash((c.threads, c.state)) and table[c] == k\n"
+             "          and hash(c.state) == hash((c.state.heap, c.state.next_loc))\n"
+             "          for (k, c) in enumerate(cs)))\n")
+    out = subprocess.run([sys.executable, "-c", check], input=pickle.dumps([c, after]),
+                         env=env, capture_output=True, check=True)
+    assert out.stdout == b"True\n"
 
 
 def test_trace_semantics_flip():

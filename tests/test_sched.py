@@ -933,8 +933,8 @@ def test_fused_local_loop_in_fork_raises():
 
 
 def test_evaluate_policy_matches_bind_chain():
-    # one walk of the run tree against the monadic n-step semantics, on the
-    # random programs of the agreement test above
+    # the forward pass over the run's frontier against the monadic n-step
+    # semantics, on the random programs of the agreement test above
     rng = random.Random(2024)
     progs = [random_concurrent_program(rng) for _ in range(60)]
     raised = 0
@@ -952,6 +952,105 @@ def test_evaluate_policy_matches_bind_chain():
                     with pytest.raises(sched.ScheduleError):
                         sched.evaluate_policy(prog, pol, budget, read_int)
     assert 0 < raised < 360  # both outcomes are covered
+
+
+def reference_evaluate_policy(prog, policy, budget, f):
+    """The reference for ``sched.evaluate_policy``: a depth-first walk of
+    the run tree, one ``config_step`` per node and a ``Fraction`` weight per
+    path, with no merging of runs that meet again."""
+    total = F(0)
+    stack = [(machine.initial_config([prog]), 0, F(1))]
+    while stack:
+        (c, step, w) = stack.pop()
+        if machine.is_terminated(c):
+            total += w * f(lang.to_val(c.threads[0]))
+            continue
+        if step == budget:
+            raise sched.ScheduleError(f"unterminated within {budget} steps")
+        for (_, c2, p) in machine.config_step(c, policy.choose(step, c)).entries:
+            if p > 0:
+                stack.append((c2, step + 1, w * p))
+    return total
+
+
+def policy_value_or_error(evaluate, prog, policy, budget, f):
+    """The exact value, or ``ScheduleError`` when the evaluation raised one."""
+    try:
+        return evaluate(prog, policy, budget, f)
+    except sched.ScheduleError:
+        return sched.ScheduleError
+
+
+def test_frontier_matches_the_tree_walk():
+    # the random programs of the agreement test above, both extracted
+    # adversaries of the DLM counter, and the benchmark's ``sample``
+    # references: the same Fraction, or ScheduleError on both sides
+    rng = random.Random(2024)
+    progs = [random_concurrent_program(rng) for _ in range(60)]
+    cases = [(prog, pol, budget, read_int) for prog in progs
+             for pol in (sched.round_robin(), sched.seeded_random(3))
+             for budget in (0, 1, 4, 12, 40)]
+    dlm = models.dlm_counter_program(2, bits=2)
+    res = sched.extremal_expectation(dlm, 80, models.read_pow2_minus_1)
+    cases += [(dlm, sched.extract_policy(res, d), budget, models.read_pow2_minus_1)
+              for d in ("lo", "hi") for budget in (80, 800)]
+    workloads = load_bench("workloads")
+    bundled = workloads.read_programs()
+    cases += [(bundled[name], pol, workloads.SAMPLE_BUDGET, workloads.functional(name))
+              for name in workloads.CONCURRENT for pol in workloads.policies().values()]
+    raised = 0
+    for (prog, pol, budget, f) in cases:
+        want = policy_value_or_error(reference_evaluate_policy, prog, pol, budget, f)
+        got = policy_value_or_error(sched.evaluate_policy, prog, pol, budget, f)
+        assert got == want and type(got) is type(want), (lang.unparse(prog), pol.name, budget)
+        raised += want is sched.ScheduleError
+    assert 0 < raised < len(cases)  # both outcomes are covered
+
+
+def test_replay_steps_each_configuration_once_per_step(monkeypatch):
+    # the ``explore`` replay of both DLM adversaries: the tree walk steps a
+    # configuration once per path that reaches it, the forward pass once
+    # per step it is reached at
+    workloads = load_bench("workloads")
+    prog = workloads.read_programs()[workloads.REPLAYED]
+    f = workloads.functional(workloads.REPLAYED)
+    res = sched.extremal_expectation(prog, workloads.EXPLORE_BUDGET, f)
+    step = machine.config_step
+    calls = 0
+
+    def counted(c, i):
+        nonlocal calls
+        calls += 1
+        return step(c, i)
+
+    monkeypatch.setattr(machine, "config_step", counted)
+    monkeypatch.setattr(sched, "config_step", counted)
+    counts = []
+    for evaluate in (sched.evaluate_policy, reference_evaluate_policy):
+        for d in ("lo", "hi"):
+            calls = 0
+            pol = sched.extract_policy(res, d)
+            assert evaluate(prog, pol, workloads.EXPLORE_BUDGET, f) == getattr(res, d)
+            counts.append(calls)
+    assert counts == [267, 273, 481, 505]
+
+
+@pytest.mark.parametrize("analysis", [
+    lambda prog, budget: sched.evaluate_policy(prog, sched.round_robin(), budget, read_int),
+    lambda prog, budget: sched.extremal_expectation(prog, budget, read_int),
+    lambda prog, budget: sched.brute_force_extrema(prog, budget, read_int),
+    lambda prog, budget: sched.monte_carlo(prog, sched.round_robin(), budget, read_int,
+                                           10, seed=1),
+], ids=["evaluate_policy", "extremal_expectation", "brute_force_extrema", "monte_carlo"])
+def test_negative_budget_rejected(analysis):
+    # a negative budget is an error before any step, even where the program
+    # is a value already or never terminates; budget 0 stays valid
+    for text in ("3", "(+ 1 2)", "((rec (f x) (f x)) ())"):
+        with pytest.raises(ValueError, match="budget must be >= 0, not -1"):
+            analysis(parse(text), -1)
+    analysis(parse("3"), 0)
+    with pytest.raises(sched.ScheduleError):
+        analysis(parse("(+ 1 2)"), 0)
 
 
 def test_transition_table_rows_match_config_step(monkeypatch):
