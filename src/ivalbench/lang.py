@@ -434,10 +434,6 @@ unit = Lit(UNIT)
 # value <-> expression
 
 
-def is_value(e: Expr) -> bool:
-    return e.is_val
-
-
 def to_val(e: Expr) -> Val:
     """The value ``e`` denotes.  A pair is built bottom-up on an explicit
     stack, so one nested any depth deep needs no recursion."""

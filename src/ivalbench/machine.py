@@ -8,30 +8,33 @@ non-value makes the thread *stuck right now* -- stuckness is re-evaluated
 against the current heap on every scheduling, which is what lets ``wait``
 block and later resume.
 
-A step is decompose, rule, plug (Felleisen & Hieb 1992; Danvy &
-Nielsen, "Refocusing in reduction semantics", 2004).  ``refocus`` walks
-down the evaluation positions that ``lang.FORMS`` lists, always into the
-first one that is not a value, and keeps the context as a list of frames
-above its focus; a value focus fills the hole of the innermost frame,
-which is popped, and the walk goes on from the rebuilt node.
-``decompose`` is ``refocus`` from the empty context.  ``RULES`` holds one
-rule per redex constructor, which gives the redex's outcomes in the
-current heap, and ``plug`` rebuilds each outcome's context around it.
-Refocusing a contractum from the hole instead finds the next redex
-without rebuilding the context: a run of steps then costs O(redex) each,
-not O(depth), and is plugged once, which the exact analysis's fused local
-steps use.  The walks are loops, so a deep context needs no recursion.
+A thread is a zipper (Huet, "The Zipper", JFP 1997): a ``Thread`` pairs
+an evaluation context ``Ctx``, a cons list of frames, with the focus in
+its hole.  A frame is a node with the one marker ``HOLE`` at the
+evaluation position it was entered by.  ``refocus`` walks down the
+evaluation positions that ``lang.FORMS`` lists, always into the first one
+that is not a value, pushing a frame, and fills the innermost hole with a
+value, popping it; it stops at the next redex.  An expression decomposes
+in exactly one way, so a thread and its expression are in bijection, and
+threads and frames are hash-consed like terms (``lang``): identity,
+hashing and memo keys stay O(1).  ``RULES`` holds one rule per redex
+constructor, which gives the redex's outcomes in the current heap; a step
+refocuses each contractum from the hole (Danvy & Nielsen, "Refocusing in
+reduction semantics", 2004), so it builds O(redex + frames popped and
+pushed) nodes however deep the context, and the rest of the context is
+shared.  ``plug`` rebuilds the expression, to print it.  The walks are
+loops, so a deep context needs no recursion.
 
 A configuration is a nonempty thread pool plus a heap; stepping thread
-``i`` replaces its expression, applies the heap effect, and appends any
-forked expression to the pool.  ``successors`` is that step; the exact
-analysis, ``config_step`` and ``TransitionTable`` all derive theirs from
-it.  Scheduling a value, a stuck thread, or an out-of-range index is a
+``i`` replaces it, applies the heap effect, and appends any forked
+thread to the pool.  ``successors`` is that step; the exact analysis,
+``config_step`` and ``TransitionTable`` all derive theirs from it.
+Scheduling a value, a stuck thread, or an out-of-range index is a
 stutter: the configuration repeats with probability one.  A
-configuration has terminated when the first thread is a value; nothing
-can change that thread afterwards, so termination is absorbing.  Every
-engine keys dicts on configurations, so a ``Config`` and its ``State``
-compute their hash once, when they are built.
+configuration has terminated when the first thread's focus is a value;
+nothing can change that thread afterwards, so termination is absorbing.
+Every engine keys dicts on configurations, so a ``Config`` and its
+``State`` compute their hash once, when they are built.
 
 A scheduler is a Markov policy ``choose(step, config) -> thread index``.
 ``trace_step_ival_n`` is the monadic n-step semantics under one: a chain
@@ -56,8 +59,8 @@ from ivalbench import ival, lang
 from ivalbench.ival import IndexedValuation
 from ivalbench.lang import (
     FORMS, Alloc, App, Cas, Expr, Faa, Flip, Fork, If, Let, Lit, Load, Prim,
-    Rec, Store, Val, VBool, VClosure, VInt, VLoc, VPair, Wait,
-    is_value, of_val, subst, to_val,
+    Rec, Store, Val, Var, VBool, VClosure, VInt, VLoc, VPair, Wait, _Node, _node,
+    of_val, subst, to_val,
 )
 
 
@@ -127,11 +130,11 @@ class Config(_HashSlot):
 
 
 def initial_config(exprs, heap=()) -> Config:
-    """The pool ``exprs`` over the (loc, Val) cells ``heap``; allocation
-    continues above the highest location."""
+    """The pool of threads ``exprs`` over the (loc, Val) cells ``heap``;
+    allocation continues above the highest location."""
     cells = tuple(sorted(heap))
     next_loc = max((l for (l, _) in cells), default=-1) + 1
-    return Config(tuple(exprs), State(cells, next_loc))
+    return Config(tuple(refocus(None, e) for e in exprs), State(cells, next_loc))
 
 
 # ---------------------------------------------------------------------------
@@ -163,75 +166,89 @@ _TRUE_LIT = Lit(lang.TRUE)
 _FALSE_LIT = Lit(lang.FALSE)
 
 
-def refocus(frames: list, e: Expr) -> Expr:
-    """Continue decomposition with ``e`` in the hole of the context
-    ``frames``, extending or popping ``frames`` in place, and return the
-    focus: ``plug(frames, focus)`` is ``plug(frames, e)`` as it was called.
-    The focus is the next redex (its type is in ``RULES``), or a value with
-    no frame left, or a variable where the next redex would be (an open
-    term, which no rule reduces).
+@_node
+class Ctx(_Node):
+    """An evaluation context, as the cons list of its frames, innermost
+    first: ``frame`` is a node with ``HOLE`` at its ``k``-th evaluation
+    position, whose earlier evaluation positions are values, and ``up``
+    is the context around it (None at the root)."""
 
-    A frame ``(node, k)`` is a node whose evaluation positions before its
-    ``k``-th are values and whose ``k``-th is not.  A non-value focus is
-    descended into, through its first evaluation position that is not a
-    value.  A value focus fills the hole of the innermost frame, which is
-    popped and rebuilt around it; the rebuilt node is the new focus, so a
-    node whose later evaluation positions are values becomes the redex,
-    and one with a later non-value position is descended into again.
-    After a rule fires, ``refocus(frames, contractum)`` finds the next
-    redex from the hole, without plugging from the root (Danvy & Nielsen
-    2004).  A frame left in place keeps the child it was pushed with at
-    its hole, which ``plug`` replaces.  Iterative, so context depth is not
-    bounded by the recursion limit."""
+    frame: Expr
+    k: int
+    up: Optional["Ctx"]
+
+
+@_node
+class Thread(_Node):
+    """A thread as a zipper: the context ``ctx`` (None when empty) with
+    ``focus`` in its hole.  The focus is the next redex (its type is in
+    ``RULES``), or a variable where the next redex would be (an open term,
+    which no rule reduces), or a value, the last only when the context is
+    empty."""
+
+    ctx: Optional[Ctx]
+    focus: Expr
+
+
+HOLE = Var("[]")  # the hole of every frame: not a value, like what it stands for
+
+
+def _fill(ctx: Ctx, e: Expr) -> Expr:
+    """The innermost frame of ``ctx`` with ``e`` in its hole."""
+    (frame, k) = (ctx.frame, ctx.k)
+    form = FORMS[type(frame)]
+    kids = form.kids(frame)
+    return form.make(frame, kids[:k] + (e,) + kids[k + 1:])
+
+
+def refocus(ctx: Optional[Ctx], e: Expr) -> Thread:
+    """The thread with ``e`` in the hole of ``ctx``: ``plug`` of the result
+    is ``e`` plugged into ``ctx``.
+
+    A non-value is descended into, through its first evaluation position
+    that is not a value, and becomes a frame with the hole there.  A value
+    fills the hole of the innermost frame, which is popped; the filled node
+    is walked on, so a node whose later evaluation positions are values
+    becomes the focus, and one with a later non-value position is
+    descended into again.  After a rule fires, refocusing the contractum
+    from the hole finds the next redex without plugging from the root
+    (Danvy & Nielsen 2004).  Iterative, so context depth is not bounded
+    by the recursion limit."""
     while True:
         if e.is_val:
-            if not frames:
-                return e
-            (node, k) = frames.pop()
-            form = FORMS[type(node)]
-            kids = form.kids(node)
-            e = form.make(node, kids[:k] + (e,) + kids[k + 1:])
+            if ctx is None:
+                return Thread(None, e)
+            (e, ctx) = (_fill(ctx, e), ctx.up)
             continue
-        for (k, c) in enumerate(FORMS[type(e)].evaluated(e)):
+        form = FORMS[type(e)]
+        for (k, c) in enumerate(form.evaluated(e)):
             if not c.is_val:
-                frames.append((e, k))
-                e = c
+                kids = form.kids(e)
+                (ctx, e) = (Ctx(form.make(e, kids[:k] + (HOLE,) + kids[k + 1:]), k, ctx), c)
                 break
         else:
-            return e
+            return Thread(ctx, e)
 
 
-def decompose(e: Expr):
-    """``(frames, redex)`` with ``plug(frames, redex) is e``, or ``None``
-    when ``e`` is a value or its next redex would be a variable: the
-    ``refocus`` of ``e`` in the empty context.  The redex is the first
-    node on the path of first non-value evaluation positions whose
-    evaluation positions are all values."""
-    frames = []
-    focus = refocus(frames, e)
-    return (frames, focus) if type(focus) in RULES else None
-
-
-def plug(frames: list, e: Expr) -> Expr:
-    """Fill the context ``frames`` with ``e``."""
-    for (node, k) in reversed(frames):
-        form = FORMS[type(node)]
-        kids = form.kids(node)
-        e = form.make(node, kids[:k] + (e,) + kids[k + 1:])
+def plug(t: Thread) -> Expr:
+    """The expression of thread ``t``, for printing."""
+    (ctx, e) = (t.ctx, t.focus)
+    while ctx is not None:
+        (e, ctx) = (_fill(ctx, e), ctx.up)
     return e
 
 
-def outcomes(e: Expr, s: State):
-    """Step outcomes of one thread: ``None`` if ``e`` is a value or is
-    stuck in ``s``, else a list of (prob, expr, state, spawned)."""
-    split = decompose(e)
-    if split is None:
-        return None
-    (frames, redex) = split
-    res = RULES[type(redex)](redex, s)
+def outcomes(t: Thread, s: State):
+    """Step outcomes of thread ``t``: ``None`` if it is a value or is
+    stuck in ``s``, else a list of (prob, thread, state, spawned threads).
+    Each contractum is refocused from the hole, and each forked body from
+    the empty context."""
+    rule = RULES.get(type(t.focus))
+    res = None if rule is None else rule(t.focus, s)
     if res is None:
         return None
-    return [(p, plug(frames, r), s2, sp) for (p, r, s2, sp) in res]
+    return [(p, refocus(t.ctx, r), s2, tuple(refocus(None, b) for b in sp) if sp else ())
+            for (p, r, s2, sp) in res]
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +404,9 @@ def successors(c: Config, i: int, memo: dict):
     one per outcome of its redex, or ``None`` when ``i`` names no thread or
     the thread is a value or stuck.
 
-    A thread's outcomes depend only on its expression and the heap, so the
-    caller's ``memo``, (expression, state) -> outcomes (``()`` for a value
-    or a stuck thread), lets it step a thread that recurs in many
+    A thread's outcomes depend only on the thread and the heap, so the
+    caller's ``memo``, (thread, state) -> outcomes (``()`` for a value or
+    a stuck thread), lets it step a thread that recurs in many
     configurations once; this call reads and extends it.  A caller that
     shares nothing passes ``{}``."""
     if not 0 <= i < len(c.threads):
@@ -434,7 +451,7 @@ def trace_step_ival_n(choose: Callable[[int, Config], int], c: Config,
 
 
 def is_terminated(c: Config) -> bool:
-    return is_value(c.threads[0])
+    return c.threads[0].focus.is_val
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +480,7 @@ class TransitionTable:
         self.configs: list = []  # node -> Config
         self.terminated: list = []  # node -> is_terminated(its Config)
         self.rows: list = []  # node -> {thread index: row}
-        self.steps: dict = {}  # (expression, state) -> the thread's outcomes
+        self.steps: dict = {}  # (thread, state) -> the thread's outcomes
 
     def node(self, c: Config) -> int:
         n = self.ids.setdefault(c, len(self.configs))  # terms hash by identity

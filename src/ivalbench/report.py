@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from ivalbench import lang
+from ivalbench import lang, machine
 from ivalbench.coupling import CouplingWitness, Verdict
 from ivalbench.ival import IndexedValuation
 
@@ -77,7 +77,7 @@ def verdict_json(v: Verdict) -> dict:
 
 def config_json(c) -> dict:
     return {
-        "threads": [lang.unparse(e) for e in c.threads],
+        "threads": [lang.unparse(machine.plug(t)) for t in c.threads],
         "heap": {str(loc): lang.unparse(lang.of_val(v)) for (loc, v) in c.state.heap},
         "next_loc": c.state.next_loc,
     }

@@ -71,24 +71,24 @@ step never blocks and never terminates the configuration, so an adversary
 that runs out the budget or reaches a deadlock can always have taken it
 first; ``budget insufficient``, deadlock and the exact lo/hi are therefore
 what the unfused recursion gives at every budget.  A thread whose local
-steps repeat an expression loops forever, so it raises ``budget
-insufficient`` soon after the repeat, which ``_local_chain`` finds in
-constant memory; one that loops without repeating runs until the budget
-is spent and then raises.  ``_local_chain`` keeps the thread as
-(frames, redex) and refocuses each contractum from the hole
-(``machine.refocus``), so a fused step costs O(redex) however deep its
-context, and the thread is plugged once, at the chain's end.
+steps repeat a thread loops forever, so it raises ``budget insufficient``
+soon after the repeat, which ``_local_chain`` finds in constant memory;
+one that loops without repeating runs until the budget is spent and then
+raises.  ``_fused_step`` decides and takes one fused step, for the chain
+and for the extracted adversary alike; it refocuses the contractum from
+the hole (``machine.refocus``), like every step, so a fused step costs
+O(redex) however deep its context.
 
 A thread's work recurs in every configuration that holds it, so each
 analysis call derives it once per distinct thread, in three memos of its
-own that die with the call.  Terms are hash-consed, so a key hashes in
-O(1) however deep its expression (Filliatre & Conchon 2006), and a
+own that die with the call.  Threads are hash-consed zippers, so a key
+hashes in O(1) however deep its context (Filliatre & Conchon 2006), and a
 ``Config`` or ``State`` computes its hash once, when it is built, so a
 probe of the memo, the gray set or the step memo hashes nothing.
 
-* The fused steps of a thread, keyed by (expression, is the first
-  thread): local steps read no heap, so where they lead, and how many
-  there are, depends on nothing else.  The chain is derived once, with
+* The fused steps of a thread, keyed by (thread, is the first thread):
+  local steps read no heap, so where they lead, and how many there are,
+  depends on nothing else.  The chain is derived once, with
   the budget then left as its limit; a later visit with fewer steps left
   than the chain needs raises ``budget insufficient``, as running it
   would, and otherwise spends the whole chain, so ``fused_steps`` counts
@@ -96,8 +96,8 @@ probe of the memo, the gray set or the step memo hashes nothing.
 * The contractum of a local redex, keyed by the redex: a local rule
   ignores the heap, so a redex that several threads or chains reach is
   substituted once.  It holds O(distinct redexes), never a context.
-* The step of a thread, keyed by (expression, state): a thread's outcomes
-  depend on its expression and the heap alone.  ``machine.successors``
+* The step of a thread, keyed by (thread, state): a thread's outcomes
+  depend on the thread and the heap alone.  ``machine.successors``
   builds each successor configuration from them and the configuration's
   other threads.  Beyond the settled configurations, which the analysis
   memoizes anyway, it keeps only the successors of the steps taken.
@@ -105,11 +105,9 @@ probe of the memo, the gray set or the step memo hashes nothing.
 ``evaluate_policy`` keeps no step memo: it holds nothing beyond the
 current frontier and the next, one configuration per step on a
 deterministic run and the widest step's leaves on a tree whose runs never
-meet, and a memo would keep every expression of the run alive, O(steps x
-depth) nodes for a deep context that ``plug`` rebuilds on each step.  The
-extracted adversary caches, per (expression, is the first thread), whether
-a fused step is pending, which it decides by decomposing the thread and
-applying the rule, without plugging.
+meet; a memo would keep every thread of the run alive.  The extracted
+adversary caches, per (thread, is the first thread), whether a fused step
+is pending.
 
 Collapsing history-dependent schedulers to configuration keys is
 justified for expected-value objectives and checked empirically:
@@ -141,9 +139,9 @@ from weakref import WeakKeyDictionary
 
 from ivalbench import comp, machine
 from ivalbench.ival import as_rational, weighted_sum
-from ivalbench.lang import FORMS, Expr, Pair, is_value, to_val
+from ivalbench.lang import FORMS, Expr, to_val
 from ivalbench.machine import (
-    Config, State, config_step, initial_config, is_terminated, outcomes, successors,
+    Config, State, Thread, config_step, initial_config, is_terminated, outcomes, successors,
 )
 
 
@@ -155,10 +153,12 @@ class ScheduleError(Exception):
 class SchedulerPolicy:
     """A Markov scheduler: ``choose(step, config)`` is the index of the
     thread to step next; an index naming no thread that can step is a
-    stutter.  ``choose`` must be pure, a function of its arguments alone
-    (a cache inside it is fine): ``monte_carlo`` asks it once per run
-    segment between draws and replays the segment for every later trial
-    that reaches it.  ``choose`` is a module-level function, a
+    stutter.  ``config.threads`` is the pool of ``machine.Thread``
+    zippers: a thread's next redex is its ``focus``, and ``machine.plug``
+    gives its expression.  ``choose`` must be pure, a function of its
+    arguments alone (a cache inside it is fine): ``monte_carlo`` asks it
+    once per run segment between draws and replays the segment for every
+    later trial that reaches it.  ``choose`` is a module-level function, a
     ``functools.partial`` of one or a picklable callable object, so that a
     policy pickles and ``monte_carlo`` can send it to worker processes."""
 
@@ -249,7 +249,7 @@ def evaluate_policy(prog: Expr, policy: SchedulerPolicy, budget: int,
         after: dict = {}
         for (c, w) in frontier.items():
             if is_terminated(c):
-                total += w * as_rational(f(to_val(c.threads[0])))
+                total += w * as_rational(f(to_val(c.threads[0].focus)))
                 continue
             if step == budget:
                 raise ScheduleError(
@@ -306,32 +306,10 @@ class ExtremalResult:
 
 
 def enabled_threads(c: Config) -> list:
-    return [i for (i, e) in enumerate(c.threads)
-            if not is_value(e) and outcomes(e, c.state) is not None]
+    return [i for (i, t) in enumerate(c.threads) if outcomes(t, c.state) is not None]
 
 
 _STUCK = object()  # the contractum memo's entry for a stuck local redex
-
-
-def _plugs_to_value(frames: list, v: Expr) -> bool:
-    """Whether ``plug(frames, v)`` is a value, for a value ``v``: every
-    frame must be a pair whose other position is a value."""
-    return all(type(node) is Pair and (k or node.snd.is_val) for (node, k) in frames)
-
-
-def _pending(e: Expr, s: State, first: bool) -> bool:
-    """Whether the analysis fuses the thread's next step: an enabled
-    thread-local step, except the one that turns the ``first`` thread into
-    a value."""
-    split = machine.decompose(e)
-    if split is None or not FORMS[type(split[1])].local:
-        return False
-    (frames, redex) = split
-    res = machine.RULES[type(redex)](redex, s)
-    if res is None:
-        return False  # stuck for good: a local side condition ignores the heap
-    r = res[0][1]
-    return not (first and r.is_val and _plugs_to_value(frames, r))
 
 
 _BUDGET_INSUFFICIENT = "budget insufficient: an adversary reaches the horizon unterminated"
@@ -339,44 +317,44 @@ _LOCAL_LOOP = "budget insufficient: a thread's local steps repeat an expression,
 _CYCLE = "budget insufficient: an adversary can revisit a configuration forever"
 
 
-def _local_chain(e: Expr, s: State, first: bool, limit: int, contracta: dict) -> tuple:
-    """``(e2, n)``: the thread at ``e`` reaches ``e2`` after its ``n``
-    fused steps, and ``e2``'s next step is not fused.  Raises ``budget
-    insufficient`` when ``n`` would exceed ``limit``, or when the steps
-    repeat an expression: they then never end.
+def _fused_step(t: Thread, s: State, first: bool, contracta: dict):
+    """The thread after ``t``'s next step if the analysis fuses that step,
+    else None.  Fused: an enabled thread-local step, except the one that
+    turns the ``first`` thread into a value.  ``contracta`` maps each local
+    redex to its contractum (or ``_STUCK``), which the heap cannot change.
+    The contractum is refocused from the hole, so a step costs O(redex),
+    not O(depth)."""
+    focus = t.focus
+    if not FORMS[type(focus)].local:
+        return None
+    r = contracta.get(focus)
+    if r is None:
+        res = machine.RULES[type(focus)](focus, s)
+        r = contracta[focus] = _STUCK if res is None else res[0][1]
+    if r is _STUCK:
+        return None  # stuck for good: a local side condition ignores the heap
+    t2 = machine.refocus(t.ctx, r)
+    return None if first and t2.focus.is_val else t2
 
-    The thread is kept as (frames, focus) and refocused after each step,
-    so a step costs O(redex), not O(depth); it is plugged once, at the
-    chain's end.  ``contracta`` maps each local redex to its contractum (or
-    ``_STUCK``), which the heap cannot change.  A repeat is found in
-    constant memory by comparing each state with a mark moved to the
-    chain's positions 1, 2, 4, 8, ... (Brent 1980).  A frame may keep a
-    stale child at its hole, so two states of one expression can differ;
-    after one more round of the cycle they agree, so the repeat is still
-    found within a few times the length of the chain's prefix and cycle."""
-    frames: list = []
-    focus = machine.refocus(frames, e)
-    (mark, n, lap) = (None, 0, 1)
-    while FORMS[type(focus)].local:
-        r = contracta.get(focus)
-        if r is None:
-            res = machine.RULES[type(focus)](focus, s)
-            r = contracta[focus] = _STUCK if res is None else res[0][1]
-        if r is _STUCK:
-            break  # stuck for good: a local side condition ignores the heap
-        if first and r.is_val and _plugs_to_value(frames, r):
-            break  # the step that ends the run stays a scheduling choice
+
+def _local_chain(t: Thread, s: State, first: bool, limit: int, contracta: dict) -> tuple:
+    """``(t2, n)``: the thread ``t`` reaches ``t2`` after its ``n`` fused
+    steps, and ``t2``'s next step is not fused.  Raises ``budget
+    insufficient`` when ``n`` would exceed ``limit``, or when the steps
+    repeat a thread: they then never end.  A repeat is found in constant
+    memory by comparing each thread with a mark moved to the chain's
+    positions 1, 2, 4, 8, ... (Brent 1980); threads are hash-consed, so
+    the comparison is by identity."""
+    (mark, n, lap) = (t, 0, 1)
+    while (t2 := _fused_step(t, s, first, contracta)) is not None:
         if n == limit:
             raise ScheduleError(_BUDGET_INSUFFICIENT)
-        if mark is None:
-            mark = (frames.copy(), focus)
-        focus = machine.refocus(frames, r)
-        if focus is mark[1] and frames == mark[0]:  # hash-consed: compared by identity
+        if t2 is mark:
             raise ScheduleError(_LOCAL_LOOP)
-        n += 1
+        (t, n) = (t2, n + 1)
         if n == lap:
-            (mark, lap) = ((frames.copy(), focus), 2 * lap)
-    return (e, 0) if n == 0 else (machine.plug(frames, focus), n)
+            (mark, lap) = (t, 2 * lap)
+    return (t, n)
 
 
 def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult:
@@ -440,8 +418,8 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
             for (p, c2) in succ:
                 if p == 0:
                     continue
-                if c2.threads[0].is_val:  # terminated
-                    v = as_rational(f(to_val(c2.threads[0])))
+                if c2.threads[0].focus.is_val:  # terminated
+                    v = as_rational(f(to_val(c2.threads[0].focus)))
                     valued.append((p, v, v))
                     continue
                 # only the stepped thread and a thread it forked can have
@@ -474,7 +452,7 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
 
     c0 = initial_config([prog])
     if is_terminated(c0):
-        v = as_rational(f(to_val(c0.threads[0])))
+        v = as_rational(f(to_val(c0.threads[0].focus)))
         return ExtremalResult(v, v, 0, 0, 0, memo)
     (c, left) = settle(c0, budget, range(len(c0.threads)))
     stack = [expand(c, left)]
@@ -514,11 +492,11 @@ class _Extremal:
         hit = self.table.memo.get(c)
         if hit is not None:
             return hit[self.table.slot]  # a memoized configuration is settled
-        for (i, e) in enumerate(c.threads):
+        for (i, t) in enumerate(c.threads):
             known = self.pending[i == 0]
-            p = known.get(e)
+            p = known.get(t)
             if p is None:
-                p = known[e] = _pending(e, c.state, i == 0)
+                p = known[t] = _fused_step(t, c.state, i == 0, {}) is not None
             if p:
                 return i
         return STUTTER
@@ -571,7 +549,7 @@ def brute_force_extrema(prog: Expr, budget: int, f: Callable,
         if nodes > node_limit:
             raise ScheduleError(f"decision tree exceeds {node_limit} nodes")
         if is_terminated(c):
-            v = as_rational(f(to_val(c.threads[0])))
+            v = as_rational(f(to_val(c.threads[0].focus)))
             return (v, v)
         enabled = enabled_threads(c)
         if not enabled:
@@ -634,7 +612,7 @@ def _run_trials(prog, policy, budget, f, seed, lo, hi):
     total = Fraction(0)
     totalsq = Fraction(0)
     for (end, count) in ends.items():
-        x = as_rational(f(to_val(table.configs[end].threads[0])))
+        x = as_rational(f(to_val(table.configs[end].threads[0].focus)))
         total += count * x
         totalsq += count * x * x
     return total, totalsq

@@ -119,7 +119,7 @@ def test_runtime_values_print_as_constructors():
     v = Lit(VPair(VInt(1), VInt(2)))
     assert unparse(v) == "(pair 1 2)"
     reparsed = parse(unparse(v))
-    assert lang.is_value(reparsed) and lang.to_val(reparsed) == VPair(VInt(1), VInt(2))
+    assert reparsed.is_val and lang.to_val(reparsed) == VPair(VInt(1), VInt(2))
 
 
 def test_round_trip_generated_asts():
@@ -152,11 +152,11 @@ def test_substitution_respects_binders():
 
 def test_value_conversions():
     e = parse("(pair 1 (pair #t ()))")
-    assert lang.is_value(e)
+    assert e.is_val
     v = lang.to_val(e)
     assert v == VPair(VInt(1), VPair(lang.TRUE, lang.VUnit()))
     assert lang.to_val(lang.of_val(v)) == v
-    assert not lang.is_value(parse("(pair 1 (load x))"))
+    assert not parse("(pair 1 (load x))").is_val
 
 
 def test_equal_constructions_are_one_object():
@@ -167,9 +167,9 @@ def test_equal_constructions_are_one_object():
     s = machine.State()
     for (text, after) in (("(+ 1 2)", "3"), ("(let (x 1) (+ x x))", "(+ 1 1)"),
                           ("(pair (+ 1 2) y)", "(pair 3 y)")):
-        [(_, a, _, _)] = machine.outcomes(parse(text), s)
-        [(_, b, _, _)] = machine.outcomes(parse(text), s)
-        assert a is b is parse(after)
+        [(_, a, _, _)] = machine.outcomes(machine.refocus(None, parse(text)), s)
+        [(_, b, _, _)] = machine.outcomes(machine.refocus(None, parse(text)), s)
+        assert a is b is machine.refocus(None, parse(after))
 
 
 def test_pickle_and_copy_reintern():
@@ -217,8 +217,8 @@ def test_underscore_never_binds():
     for text in ("(let (_ 1) _)", "(seq 1 _)", "((lam (x) _) 1)"):
         e = parse(text)
         assert e.fv == frozenset()
-        [(_, e1, _, _)] = machine.outcomes(e, s)
-        assert e1 is Var("_") and machine.outcomes(e1, s) is None
+        [(_, t1, _, _)] = machine.outcomes(machine.refocus(None, e), s)
+        assert t1 is machine.Thread(None, Var("_")) and machine.outcomes(t1, s) is None
     assert lang.subst(Var("_"), "_", lang.num(1)) is Var("_")
 
 

@@ -16,10 +16,10 @@ import ivalbench
 from ivalbench import ival, lang, machine, sched
 from ivalbench.lang import FORMS, Lit, VInt, VLoc, parse, to_val
 from ivalbench.machine import (
-    State, config_step, decompose, initial_config, outcomes, plug,
-    trace_step_ival_n,
+    HOLE, State, Thread, config_step, initial_config, plug, refocus, trace_step_ival_n,
 )
 from ivalbench.models import read_int, read_true_indicator
+import plugging_reference as ref
 
 
 def rr(step, c):
@@ -27,7 +27,7 @@ def rr(step, c):
 
 
 def first_threads(iv):
-    return ival.map_values(lambda c: c.threads[0], iv)
+    return ival.map_values(lambda c: plug(c.threads[0]), iv)
 
 
 def run_dist(text_or_expr, steps, heap=()):
@@ -38,7 +38,15 @@ def run_dist(text_or_expr, steps, heap=()):
 
 def redex_is_local(e):
     """Is the redex of the next step of ``e`` a thread-local form?"""
-    return FORMS[type(decompose(e)[1])].local
+    return FORMS[type(refocus(None, e).focus)].local
+
+
+def outcomes(e, s):
+    """``machine.outcomes`` of the thread ``e``, with each successor and
+    forked thread plugged back to its expression."""
+    res = machine.outcomes(refocus(None, e), s)
+    return None if res is None else [(p, plug(t), s2, tuple(map(plug, sp)))
+                                     for (p, t, s2, sp) in res]
 
 
 def test_flip_two_entries():
@@ -153,7 +161,7 @@ def test_config_step_stutters():
 def test_config_step_appends_forked_thread():
     c = initial_config([parse("(seq (fork 1) 2)")])
     [(_, c2, p)] = config_step(c, 0).entries
-    assert p == 1 and len(c2.threads) == 2 and c2.threads[1] == parse("1")
+    assert p == 1 and len(c2.threads) == 2 and c2.threads[1] is Thread(None, parse("1"))
 
 
 def heap_config():
@@ -282,8 +290,7 @@ def test_determinism_modulo_flip():
             iv = config_step(c, i)
             positive = [(cc, p) for (_, cc, p) in iv.entries if p > 0]
             if len(positive) > 1:
-                (_, redex) = decompose(c.threads[i])
-                assert isinstance(redex, lang.Flip)
+                assert isinstance(c.threads[i].focus, lang.Flip)
             c = rng.choice(positive)[0]
 
 
@@ -300,7 +307,7 @@ def test_pool_grows_only_by_fork():
         grew = len(c2.threads) - before
         assert grew in (0, 1)
         if grew == 1:  # the stepped thread's redex, under its context, is a fork
-            assert isinstance(decompose(c.threads[i])[1], lang.Fork)
+            assert isinstance(c.threads[i].focus, lang.Fork)
         c = c2
 
 
@@ -319,57 +326,67 @@ def test_heap_safety_reachable_configs():
         (c, _) = rng.choice(entries)
 
 
-def check_decomposition(e, split):
-    """``split`` is the one decomposition of ``e`` the evaluation-context
-    grammar allows: it plugs back to ``e``, every frame's hole is its first
-    evaluation position that is not a value, and the redex's evaluation
-    positions are all values."""
+def check_decomposition(t, split):
+    """The zipper ``t`` is the one decomposition ``split`` of the
+    plugging reference: the same redex under the same frames, innermost
+    first, each with the hole at the same position and the canonical hole
+    marker there."""
     (frames, redex) = split
-    assert plug(frames, redex) is e
-    for (j, (node, k)) in enumerate(frames):
-        positions = lang.FORMS[type(node)].evaluated(node)
-        assert all(lang.is_value(c) for c in positions[:k])
-        assert not lang.is_value(positions[k])
-        below = frames[j + 1][0] if j + 1 < len(frames) else redex
-        assert positions[k] is below
-    assert frames[0][0] is e if frames else redex is e
-    assert all(lang.is_value(c) for c in lang.FORMS[type(redex)].evaluated(redex))
+    assert t.focus is redex
+    ctx = t.ctx
+    for (node, k) in reversed(frames):
+        positions = lang.FORMS[type(ctx.frame)].evaluated(ctx.frame)
+        assert ctx.k == k and positions[k] is HOLE
+        assert all(c.is_val for c in positions[:k])
+        assert machine._fill(ctx, lang.FORMS[type(node)].evaluated(node)[k]) is node
+        ctx = ctx.up
+    assert ctx is None
+    assert all(c.is_val for c in lang.FORMS[type(redex)].evaluated(redex))
     assert type(redex) in machine.RULES
 
 
 def test_unique_decomposition():
+    # an expression and its zipper are in bijection, and the zipper is the
+    # decomposition the plugging reference finds
     rng = random.Random(29)
     interesting = 0
     for _ in range(500):
         e = lang.gen_expr(rng, depth=4)
-        split = decompose(e)
-        if lang.is_value(e):
-            assert split is None
+        t = refocus(None, e)
+        assert plug(t) is e and refocus(None, plug(t)) is t
+        split = ref.decompose(e)
+        if e.is_val:
+            assert split is None and t is Thread(None, e)
         elif isinstance(e, lang.Var):
-            assert split is None  # open variable: no context applies
+            assert split is None and t is Thread(None, e)  # open: no context applies
         elif split is not None:
-            # non-value closed-ish forms decompose uniquely; a variable in
-            # redex position gives no decomposition
-            check_decomposition(e, split)
+            # non-value closed-ish forms decompose uniquely
+            check_decomposition(t, split)
             interesting += 1
+        else:  # a variable in redex position gives no decomposition
+            assert type(t.focus) is lang.Var
     assert interesting > 300
 
 
 def test_decomposition_agrees_with_stepper():
+    # each step's outcomes plug to those of the plugging reference, and
+    # refocusing a plugged successor gives the successor back
     rng = random.Random(31)
     s = State(((0, VInt(1)),), 1)
+    stepped = 0
     for _ in range(300):
         e = lang.gen_expr(rng, depth=3)
-        if lang.is_value(e):
+        t = refocus(None, e)
+        res = machine.outcomes(t, s)
+        want = ref.outcomes(e, s)
+        if res is None:
+            assert want is None
             continue
-        res = outcomes(e, s)
-        if res is not None:
-            split = decompose(e)
-            assert split is not None
-            check_decomposition(e, split)
-            (frames, redex) = split
-            assert res == [(p, plug(frames, e2), s2, sp)
-                           for (p, e2, s2, sp) in outcomes(redex, s)]
+        check_decomposition(t, ref.decompose(e))
+        assert [(p, plug(t2), s2, tuple(map(plug, sp))) for (p, t2, s2, sp) in res] == want
+        assert all(refocus(None, plug(t2)) is t2 for (_, t2, _, _) in res)
+        stepped += 1
+    assert stepped > 80
 
 
 def test_deep_context_steps_without_recursion():
@@ -383,9 +400,9 @@ def test_deep_context_steps_without_recursion():
         [(p, e2, _, _)] = outcomes(e, State())
         assert redex_is_local(e)
         [(_, c2, _)] = config_step(initial_config([e]), 0).entries
+        assert p == 1 and plug(c2.threads[0]) is e2
     finally:
         sys.setrecursionlimit(limit)
-    assert p == 1 and c2.threads == (e2,)
     for _ in range(20_000 - 1):
         e2 = e2.args[1]
     assert e2 == lang.num(2)
@@ -415,8 +432,9 @@ def test_next_redex_is_local():
              "(alloc 1)", "(+ (load (loc 0)) 1)", "(seq (faa (loc 0) 1) (+ 1 2))"]
     assert all(redex_is_local(parse(t)) for t in local)
     assert not any(redex_is_local(parse(t)) for t in other)
-    # a value has no redex
-    assert decompose(parse("1")) is None and decompose(parse("(lam (x) x)")) is None
+    # a value has no redex: it is its own focus
+    for text in ("1", "(lam (x) x)"):
+        assert refocus(None, parse(text)) is Thread(None, parse(text))
 
 
 def test_pow_bounded_by_result_bits():

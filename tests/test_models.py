@@ -17,7 +17,7 @@ def rr(step, c):
 
 def dist_of(prog, steps, heap=()):
     iv = machine.trace_step_ival_n(rr, machine.initial_config([prog], heap), steps)
-    iv = ival.map_values(lambda c: c.threads[0], iv)
+    iv = ival.map_values(lambda c: c.threads[0].focus, iv)
     return {to_val(e): p for (e, p) in ival.to_distribution(iv).weights}
 
 
@@ -260,7 +260,7 @@ def test_quiescent_cost_matches_formula():
     for (_, c, p) in iv.entries:  # final configurations, heaps included
         if p == 0:
             continue
-        result = to_val(c.threads[0])
+        result = to_val(c.threads[0].focus)
         topl = None
         for (loc, v) in c.state.heap:  # top-left sentinel: key INTMIN with a down pointer
             if (isinstance(v, VPair) and v.fst == VInt(models.INTMIN)

@@ -19,6 +19,7 @@ from ivalbench.lang import (
     num, parse, seq, unit,
 )
 from ivalbench.models import read_int
+import plugging_reference as ref
 
 
 def lite_counter(threads: int):
@@ -165,7 +166,7 @@ def test_deep_values_step_without_recursion():
         res = sched.extremal_expectation(parse(f"(fst {deep})"), 10,
                                          models.read_true_indicator)
         assert res.lo == res.hi == 1
-        assert lang.is_value(parse(deep))
+        assert parse(deep).is_val
         assert lang.to_val(parse(f"(snd {deep})").args[0]).fst == lang.TRUE
     finally:
         sys.setrecursionlimit(limit)
@@ -197,18 +198,16 @@ def test_deep_values_compare_without_recursion(text):
 
 def test_deep_let_substitutes_without_recursion():
     # a let whose body nests 3,000 deep: ``subst`` rebuilds the body on
-    # an explicit stack
+    # an explicit stack, and every engine then runs the whole chain
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         chain = parse("(let (x 1) " + "(+ 1 " * 3000 + "x" + ")" * 3001)
         res = sched.extremal_expectation(chain, 4000, read_int)
         assert res.lo == res.hi == 3001
-        # the same depth of substitution, then one step: a replay and
-        # sampling plug each step from the root
-        prog = parse("(let (x 1) (fst " + "(pair x " * 3000 + "()" + ")" * 3002)
-        assert sched.evaluate_policy(prog, sched.round_robin(), 2, read_int) == 1
-        assert sched.monte_carlo(prog, sched.round_robin(), 2, read_int, 3, seed=1).mean == 1.0
+        assert sched.evaluate_policy(chain, sched.round_robin(), 4000, read_int) == 3001
+        assert sched.monte_carlo(chain, sched.round_robin(), 4000, read_int, 3,
+                                 seed=1).mean == 3001.0
     finally:
         sys.setrecursionlimit(limit)
 
@@ -330,7 +329,7 @@ def sampled_first_thread(text: str, rng) -> lang.Expr:
     table = machine.TransitionTable()
     start = table.node(machine.initial_config([parse(text)]))
     end = machine.sample_run(table, start, sched.round_robin().choose, 1, rng, {})
-    return table.configs[end].threads[0]
+    return table.configs[end].threads[0].focus
 
 
 def test_sample_run_chooses_exactly():
@@ -693,27 +692,12 @@ def random_concurrent_program(rng: random.Random):
     return Let("l", Alloc(random_local(rng, 2)), seq(*forks, *mine, final))
 
 
-def fused_successor(e, s, first):
-    """The reference fused step, plugged from the root: the thread's
-    expression after its next step if the analysis fuses that step, else
-    None.  Fused: an enabled thread-local step, except the one that turns
-    the ``first`` thread into a value."""
-    split = machine.decompose(e)
-    if split is None or not lang.FORMS[type(split[1])].local:
-        return None
-    (frames, redex) = split
-    res = machine.RULES[type(redex)](redex, s)
-    if res is None:
-        return None  # stuck for good: a local side condition ignores the heap
-    e2 = machine.plug(frames, res[0][1])
-    return None if first and lang.is_value(e2) else e2
-
-
 def reference_chain(e, s, first, limit):
-    """The reference for ``sched._local_chain``: one ``fused_successor``
-    per step, with Brent's check on whole expressions."""
+    """The reference for ``sched._local_chain``: one plugging
+    ``fused_successor`` per step, with Brent's check on whole
+    expressions."""
     (mark, n, lap) = (e, 0, 1)
-    while (e2 := fused_successor(e, s, first)) is not None:
+    while (e2 := ref.fused_successor(e, s, first)) is not None:
         if n == limit:
             raise sched.ScheduleError(sched._BUDGET_INSUFFICIENT)
         if e2 is mark:
@@ -752,8 +736,8 @@ def assert_fused_agrees(prog, max_budget: int = 40):
         else:
             assert (res.lo, res.hi) == (bf.lo, bf.hi), where
             for c in res.policy_lo:  # the memo holds fused configurations only
-                assert not any(fused_successor(e, c.state, i == 0) is not None
-                               for (i, e) in enumerate(c.threads))
+                assert not any(ref.fused_successor(machine.plug(t), c.state, i == 0)
+                               is not None for (i, t) in enumerate(c.threads))
             for direction in ("lo", "hi"):
                 pol = sched.extract_policy(res, direction)
                 assert sched.evaluate_policy(prog, pol, budget, read_int) == getattr(res, direction)
@@ -771,15 +755,15 @@ def test_fused_matches_brute_force_on_random_programs():
 
 
 def reachable_threads(prog, limit: int = 200) -> set:
-    """(expression, state) of every thread of the first ``limit``
+    """(thread, state) of every thread of the first ``limit``
     configurations that some schedule reaches from ``prog``."""
     start = machine.initial_config([prog])
     (seen, queue, threads) = ({start}, [start], set())
     for c in queue:
         if len(seen) > limit:
             break
-        for (i, e) in enumerate(c.threads):
-            threads.add((e, c.state))
+        for (i, t) in enumerate(c.threads):
+            threads.add((t, c.state))
             for (_, c2, _) in machine.config_step(c, i).entries:
                 if c2 not in seen:
                     seen.add(c2)
@@ -794,68 +778,79 @@ def chain_or_error(chain, *args):
         return str(exc)
 
 
-def assert_refocus_agrees(e, s):
-    """After each outcome of ``e``'s redex, refocusing from the hole finds
-    the redex that decomposing the plugged thread finds, on the same path,
-    and plugs back to that thread."""
-    split = machine.decompose(e)
-    if split is None:
+def assert_steps_agree(t, s):
+    """Each outcome of thread ``t`` plugs to the outcome of the plugging
+    reference, and is the zipper of that expression: refocusing the
+    contractum from the hole finds the redex that decomposing the plugged
+    thread from the root finds."""
+    e = machine.plug(t)
+    assert machine.refocus(None, e) is t
+    res = machine.outcomes(t, s)
+    want = ref.outcomes(e, s)
+    if res is None:
+        assert want is None
         return 0
-    (frames, redex) = split
-    for (_, r, _, _) in machine.RULES[type(redex)](redex, s) or ():
-        after = list(frames)
-        focus = machine.refocus(after, r)
-        e2 = machine.plug(frames, r)
-        assert machine.plug(after, focus) is e2
-        want = machine.decompose(e2)
-        if want is None:
-            assert type(focus) not in machine.RULES
-            assert not after if e2.is_val else type(focus) is Var
-        else:
-            assert focus is want[1]
-            assert [(type(n), k) for (n, k) in after] == [(type(n), k) for (n, k) in want[0]]
+    assert [(p, machine.plug(t2), s2, tuple(map(machine.plug, sp)))
+            for (p, t2, s2, sp) in res] == want
+    for ((_, t2, _, sp), (_, e2, _, _)) in zip(res, want):
+        assert t2 is machine.refocus(None, e2)
+        assert all(b is machine.refocus(None, machine.plug(b)) for b in sp)
     return 1
+
+
+def fused_step_or_none(t, s, first):
+    """``sched._fused_step`` plugged, on a contractum memo of its own."""
+    t2 = sched._fused_step(t, s, first, {})
+    return None if t2 is None else machine.plug(t2)
+
+
+def chain_plugged(t, s, first, limit, contracta):
+    """``sched._local_chain`` with its end thread plugged."""
+    (t2, n) = sched._local_chain(t, s, first, limit, contracta)
+    return (machine.plug(t2), n)
 
 
 def test_fast_paths_match_the_plugging_reference():
     # on the threads the random programs of the agreement test reach: the
-    # refocused chain against one plug per step at several budgets, for the
-    # first thread and any other, with one contractum memo per program;
-    # refocusing against decomposing the plugged thread; and the extracted
-    # adversary's pending test against the reference fused step
+    # fused step and the chain of them against one plug per step at several
+    # budgets, for the first thread and any other, with one contractum memo
+    # per program; and each step against decomposing and plugging from the
+    # root
     rng = random.Random(2024)
-    (chained, refocused) = (collections.Counter(), 0)
+    (chained, stepped) = (collections.Counter(), 0)
     for _ in range(60):
         contracta = {}
-        for (e, s) in reachable_threads(random_concurrent_program(rng)):
+        for (t, s) in reachable_threads(random_concurrent_program(rng)):
+            e = machine.plug(t)
             for first in (True, False):
-                assert sched._pending(e, s, first) == (fused_successor(e, s, first) is not None)
+                assert fused_step_or_none(t, s, first) == ref.fused_successor(e, s, first)
                 for limit in (0, 1, 3, 8, 1000):
-                    got = chain_or_error(sched._local_chain, e, s, first, limit, contracta)
+                    got = chain_or_error(chain_plugged, t, s, first, limit, contracta)
                     assert got == chain_or_error(reference_chain, e, s, first, limit)
                     chained[type(got) is str or got[1] > 0] += 1
-            refocused += assert_refocus_agrees(e, s)
-    assert chained[True] > 500 and refocused > 1000
+            stepped += assert_steps_agree(t, s)
+    assert chained[True] > 500 and stepped > 1000
     # a redex under pairs: for the first thread, only the step that
     # completes every pair around it ends the chain
     s = machine.State(((0, lang.VInt(1)),), 1)
     for text in ("(pair (+ 1 2) (+ 3 4))", "(pair 1 (+ 1 2))", "(pair (pair 1 (+ 1 2)) 5)",
                  "(pair (pair (+ 0 1) 2) (pair 3 (+ 1 3)))", "(fst (pair (+ 1 2) 4))"):
-        e = parse(text)
+        (e, t) = (parse(text), machine.refocus(None, parse(text)))
         for first in (True, False):
-            assert sched._pending(e, s, first) == (fused_successor(e, s, first) is not None)
+            assert fused_step_or_none(t, s, first) == ref.fused_successor(e, s, first)
             for limit in (0, 1, 3, 1000):
-                assert (chain_or_error(sched._local_chain, e, s, first, limit, {})
+                assert (chain_or_error(chain_plugged, t, s, first, limit, {})
                         == chain_or_error(reference_chain, e, s, first, limit)), (text, first)
-        refocused += assert_refocus_agrees(e, s)
+        stepped += assert_steps_agree(t, s)
     # random terms of the whole grammar, pairs and open terms among them
     rng = random.Random(31)
     for _ in range(500):
         e = lang.gen_expr(rng, depth=4)
-        refocused += assert_refocus_agrees(e, s)
+        t = machine.refocus(None, e)
+        stepped += assert_steps_agree(t, s)
         for first in (True, False):
-            assert sched._pending(e, s, first) == (fused_successor(e, s, first) is not None)
-    assert refocused > 1200
+            assert fused_step_or_none(t, s, first) == ref.fused_successor(e, s, first)
+    assert stepped > 1200
 
 
 def list_count(n: int):
@@ -867,23 +862,74 @@ def list_count(n: int):
     return parse(f"((rec (len l) (if (= l ()) 0 (+ 1 (len (snd l))))) {lst})")
 
 
-def test_deep_chain_plugs_once(monkeypatch):
-    # a fused step refocuses from the hole, so the 2,002 fused steps of the
-    # count's one chain plug nothing until the chain ends; the other plug
-    # is the last step's, which stays unfused
+def counting_constructions(monkeypatch) -> collections.Counter:
+    """Count every node ``lang.FORMS``' constructors build from here on,
+    under the key ``"nodes"``; interned or not, each call counts."""
     calls = collections.Counter()
+    for form in lang.FORMS.values():
+        def make(e, kids, make=form.make):
+            calls["nodes"] += 1
+            return make(e, kids)
+        monkeypatch.setattr(form, "make", make)
+    return calls
 
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
 
-    monkeypatch.setattr(machine, "plug", counted("plug", machine.plug))
-    monkeypatch.setattr(sched, "_local_chain", counted("chain", sched._local_chain))
+def test_deep_chain_builds_constant_nodes_per_step(monkeypatch):
+    # a fused step refocuses from the hole, so each of the 2,002 fused steps
+    # of the count's one chain builds a few nodes, however deep its context
+    calls = counting_constructions(monkeypatch)
+    chain = sched._local_chain
+
+    def counted(*args):
+        calls["chain"] += 1
+        return chain(*args)
+
+    monkeypatch.setattr(sched, "_local_chain", counted)
     res = sched.extremal_expectation(list_count(400), 10 ** 4, read_int)
     assert (res.lo, res.hi, res.fused_steps, res.longest_path) == (400, 400, 2002, 2003)
-    assert calls == {"chain": 1, "plug": 2}
+    assert calls == {"chain": 1, "nodes": 5_610}
+
+
+def test_deep_contexts_step_in_linear_time(monkeypatch):
+    # a replay and sampling step a thread by refocusing from the hole too:
+    # doubling the depth of the count's context doubles the nodes built
+    calls = counting_constructions(monkeypatch)
+    engines = {
+        "evaluate_policy": lambda prog: sched.evaluate_policy(
+            prog, sched.round_robin(), 10 ** 4, read_int),
+        "monte_carlo": lambda prog: sched.monte_carlo(
+            prog, sched.round_robin(), 10 ** 4, read_int, 3, seed=1).mean,
+    }
+    for (name, run) in engines.items():
+        built = []
+        for n in (200, 400):
+            prog = list_count(n)
+            calls.clear()
+            assert run(prog) == n
+            built.append(calls["nodes"])
+        assert 0 < built[1] <= 2.1 * built[0], (name, built)
+
+
+def test_no_step_path_plugs(monkeypatch):
+    # one ``explore`` and one ``sample`` pass of the benchmark step threads
+    # as zippers only: ``plug`` is left to printing
+    workloads = load_bench("workloads")
+    plug = machine.plug
+    calls = 0
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return plug(t)
+
+    monkeypatch.setattr(machine, "plug", counted)
+    for workload in ("explore", "sample"):
+        wl = workloads.WORKLOADS[workload](1)
+        wl.prepare()
+        for item in wl.items:
+            (ok, work) = item.run()
+            assert ok and work > 0, item.name
+    assert calls == 0
 
 
 def test_each_local_redex_contracted_once_per_call(monkeypatch):
@@ -945,7 +991,8 @@ def test_evaluate_policy_matches_bind_chain():
                                                    budget).entries
                 where = (lang.unparse(prog), pol.name, budget)
                 if all(machine.is_terminated(c) for (_, c, p) in finals if p > 0):
-                    want = sum(p * read_int(lang.to_val(c.threads[0])) for (_, c, p) in finals)
+                    want = sum(p * read_int(lang.to_val(c.threads[0].focus))
+                               for (_, c, p) in finals)
                     assert sched.evaluate_policy(prog, pol, budget, read_int) == want, where
                 else:
                     raised += 1
@@ -963,7 +1010,7 @@ def reference_evaluate_policy(prog, policy, budget, f):
     while stack:
         (c, step, w) = stack.pop()
         if machine.is_terminated(c):
-            total += w * f(lang.to_val(c.threads[0]))
+            total += w * f(lang.to_val(c.threads[0].focus))
             continue
         if step == budget:
             raise sched.ScheduleError(f"unterminated within {budget} steps")
