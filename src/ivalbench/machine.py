@@ -28,7 +28,7 @@ loops, so a deep context needs no recursion.
 A configuration is a nonempty thread pool plus a heap; stepping thread
 ``i`` replaces it, applies the heap effect, and appends any forked
 thread to the pool.  ``successors`` is that step; the exact analysis,
-``config_step`` and ``TransitionTable`` all derive theirs from it.
+``config_step`` and the sampler all derive theirs from it.
 Scheduling a value, a stuck thread, or an out-of-range index is a
 stutter: the configuration repeats with probability one.  A
 configuration has terminated when the first thread's focus is a value;
@@ -39,11 +39,12 @@ Every engine keys dicts on configurations, so a ``Config`` and its
 A scheduler is a Markov policy ``choose(step, config) -> thread index``.
 ``trace_step_ival_n`` is the monadic n-step semantics under one: a chain
 of binds over ``config_step``.  ``sample_run`` is the path for Monte-Carlo
-work: it follows a single run, sampling flip outcomes exactly, over a
-``TransitionTable`` that the runs of one sampling call build and share.
-A run can differ from another only where it draws, so the runs also share
-a memo of the deterministic segments between draws: a segment walked once
-is replayed by one dict probe.
+work: it follows a single run over configurations, sampling flip outcomes
+exactly.  A run can differ from another only where it draws, so the runs
+of one sampling call share a memo of the deterministic segments between
+draws, keyed by the configuration and step where each starts: a segment
+walked once is replayed by one dict probe.  They also share the step memo
+of ``successors``, so a segment's first walk steps a thread once per heap.
 """
 
 from __future__ import annotations
@@ -188,6 +189,11 @@ class Thread(_Node):
 
     ctx: Optional[Ctx]
     focus: Expr
+
+    def __repr__(self):
+        # the thread's expression, printed by loops: the generated repr
+        # would recurse once per frame of the context
+        return lang.unparse(plug(self))
 
 
 HOLE = Var("[]")  # the hole of every frame: not a value, like what it stands for
@@ -458,52 +464,6 @@ def is_terminated(c: Config) -> bool:
 # sampling (Monte-Carlo)
 
 
-class TransitionTable:
-    """The steps that sampled runs took, built lazily.  Node ``n`` is the
-    ``n``-th configuration reached; ``rows[n]`` maps each thread stepped
-    from it to its row: the successor node of a step with one outcome
-    (``n`` itself for a stutter), else (successor nodes, common
-    denominator, cumulative numerators).  A row is derived once from
-    ``successors``, through the table's step memo, so a thread that recurs
-    beside different threads is stepped once per heap; each successor
-    configuration is hashed once to find its node; every later step
-    through the row is an int-keyed dict probe.  ``sample_run`` walks the
-    rows once per deterministic segment and replays a segment it has
-    walked from its own memo, without the rows.  Rows name nodes by
-    number, so the table holds no reference cycle and is freed as soon as
-    its last user drops it.  Memory grows with the distinct
-    configurations the runs visit: every outcome the step memo holds is
-    also a node."""
-
-    def __init__(self):
-        self.ids: dict = {}  # Config -> node
-        self.configs: list = []  # node -> Config
-        self.terminated: list = []  # node -> is_terminated(its Config)
-        self.rows: list = []  # node -> {thread index: row}
-        self.steps: dict = {}  # (thread, state) -> the thread's outcomes
-
-    def node(self, c: Config) -> int:
-        n = self.ids.setdefault(c, len(self.configs))  # terms hash by identity
-        if n == len(self.configs):
-            self.configs.append(c)
-            self.terminated.append(is_terminated(c))
-            self.rows.append({})
-        return n
-
-    def row(self, n: int, i: int):
-        succ = successors(self.configs[n], i, self.steps)
-        if succ is None:
-            row = n
-        elif len(succ) == 1:
-            row = self.node(succ[0][1])
-        else:
-            den = math.lcm(*(p.denominator for (p, _) in succ))
-            cums = accumulate(p.numerator * (den // p.denominator) for (p, _) in succ)
-            row = (tuple(self.node(c2) for (_, c2) in succ), den, tuple(cums))
-        self.rows[n][i] = row
-        return row
-
-
 UNIT_BITS = 53  # ``random.random()`` is k / 2**53 for an integer k
 
 
@@ -529,49 +489,50 @@ def pick_outcome(den: int, cums: tuple, rng: random.Random) -> int:
             j += 1
 
 
-def sample_run(table: TransitionTable, start: int,
-               choose: Callable[[int, Config], int], budget: int,
-               rng: random.Random, segments: dict) -> int:
-    """Follow one sampled run from node ``start`` until termination or
-    budget exhaustion, extending ``table`` with the rows it steps through;
-    returns the last node.
+def sample_run(start: Config, choose: Callable[[int, Config], int], budget: int,
+               rng: random.Random, segments: dict, steps: dict) -> Config:
+    """Follow one sampled run from ``start`` until termination or budget
+    exhaustion; returns the last configuration.
 
-    ``choose`` must be pure, so a run is fixed from node ``n`` at step
-    ``s`` until it reaches a terminated node, the budget or a row with
-    several outcomes, where it draws.  ``segments`` memoizes those
-    deterministic segments, ``(n, s) -> (end node, end step, the row
-    drawn from there or None)``, for the runs of one ``table``, ``choose``
-    and ``budget`` that share it: the first run through a segment walks
-    it step by step, building the rows the walk needs, and every later one
-    pays one dict probe per draw.  Draws come in the same order either
-    way, so ``rng`` gives the same stream.  The memo grows with the
-    distinct ``(n, s)`` pairs where segments start: the start, and every
-    outcome of a draw at the step after it."""
-    n, step = start, 0
+    ``choose`` must be pure, so a run is fixed from configuration ``c`` at
+    step ``s`` until it terminates, runs out of budget or takes a step
+    with several outcomes, where it draws.  ``segments`` memoizes those
+    deterministic segments, ``(c, s) -> (end configuration, end step,
+    row)``, for the runs of one ``choose`` and ``budget`` that share it.
+    The row is ``(successor configurations, common denominator,
+    cumulative numerators)`` of the step drawn from at the end, or None
+    where the run ends.  The first run through a segment walks it step by
+    step, and every later one pays one dict probe per draw.  ``steps`` is
+    the step memo of ``successors``, so the walks step a thread that
+    recurs beside different threads once per heap.  Draws come in the same
+    order either way, so ``rng`` gives the same stream.  The memo grows
+    with the distinct ``(c, s)`` pairs where segments start: the start,
+    and every outcome of a draw at the step after it."""
+    (c, step) = (start, 0)
     while True:
-        seg = segments.get((n, step))
+        seg = segments.get((c, step))
         if seg is None:
-            seg = segments[(n, step)] = _segment(table, n, step, choose, budget)
-        (n, step, row) = seg
+            seg = segments[(c, step)] = _segment(c, step, choose, budget, steps)
+        (c, step, row) = seg
         if row is None:
-            return n
-        n = row[0][pick_outcome(row[1], row[2], rng)]
+            return c
+        c = row[0][pick_outcome(row[1], row[2], rng)]
         step += 1
 
 
-def _segment(table: TransitionTable, n: int, step: int,
-             choose: Callable[[int, Config], int], budget: int) -> tuple:
-    """The deterministic segment of a run from node ``n`` at ``step``:
-    ``(end node, end step, row)``, where ``row`` is the row with several
-    outcomes chosen at the end, or None when the run ends there."""
-    configs, terminated, rows = table.configs, table.terminated, table.rows
-    while step < budget and not terminated[n]:
-        i = choose(step, configs[n])
-        row = rows[n].get(i)
-        if row is None:
-            row = table.row(n, i)
-        if type(row) is not int:
-            return (n, step, row)
-        n = row
+def _segment(c: Config, step: int, choose: Callable[[int, Config], int], budget: int,
+             steps: dict) -> tuple:
+    """The deterministic segment of a run from ``c`` at ``step``: ``(end
+    configuration, end step, row)``, where ``row`` is that of the step
+    with several outcomes chosen at the end, or None when the run ends
+    there.  A stutter keeps ``c`` and spends the step."""
+    while step < budget and not is_terminated(c):
+        succ = successors(c, choose(step, c), steps)
+        if succ is not None:
+            if len(succ) > 1:
+                den = math.lcm(*(p.denominator for (p, _) in succ))
+                cums = accumulate(p.numerator * (den // p.denominator) for (p, _) in succ)
+                return (c, step, (tuple(c2 for (_, c2) in succ), den, tuple(cums)))
+            c = succ[0][1]
         step += 1
-    return (n, step, None)
+    return (c, step, None)

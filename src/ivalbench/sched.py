@@ -105,9 +105,7 @@ probe of the memo, the gray set or the step memo hashes nothing.
 ``evaluate_policy`` keeps no step memo: it holds nothing beyond the
 current frontier and the next, one configuration per step on a
 deterministic run and the widest step's leaves on a tree whose runs never
-meet; a memo would keep every thread of the run alive.  The extracted
-adversary caches, per (thread, is the first thread), whether a fused step
-is pending.
+meet; a memo would keep every thread of the run alive.
 
 Collapsing history-dependent schedulers to configuration keys is
 justified for expected-value objectives and checked empirically:
@@ -121,21 +119,28 @@ The extremizing choices are recorded in the memo beside the values, so
 configuration to thread that ignores the step count, which replays the
 extremum exactly under the unfused ``evaluate_policy``: it looks the
 configuration up in the memo and, where it is not there, takes a pending
-local step.
+local step, which ``_fused_step`` finds afresh on each call; the policy
+keeps no cache of its own.
 History-dependent schedulers need no policy of their own: the
 backward-induction optimum is attained by a Markov one, and
 ``brute_force_extrema`` covers the rest.
+
+``monte_carlo`` checks the exact analyses statistically: it samples runs
+under one policy with ``machine.sample_run``, whose memos of run segments
+and thread steps, keyed by configuration, live for one call (or one
+worker's share of it), and sums the first thread's final values exactly,
+once per terminal configuration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
-from weakref import WeakKeyDictionary
 
 from ivalbench import comp, machine
 from ivalbench.ival import as_rational, weighted_sum
@@ -156,11 +161,11 @@ class SchedulerPolicy:
     stutter.  ``config.threads`` is the pool of ``machine.Thread``
     zippers: a thread's next redex is its ``focus``, and ``machine.plug``
     gives its expression.  ``choose`` must be pure, a function of its
-    arguments alone (a cache inside it is fine): ``monte_carlo`` asks it
-    once per run segment between draws and replays the segment for every
-    later trial that reaches it.  ``choose`` is a module-level function, a
-    ``functools.partial`` of one or a picklable callable object, so that a
-    policy pickles and ``monte_carlo`` can send it to worker processes."""
+    arguments alone: ``monte_carlo`` asks it once per run segment between
+    draws and replays the segment for every later trial that reaches it.
+    ``choose`` is a module-level function, a ``functools.partial`` of one
+    or a picklable callable object, so that a policy pickles and
+    ``monte_carlo`` can send it to worker processes."""
 
     name: str
     choose: Callable[[int, Config], int]
@@ -184,37 +189,14 @@ def _mix(seed: int, step: int) -> int:
     return x ^ (x >> 31)
 
 
-class _Seeded:
-    """``choose`` of ``seeded_random``: ``_mix(seed, step)`` reduced by the
-    pool size.  The mixes of steps below ``CACHED_STEPS`` are computed once
-    per step, in the order runs reach them; pickling sends the seed
-    alone."""
-
-    CACHED_STEPS = 1 << 14
-
-    __slots__ = ("seed", "mixes")
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.mixes: list = []  # mixes[step] = _mix(seed, step)
-
-    def __call__(self, step: int, c: Config) -> int:
-        mixes = self.mixes
-        if step < len(mixes):
-            return mixes[step] % len(c.threads)
-        x = _mix(self.seed, step)
-        if step == len(mixes) < self.CACHED_STEPS:
-            mixes.append(x)
-        return x % len(c.threads)
-
-    def __reduce__(self):
-        return (_Seeded, (self.seed,))
+def _seeded(seed: int, step: int, c: Config) -> int:
+    return _mix(seed, step) % len(c.threads)
 
 
 def seeded_random(seed: int) -> SchedulerPolicy:
     """Pseudorandom but deterministic: the choice is a hash of (seed, step)
     reduced by the current pool size."""
-    return SchedulerPolicy(f"seeded-random({seed})", _Seeded(seed))
+    return SchedulerPolicy(f"seeded-random({seed})", functools.partial(_seeded, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -471,38 +453,17 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
             sent = None
 
 
-class _Extremal:
+def _extremal(table: Choices, step: int, c: Config) -> int:
     """``choose`` of an extracted adversary: the recorded choice in a
     memoized configuration, else the first thread with a pending fused
-    step, else a stutter.  Whether a thread has a pending fused step
-    depends only on its expression and whether it is the first thread
-    (local steps ignore the heap), so it is derived once per pair.  The
-    answers are held weakly by expression, one table for the first thread
-    and one for the rest, so they keep no expression of a finished run
-    alive; pickling sends the table alone."""
-
-    __slots__ = ("table", "pending")
-
-    def __init__(self, table: Choices):
-        self.table = table
-        # [is the first thread]: expression -> whether a fused step is pending
-        self.pending = (WeakKeyDictionary(), WeakKeyDictionary())
-
-    def __call__(self, step: int, c: Config) -> int:
-        hit = self.table.memo.get(c)
-        if hit is not None:
-            return hit[self.table.slot]  # a memoized configuration is settled
-        for (i, t) in enumerate(c.threads):
-            known = self.pending[i == 0]
-            p = known.get(t)
-            if p is None:
-                p = known[t] = _fused_step(t, c.state, i == 0, {}) is not None
-            if p:
-                return i
-        return STUTTER
-
-    def __reduce__(self):
-        return (_Extremal, (self.table,))
+    step, else a stutter."""
+    hit = table.memo.get(c)
+    if hit is not None:
+        return hit[table.slot]  # a memoized configuration is settled
+    for (i, t) in enumerate(c.threads):
+        if _fused_step(t, c.state, i == 0, {}) is not None:
+            return i
+    return STUTTER
 
 
 def extract_policy(result: ExtremalResult, direction: str) -> SchedulerPolicy:
@@ -514,7 +475,7 @@ def extract_policy(result: ExtremalResult, direction: str) -> SchedulerPolicy:
     step: local steps commute, so any order reaches the memoized
     configuration with the same remaining budget."""
     table = result.policy_lo if direction == "lo" else result.policy_hi
-    return SchedulerPolicy(f"extremal-{direction}", _Extremal(table))
+    return SchedulerPolicy(f"extremal-{direction}", functools.partial(_extremal, table))
 
 
 # ---------------------------------------------------------------------------
@@ -596,23 +557,23 @@ class MonteCarloResult:
 
 
 def _run_trials(prog, policy, budget, f, seed, lo, hi):
-    """Trials ``lo`` to ``hi`` over one transition table and one memo of
-    deterministic run segments: (sum, sum of squares), from the number of
-    trials ending at each terminal node."""
-    table = machine.TransitionTable()
-    start = table.node(initial_config([prog]))
+    """Trials ``lo`` to ``hi`` over one memo of deterministic run segments
+    and one step memo: (sum, sum of squares), from the number of trials
+    ending at each terminal configuration."""
+    start = initial_config([prog])
     segments: dict = {}  # see machine.sample_run
-    ends: dict = {}  # terminal node -> trials ending there
+    steps: dict = {}  # (thread, state) -> the thread's outcomes
+    ends: dict = {}  # terminal configuration -> trials ending there
     for trial in range(lo, hi):
         rng = random.Random(_mix(seed, trial))
-        end = machine.sample_run(table, start, policy.choose, budget, rng, segments)
-        if not table.terminated[end]:
+        end = machine.sample_run(start, policy.choose, budget, rng, segments, steps)
+        if not is_terminated(end):
             raise ScheduleError(f"trial {trial} unterminated after {budget} steps")
         ends[end] = ends.get(end, 0) + 1
     total = Fraction(0)
     totalsq = Fraction(0)
     for (end, count) in ends.items():
-        x = as_rational(f(to_val(table.configs[end].threads[0].focus)))
+        x = as_rational(f(to_val(end.threads[0].focus)))
         total += count * x
         totalsq += count * x * x
     return total, totalsq
@@ -625,10 +586,10 @@ def monte_carlo(prog: Expr, policy: SchedulerPolicy, budget: int, f: Callable,
     Each trial runs on its own deterministic (seed, trial) sub-seed and
     sample sums are accumulated exactly, so the result is identical no
     matter how trials are chunked across the ``workers`` processes; each
-    worker samples over its own ``machine.TransitionTable`` and memo of run
-    segments, which live as long as its share of the call.  A path that
-    fails to terminate within the budget is an error, not a silent
-    truncation.
+    worker samples with its own memo of run segments and of thread steps
+    (``machine.sample_run``), which live as long as its share of the call.
+    A path that fails to terminate within the budget is an error, not a
+    silent truncation.
     """
     _check_budget(budget)
     if trials < 1:

@@ -16,7 +16,7 @@ def test_deep_scaling_prints_one_cell_per_engine_and_program():
     assert lines[0] == ("| program | `evaluate_policy` | `monte_carlo, 3 trials` "
                         "| `extremal_expectation` |")
     rows = [line.strip("| ").split(" | ") for line in lines[2:]]
-    assert [row[0] for row in rows] == ["list count, 200", "let chain, 500"]
+    assert [row[0] for row in rows] == ["list count, 200", "let chain, 500", "wide flips, 8"]
     for row in rows:
         assert len(row) == 4
         assert all(re.fullmatch(r"\d+\.\d\d s, \d+ MB", cell) for cell in row[1:]), row

@@ -1,8 +1,9 @@
 """Scheduler policies, exact evaluation, backward induction, sampling."""
 
 import collections
-import gc
 import importlib.util
+import itertools
+import math
 import pickle
 import random
 import sys
@@ -49,19 +50,10 @@ def test_seeded_random_reproducible():
     picks_a = [a.choose(s, t) for s in range(40)]
     picks_c = [c.choose(s, t) for s in range(40)]
     assert picks_a != picks_c
-
-
-def test_seeded_random_caches_mix_per_step():
-    pol = sched.seeded_random(5)
-    cap = sched._Seeded.CACHED_STEPS
-    t = machine.initial_config([parse("1"), parse("2"), parse("3")])
-    steps = [3, 0, 1, 2, 3, 4, 2, cap + 5, 9, 7, 5]
-    assert [pol.choose(s, t) for s in steps] == [sched._mix(5, s) % 3 for s in steps]
-    assert pol.choose.mixes == [sched._mix(5, s) for s in range(6)]
-    for s in range(2 * cap):
-        pol.choose(s, t)
-    assert len(pol.choose.mixes) == cap  # bounded
-    assert pickle.loads(pickle.dumps(pol)).choose.mixes == []  # the seed alone
+    # the mix of (seed, step) reduced by the pool size, at any step and in
+    # any order
+    steps = [3, 0, 1, 2, 3, 4, 2, (1 << 14) + 5, 9, 7, 5]
+    assert [a.choose(s, t) for s in steps] == [sched._mix(5, s) % 3 for s in steps]
 
 
 def test_policies_pickle():
@@ -121,6 +113,20 @@ def test_extremal_deadlock_reported():
     prog = parse("(let (l (alloc 0)) (wait l 1))")
     with pytest.raises(sched.ScheduleError):
         sched.extremal_expectation(prog, 10, read_int)
+
+
+def test_deep_deadlock_reported_within_the_recursion_limit():
+    # the message prints the configuration, and a thread prints its
+    # expression by loops, however deep its context
+    prog = parse("(let (r (alloc 0)) " + "(+ 1 " * 2000 + "(seq (wait r 1) 1)" + ")" * 2001)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        with pytest.raises(sched.ScheduleError, match="^deadlock: no thread can step in") as e:
+            sched.extremal_expectation(prog, 10_000, read_int)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "(wait (loc 0) 1)" in str(e.value)
 
 
 def test_extremal_restores_recursion_limit():
@@ -326,10 +332,9 @@ class StubRng:
 
 
 def sampled_first_thread(text: str, rng) -> lang.Expr:
-    table = machine.TransitionTable()
-    start = table.node(machine.initial_config([parse(text)]))
-    end = machine.sample_run(table, start, sched.round_robin().choose, 1, rng, {})
-    return table.configs[end].threads[0].focus
+    start = machine.initial_config([parse(text)])
+    end = machine.sample_run(start, sched.round_robin().choose, 1, rng, {}, {})
+    return end.threads[0].focus
 
 
 def test_sample_run_chooses_exactly():
@@ -346,27 +351,33 @@ def test_sample_run_chooses_exactly():
     assert sampled_first_thread("(flip 0 1)", StubRng(0.0)) == lang.Lit(lang.FALSE)
 
 
-def reference_sample_run(table, start, choose, budget, rng):
-    """The reference for ``machine.sample_run``: one ``choose`` call, row
-    probe and loop turn per step, with no memo of run segments."""
-    configs, terminated, rows = table.configs, table.terminated, table.rows
-    n = start
+def reference_sample_run(start, choose, budget, rng):
+    """The reference for ``machine.sample_run``: one ``choose`` call and
+    one ``machine.config_step`` per step, with no memo."""
+    c = start
     for step in range(budget):
-        if terminated[n]:
-            return n
-        i = choose(step, configs[n])
-        row = rows[n].get(i)
-        if row is None:
-            row = table.row(n, i)
-        n = row if type(row) is int else row[0][machine.pick_outcome(row[1], row[2], rng)]
-    return n
+        if machine.is_terminated(c):
+            return c
+        entries = machine.config_step(c, choose(step, c)).entries
+        if len(entries) == 1:
+            c = entries[0][1]
+        else:
+            (den, cums) = row_of(entries)
+            c = entries[machine.pick_outcome(den, cums, rng)][1]
+    return c
+
+
+def row_of(entries):
+    """(common denominator, cumulative numerators) of a step's entries."""
+    den = math.lcm(*(p.denominator for (_, _, p) in entries))
+    return den, tuple(itertools.accumulate(p.numerator * (den // p.denominator)
+                                           for (_, _, p) in entries))
 
 
 def test_segment_memo_matches_the_reference_sampler():
     # the random programs of the agreement tests below and both extracted
-    # adversaries of the DLM counter: each trial ends at the same node with
-    # the same rng state, and the two tables grow the same rows in the same
-    # order
+    # adversaries of the DLM counter: each trial ends at the same
+    # configuration with the same rng state
     rng = random.Random(2024)
     progs = [random_concurrent_program(rng) for _ in range(60)]
     cases = [(prog, pol, budget) for prog in progs
@@ -382,10 +393,8 @@ def test_segment_memo_matches_the_reference_sampler():
     cases += [(staggered, sched.round_robin(), budget) for budget in range(10)]
     seen = collections.Counter()
     for (prog, pol, budget) in cases:
-        (ref, table) = (machine.TransitionTable(), machine.TransitionTable())
-        start = ref.node(machine.initial_config([prog]))
-        assert table.node(machine.initial_config([prog])) == start
-        segments = {}
+        start = machine.initial_config([prog])
+        (segments, steps) = ({}, {})
         for trial in range(30):
             (want_rng, got_rng) = (random.Random(sched._mix(1, trial)) for _ in range(2))
             path = []
@@ -394,22 +403,22 @@ def test_segment_memo_matches_the_reference_sampler():
                 path.append((c, pol.choose(step, c)))
                 return path[-1][1]
 
-            want = reference_sample_run(ref, start, recording, budget, want_rng)
-            got = machine.sample_run(table, start, pol.choose, budget, got_rng, segments)
+            want = reference_sample_run(start, recording, budget, want_rng)
+            got = machine.sample_run(start, pol.choose, budget, got_rng, segments, steps)
             assert got == want and got_rng.getstate() == want_rng.getstate()
-            steps = [(ref.ids[c], ref.rows[ref.ids[c]][i]) for (c, i) in path]
-            seen["stutter"] += any(row == n for (n, row) in steps)
-            if steps and type(steps[-1][1]) is not int:
+            entries = [machine.config_step(c, i).entries for (c, i) in path]
+            seen["stutter"] += any(len(e) == 1 and e[0][1] == c
+                                   for (e, (c, _)) in zip(entries, path))
+            if entries and len(entries[-1]) > 1:
                 seen["ends right after a draw"] += 1
-            elif len(steps) == budget and not ref.terminated[want]:
+            elif len(path) == budget and not machine.is_terminated(want):
                 seen["stops mid-segment at the budget"] += 1
-        assert table.configs == ref.configs and table.rows == ref.rows
     assert len(seen) == 3 and min(seen.values()) > 100, seen
 
 
 def test_segment_memo_replays_without_choosing():
-    # the same trials again over the same table and memo: every segment is
-    # a memo hit, so the policy is never asked
+    # the same trials again over the same memos: every segment is a memo
+    # hit, so the policy is never asked
     prog = models.dlm_counter_program(2, bits=2)
     choose = sched.seeded_random(0).choose
     calls = []
@@ -418,16 +427,16 @@ def test_segment_memo_replays_without_choosing():
         calls.append(step)
         return choose(step, c)
 
-    (table, segments) = (machine.TransitionTable(), {})
-    start = table.node(machine.initial_config([prog]))
+    (segments, steps) = ({}, {})
+    start = machine.initial_config([prog])
 
     def ends():
-        return [machine.sample_run(table, start, counting, 3000,
-                                   random.Random(sched._mix(1, trial)), segments)
+        return [machine.sample_run(start, counting, 3000,
+                                   random.Random(sched._mix(1, trial)), segments, steps)
                 for trial in range(100)]
 
     first = ends()
-    assert calls and all(table.terminated[n] for n in first)
+    assert calls and all(map(machine.is_terminated, first))
     calls.clear()
     assert ends() == first
     assert not calls
@@ -446,9 +455,10 @@ def load_bench(name: str):
 
 
 def test_sample_pass_steps_each_thread_once(monkeypatch):
-    # one pass of the benchmark's ``sample`` workload with the segment
-    # memo and with the reference sampler: the same results, the same
-    # thread steps, and a ``choose`` call per segment instead of per step
+    # one pass of the benchmark's ``sample`` workload with the memos and
+    # with the reference sampler: the same results, and with the memos a
+    # thread step per (thread, heap) and call, and a ``choose`` call per
+    # segment instead of per step
     workloads = load_bench("workloads")
     counts = collections.Counter()
     step_thread = machine.outcomes
@@ -476,14 +486,12 @@ def test_sample_pass_steps_each_thread_once(monkeypatch):
 
     monkeypatch.setattr(machine, "outcomes", outcomes)
     (got, got_counts) = one_pass()
-    sample_run = machine.sample_run
     monkeypatch.setattr(machine, "sample_run",
-                        lambda table, start, choose, budget, rng, segments:
-                        reference_sample_run(table, start, choose, budget, rng))
+                        lambda start, choose, budget, rng, segments, steps:
+                        reference_sample_run(start, choose, budget, rng))
     (want, want_counts) = one_pass()
-    monkeypatch.setattr(machine, "sample_run", sample_run)
     assert got == want
-    assert got_counts["outcomes"] == want_counts["outcomes"] == 2_237
+    assert got_counts["outcomes"] == 2_237
     assert (got_counts["choose"], want_counts["choose"]) == (6_335, 221_021)
 
 
@@ -564,26 +572,24 @@ def test_monte_carlo_stream_pinned():
 
 
 def test_monte_carlo_extracted_adversaries_on_workers():
-    # the adversary caches which threads have a pending fused step as it
-    # runs, weakly: the answers for a run's expressions go with the run.  A
-    # warmed policy still pickles, without its cache, and samples the same
-    # on one worker and on two
+    # an extracted adversary replays its extremum, pickles to a copy that
+    # chooses alike along a run, and samples the same on one worker and on
+    # two
     prog = models.dlm_counter_program(2, bits=2)
     res = sched.extremal_expectation(prog, 80, models.read_pow2_minus_1)
     for direction in ("lo", "hi"):
         pol = sched.extract_policy(res, direction)
         value = getattr(res, direction)
         assert sched.evaluate_policy(prog, pol, 80, models.read_pow2_minus_1) == value
-        run = [machine.initial_config([prog])]
-        while not machine.is_terminated(run[-1]):
-            c = run[-1]
-            run.append(machine.config_step(c, pol.choose(len(run) - 1, c)).entries[0][1])
-        cached = sum(map(len, pol.choose.pending))
-        assert cached > 0
-        assert not any(pickle.loads(pickle.dumps(pol)).choose.pending)
-        del run, c
-        gc.collect()
-        assert sum(map(len, pol.choose.pending)) < cached
+        copy = pickle.loads(pickle.dumps(pol))
+        c = machine.initial_config([prog])
+        for step in range(80):
+            if machine.is_terminated(c):
+                break
+            i = pol.choose(step, c)
+            assert copy.choose(step, c) == i
+            c = machine.config_step(c, i).entries[0][1]
+        assert machine.is_terminated(c)
         a, b = (sched.monte_carlo(prog, pol, 80, models.read_pow2_minus_1, 300, seed=2,
                                   workers=w) for w in (1, 2))
         assert a == b and a.contains(value)
@@ -1100,40 +1106,47 @@ def test_negative_budget_rejected(analysis):
         analysis(parse("(+ 1 2)"), 0)
 
 
-def test_transition_table_rows_match_config_step(monkeypatch):
-    # every row a Monte-Carlo run caches, on the random programs of the
-    # agreement test above, against the step function it was derived from
-    tables = []
+def test_segment_rows_match_config_step(monkeypatch):
+    # every segment a Monte-Carlo call memoizes, on the random programs of
+    # the agreement test above, against the step function: walked one
+    # ``config_step`` at a time from its start, it reaches its end, and the
+    # row there is the chosen step's entries
+    memos = []
+    sample_run = machine.sample_run
 
-    class Recorded(machine.TransitionTable):
-        def __init__(self):
-            super().__init__()
-            tables.append(self)
+    def recorded(start, choose, budget, rng, segments, steps):
+        if not memos or memos[-1][1] is not segments:
+            memos.append((choose, segments))
+        return sample_run(start, choose, budget, rng, segments, steps)
 
-    monkeypatch.setattr(machine, "TransitionTable", Recorded)
+    monkeypatch.setattr(machine, "sample_run", recorded)
     rng = random.Random(2024)
     progs = [random_concurrent_program(rng) for _ in range(60)]
-    rows = stutters = branching = 0
+    budget = 40
+    segments = stutters = branching = 0
     for prog in progs:
         for pol in (sched.round_robin(), sched.seeded_random(3)):
             try:
-                sched.monte_carlo(prog, pol, 40, read_int, 30, seed=1, workers=1)
+                sched.monte_carlo(prog, pol, budget, read_int, 30, seed=1, workers=1)
             except sched.ScheduleError:
-                pass  # an unterminated trial: its rows are checked all the same
-            table = tables.pop()
-            assert list(table.ids.values()) == list(range(len(table.configs)))
-            for (n, c) in enumerate(table.configs):
-                assert table.ids[c] == n and table.terminated[n] == machine.is_terminated(c)
-                for (i, row) in table.rows[n].items():
-                    (succs, den, cums) = ((row,), 1, (1,)) if type(row) is int else row
-                    probs = [F(b - a, den) for (a, b) in zip((0,) + cums, cums)]
-                    want = [(c2, p) for (_, c2, p) in machine.config_step(c, i).entries]
-                    assert [(table.configs[m], p) for (m, p) in zip(succs, probs)] == want
-                    rows += 1
-                    stutters += succs == (n,)
-                    branching += len(succs) > 1
-    assert not tables
-    assert rows > stutters > 0 and branching > 0
+                pass  # an unterminated trial: its segments are checked all the same
+            [(choose, memo)] = memos
+            memos.clear()
+            for ((c, step), (end, end_step, row)) in memo.items():
+                while step < budget and not machine.is_terminated(c):
+                    entries = machine.config_step(c, choose(step, c)).entries
+                    if len(entries) > 1:
+                        break
+                    stutters += entries[0][1] == c
+                    (c, step) = (entries[0][1], step + 1)
+                assert (c, step) == (end, end_step)
+                if row is None:
+                    assert step == budget or machine.is_terminated(c)
+                else:
+                    assert row == (tuple(c2 for (_, c2, _) in entries), *row_of(entries))
+                    branching += 1
+                segments += 1
+    assert segments > branching > 0 and stutters > 0
 
 
 def test_memo_holds_each_configuration_once():

@@ -1,15 +1,21 @@
-"""Time and peak memory of each engine on programs with deep contexts.
+"""Time and peak memory of each engine on programs with deep contexts or many runs.
 
     python3 tools/deep_scaling.py [--sizes N]
 
 Two programs grow a thread's evaluation context with their size: the
 non-tail-recursive count of a list of ``n`` elements, whose context grows
 to ``n`` frames, and ``(let (x 1) (+ 1 (+ 1 ... x)))`` with ``n``
-additions, a context ``n`` frames deep from the first step.  Every cell
-runs one engine on one program in a fresh process, under round-robin
-where the engine takes a policy, and reports its wall time and the
-process's peak RSS; the answer is checked.  Linear engines double both
-from one size to the next (peak RSS beyond the interpreter's own).
+additions, a context ``n`` frames deep from the first step.  A third
+grows the number of runs instead: ``n`` sequential flips, each consed
+onto a list in one heap cell, which is counted at the end, so the 2^n
+runs never merge: ``evaluate_policy``'s frontier and the analysis memo
+double with each flip, and the sampler's segment memo with each run.
+Every cell runs one engine on one program in a fresh process, under
+round-robin where the engine takes a policy, and reports its wall time
+and the process's peak RSS; the answer is checked.  On the deep
+programs, linear engines double both from one size to the next (peak RSS
+beyond the interpreter's own); the wide sizes are two flips apart, four
+times the runs.
 ``--sizes N`` keeps the ``N`` smallest sizes of each program.
 """
 
@@ -37,6 +43,12 @@ PROGRAMS = {
     "let chain": ((500, 1000, 2000),
                   lambda n: "(let (x 1) " + "(+ 1 " * n + "x" + ")" * (n + 1),
                   lambda n: n + 1),
+    "wide flips": ((8, 10, 12),
+                   lambda n: ("(let (l (alloc ())) (seq "
+                              + "(store l (pair (flip 1 2) (load l))) " * n
+                              + "((rec (len x) (if (= x ()) 0 (+ 1 (len (snd x))))) "
+                              + "(load l))))"),
+                   lambda n: n),
 }
 ENGINES = {
     "evaluate_policy": lambda prog, budget: sched.evaluate_policy(
