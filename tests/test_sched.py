@@ -50,10 +50,18 @@ def test_seeded_random_reproducible():
     picks_a = [a.choose(s, t) for s in range(40)]
     picks_c = [c.choose(s, t) for s in range(40)]
     assert picks_a != picks_c
-    # the mix of (seed, step) reduced by the pool size, at any step and in
-    # any order
+
+
+def test_seeded_random_caches_mix_per_step():
+    # no mix is cached any more: each choice is the mix of (seed, step)
+    # reduced by the pool size, at any step and in any order, and the
+    # policy holds the seed alone
+    pol = sched.seeded_random(5)
+    t = machine.initial_config([parse("1"), parse("2"), parse("3")])
     steps = [3, 0, 1, 2, 3, 4, 2, (1 << 14) + 5, 9, 7, 5]
-    assert [a.choose(s, t) for s in steps] == [sched._mix(5, s) % 3 for s in steps]
+    assert [pol.choose(s, t) for s in steps] == [sched._mix(5, s) % 3 for s in steps]
+    assert pol.choose.args == (5,)
+    assert pickle.loads(pickle.dumps(pol)).choose.args == (5,)
 
 
 def test_policies_pickle():
