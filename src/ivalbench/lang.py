@@ -168,7 +168,16 @@ class VPair(Val):
     snd: Val
 
     def __repr__(self):
-        return f"({self.fst!r}, {self.snd!r})"
+        # ``(fst, snd)`` from a stack of values and text: a pair nested
+        # any depth deep needs no recursion
+        (out, stack) = ([], [self])
+        while stack:
+            v = stack.pop()
+            if type(v) is VPair:
+                stack += (")", v.snd, ", ", v.fst, "(")
+            else:
+                out.append(v if type(v) is str else repr(v))
+        return "".join(out)
 
 
 @_node

@@ -27,18 +27,19 @@ loops, so a deep context needs no recursion.
 
 A configuration is a nonempty thread pool plus a heap; stepping thread
 ``i`` replaces it, applies the heap effect, and appends any forked
-thread to the pool.  ``successors`` is that step; the exact analysis,
-``config_step`` and the sampler all derive theirs from it.
-Scheduling a value, a stuck thread, or an out-of-range index is a
-stutter: the configuration repeats with probability one.  A
-configuration has terminated when the first thread's focus is a value;
-nothing can change that thread afterwards, so termination is absorbing.
-Every engine keys dicts on configurations, so a ``Config`` and its
-``State`` compute their hash once, when they are built.
+thread to the pool.  ``successors`` is that step.  Scheduling a value, a
+stuck thread, or an out-of-range index is a stutter: the configuration
+repeats with probability one.  ``config_step`` adds that rule to
+``successors``, and every engine that follows a scheduler steps through
+it.  A configuration has terminated when the first thread's focus is a
+value; nothing can change that thread afterwards, so termination is
+absorbing.  Every engine keys dicts on configurations, so a ``Config``
+and its ``State`` compute their hash once, when they are built.
 
 A scheduler is a Markov policy ``choose(step, config) -> thread index``.
 ``trace_step_ival_n`` is the monadic n-step semantics under one: a chain
-of binds over ``config_step``.  ``sample_run`` is the path for Monte-Carlo
+of binds over ``config_step``, the one place where a step becomes an
+``IndexedValuation``.  ``sample_run`` is the path for Monte-Carlo
 work: it follows a single run over configurations, sampling flip outcomes
 exactly.  A run can differ from another only where it draws, so the runs
 of one sampling call share a memo of the deterministic segments between
@@ -428,13 +429,12 @@ def successors(c: Config, i: int, memo: dict):
             for (p, e2, s2, spawned) in res]
 
 
-def config_step(c: Config, i: int) -> IndexedValuation:
-    """Step thread ``i``; stutter (same configuration, probability one)
-    when the index is out of range or the thread cannot reduce."""
-    succ = successors(c, i, {})
-    if succ is None:
-        return ival.ret(c)
-    return IndexedValuation(tuple((k, c2, p) for (k, (p, c2)) in enumerate(succ)))
+def config_step(c: Config, i: int, memo: dict):
+    """The (prob, configuration) pairs of scheduling thread ``i`` in ``c``:
+    its ``successors`` over the step memo ``memo``, or a stutter, ``c``
+    again with probability one, when ``i`` names no thread or the thread
+    is a value or stuck.  The one statement of the stutter rule."""
+    return successors(c, i, memo) or ((_ONE, c),)
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +446,14 @@ def trace_step_ival_n(choose: Callable[[int, Config], int], c: Config,
     """The configurations after ``n`` scheduler-driven steps from ``c``,
     the reference semantics that the analyses are checked against.
 
-    Computed iteratively (one bind of ``config_step`` per step); this
-    matches the recursive bind-chain definition up to index relabelling by
-    monad associativity.
+    Computed iteratively (one bind of ``config_step`` per step, its pairs
+    indexed by position); this matches the recursive bind-chain
+    definition up to index relabelling by monad associativity.
     """
     cur = ival.ret(c)
     for step in range(n):
-        cur = ival.bind(cur, lambda c2, step=step: config_step(c2, choose(step, c2)))
+        cur = ival.bind(cur, lambda c2, step=step: IndexedValuation(tuple(
+            (k, c3, p) for (k, (p, c3)) in enumerate(config_step(c2, choose(step, c2), {})))))
     return cur
 
 
@@ -525,14 +526,13 @@ def _segment(c: Config, step: int, choose: Callable[[int, Config], int], budget:
     """The deterministic segment of a run from ``c`` at ``step``: ``(end
     configuration, end step, row)``, where ``row`` is that of the step
     with several outcomes chosen at the end, or None when the run ends
-    there.  A stutter keeps ``c`` and spends the step."""
+    there.  A step is a ``config_step`` over the step memo ``steps``, so
+    a stutter keeps ``c`` and spends the step."""
     while step < budget and not is_terminated(c):
-        succ = successors(c, choose(step, c), steps)
-        if succ is not None:
-            if len(succ) > 1:
-                den = math.lcm(*(p.denominator for (p, _) in succ))
-                cums = accumulate(p.numerator * (den // p.denominator) for (p, _) in succ)
-                return (c, step, (tuple(c2 for (_, c2) in succ), den, tuple(cums)))
-            c = succ[0][1]
-        step += 1
+        succ = config_step(c, choose(step, c), steps)
+        if len(succ) > 1:
+            den = math.lcm(*(p.denominator for (p, _) in succ))
+            cums = accumulate(p.numerator * (den // p.denominator) for (p, _) in succ)
+            return (c, step, (tuple(c2 for (_, c2) in succ), den, tuple(cums)))
+        (c, step) = (succ[0][1], step + 1)
     return (c, step, None)

@@ -7,6 +7,8 @@ interface serves exact evaluation, adversary extraction and sampling.
 the first thread's final value after ``n`` steps under one policy, by
 carrying the run's distribution forward over its frontier, one step at a
 time, so runs that meet again at a step are stepped once from there.
+Every step is a ``machine.config_step``, as it is for the sampler and
+for ``brute_force_extrema``.
 ``extremal_expectation`` computes the range of that quantity over *all*
 deterministic policies by backward induction memoized on the
 configuration:
@@ -117,10 +119,10 @@ decision nodes and on random small concurrent programs.
 The extremizing choices are recorded in the memo beside the values, so
 ``extract_policy`` yields an ordinary Markov policy, a map from
 configuration to thread that ignores the step count, which replays the
-extremum exactly under the unfused ``evaluate_policy``: it looks the
-configuration up in the memo and, where it is not there, takes a pending
-local step, which ``_fused_step`` finds afresh on each call; the policy
-keeps no cache of its own.
+extremum exactly under the unfused ``evaluate_policy``: it reads the
+configuration's entry in the analysis memo and, where there is none,
+takes a pending local step, which ``_fused_step`` finds afresh on each
+call; the policy keeps no cache or view of its own.
 History-dependent schedulers need no policy of their own: the
 backward-induction optimum is attained by a Markov one, and
 ``brute_force_extrema`` covers the rest.
@@ -137,7 +139,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -236,10 +237,10 @@ def evaluate_policy(prog: Expr, policy: SchedulerPolicy, budget: int,
             if step == budget:
                 raise ScheduleError(
                     f"program does not terminate within {budget} steps under {policy.name}")
-            entries = config_step(c, policy.choose(step, c)).entries
-            for (_, c2, p) in entries:
+            succ = config_step(c, policy.choose(step, c), {})
+            for (p, c2) in succ:
                 if p > 0:
-                    q = w if len(entries) == 1 else w * p  # one outcome has p = 1
+                    q = w if len(succ) == 1 else w * p  # one outcome has p = 1
                     prev = after.get(c2)
                     after[c2] = q if prev is None else prev + q
         (frontier, step) = (after, step + 1)
@@ -250,26 +251,12 @@ def evaluate_policy(prog: Expr, policy: SchedulerPolicy, budget: int,
 # scheduler-extremal expectations by backward induction
 
 
-@dataclass(frozen=True, eq=False)
-class Choices(Mapping):
-    """The thread one extremum picks in each memoized configuration: a
-    read-only view of the analysis memo."""
-
-    memo: dict
-    slot: int  # 2 for the lo choice, 3 for the hi choice
-
-    def __getitem__(self, key):
-        return self.memo[key][self.slot]
-
-    def __iter__(self):
-        return iter(self.memo)
-
-    def __len__(self):
-        return len(self.memo)
-
-
 @dataclass
 class ExtremalResult:
+    """The expectation's range over all schedulers and the analysis memo;
+    ``policy_lo`` and ``policy_hi`` copy each extremum's choices out of it
+    as a fresh ``{configuration: thread}`` dict."""
+
     lo: Fraction
     hi: Fraction
     explored_states: int  # distinct fused configurations memoized
@@ -279,12 +266,12 @@ class ExtremalResult:
     memo: dict = field(repr=False, default_factory=dict)
 
     @property
-    def policy_lo(self) -> Choices:
-        return Choices(self.memo, 2)
+    def policy_lo(self) -> dict:
+        return {c: e[2] for (c, e) in self.memo.items()}
 
     @property
-    def policy_hi(self) -> Choices:
-        return Choices(self.memo, 3)
+    def policy_hi(self) -> dict:
+        return {c: e[3] for (c, e) in self.memo.items()}
 
 
 def enabled_threads(c: Config) -> list:
@@ -453,13 +440,13 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
             sent = None
 
 
-def _extremal(table: Choices, step: int, c: Config) -> int:
-    """``choose`` of an extracted adversary: the recorded choice in a
-    memoized configuration, else the first thread with a pending fused
-    step, else a stutter."""
-    hit = table.memo.get(c)
+def _extremal(memo: dict, slot: int, step: int, c: Config) -> int:
+    """``choose`` of an extracted adversary: the choice in ``slot`` of the
+    analysis ``memo`` entry of a memoized configuration, else the first
+    thread with a pending fused step, else a stutter."""
+    hit = memo.get(c)
     if hit is not None:
-        return hit[table.slot]  # a memoized configuration is settled
+        return hit[slot]  # a memoized configuration is settled
     for (i, t) in enumerate(c.threads):
         if _fused_step(t, c.state, i == 0, {}) is not None:
             return i
@@ -473,9 +460,10 @@ def extract_policy(result: ExtremalResult, direction: str) -> SchedulerPolicy:
     A memoized configuration is settled, so it is looked up first, at
     whatever budget remains; one that is not memoized runs a pending fused
     step: local steps commute, so any order reaches the memoized
-    configuration with the same remaining budget."""
-    table = result.policy_lo if direction == "lo" else result.policy_hi
-    return SchedulerPolicy(f"extremal-{direction}", functools.partial(_extremal, table))
+    configuration with the same remaining budget.  It reads the analysis
+    memo itself."""
+    choose = functools.partial(_extremal, result.memo, 2 if direction == "lo" else 3)
+    return SchedulerPolicy(f"extremal-{direction}", choose)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +509,7 @@ def brute_force_extrema(prog: Expr, budget: int, f: Callable,
         for i in enabled:
             lo_i = Fraction(0)
             hi_i = Fraction(0)
-            for (_, c2, p) in config_step(c, i).entries:
+            for (p, c2) in config_step(c, i, {}):
                 if p == 0:
                     continue
                 (lo2, hi2) = go(c2, k - 1, stutters)

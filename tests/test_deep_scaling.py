@@ -13,7 +13,7 @@ def test_deep_scaling_prints_one_cell_per_engine_and_program():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
-    assert lines[0] == ("| program | `evaluate_policy` | `monte_carlo, 3 trials` "
+    assert lines[0] == ("| program | `evaluate_policy` | `monte_carlo, 10,000 trials` "
                         "| `extremal_expectation` |")
     rows = [line.strip("| ").split(" | ") for line in lines[2:]]
     assert [row[0] for row in rows] == ["list count, 200", "let chain, 500", "wide flips, 8"]

@@ -154,13 +154,12 @@ def test_thread_step_markers():
 
 def test_config_step_stutters():
     c = initial_config([parse("42")])
-    assert ival.equiv(config_step(c, 0), ival.ret(c))
-    assert ival.equiv(config_step(c, 5), ival.ret(c))
+    assert config_step(c, 0, {}) == config_step(c, 5, {}) == ((1, c),)
 
 
 def test_config_step_appends_forked_thread():
     c = initial_config([parse("(seq (fork 1) 2)")])
-    [(_, c2, p)] = config_step(c, 0).entries
+    [(p, c2)] = config_step(c, 0, {})
     assert p == 1 and len(c2.threads) == 2 and c2.threads[1] is Thread(None, parse("1"))
 
 
@@ -168,8 +167,19 @@ def heap_config():
     """A two-thread configuration over one cell, and its successor after
     the second thread's ``faa``."""
     c = initial_config([parse("(flip 1 2)"), parse("(faa (loc 0) 1)")], [(0, VInt(1))])
-    [(_, after, _)] = config_step(c, 1).entries
+    [(_, after)] = config_step(c, 1, {})
     return c, after
+
+
+def test_config_step_reads_and_extends_the_step_memo():
+    # the step memo of ``successors``: one entry per (thread, heap)
+    # stepped, read back on the next call
+    (c, _) = heap_config()
+    memo = {}
+    pairs = config_step(c, 1, memo)
+    assert list(memo) == [(c.threads[1], c.state)]
+    assert config_step(c, 1, memo) == pairs == config_step(c, 1, {})
+    assert config_step(c, 9, memo) == ((1, c),) and len(memo) == 1
 
 
 def test_configuration_hash_is_cached_at_construction():
@@ -272,9 +282,9 @@ def test_mass_conservation_along_random_runs():
     c = initial_config([prog])
     for _ in range(40):
         i = rng.randrange(len(c.threads) + 1)
-        iv = config_step(c, i)
-        assert sum(p for (_, _, p) in iv.entries) == 1
-        positive = [cc for (_, cc, p) in iv.entries if p > 0]
+        succ = config_step(c, i, {})
+        assert sum(p for (p, _) in succ) == 1
+        positive = [cc for (p, cc) in succ if p > 0]
         c = rng.choice(positive)
 
 
@@ -287,8 +297,7 @@ def test_determinism_modulo_flip():
         c = initial_config([prog])
         for _ in range(120):
             i = rng.randrange(len(c.threads))
-            iv = config_step(c, i)
-            positive = [(cc, p) for (_, cc, p) in iv.entries if p > 0]
+            positive = [(cc, p) for (p, cc) in config_step(c, i, {}) if p > 0]
             if len(positive) > 1:
                 assert isinstance(c.threads[i].focus, lang.Flip)
             c = rng.choice(positive)[0]
@@ -302,7 +311,7 @@ def test_pool_grows_only_by_fork():
     for _ in range(60):
         i = rng.randrange(len(c.threads))
         before = len(c.threads)
-        entries = [(cc, p) for (_, cc, p) in config_step(c, i).entries if p > 0]
+        entries = [(cc, p) for (p, cc) in config_step(c, i, {}) if p > 0]
         (c2, _) = rng.choice(entries)
         grew = len(c2.threads) - before
         assert grew in (0, 1)
@@ -320,7 +329,7 @@ def test_heap_safety_reachable_configs():
         locs = [l for (l, _) in c.state.heap]
         assert all(l < c.state.next_loc for l in locs)
         i = rng.randrange(len(c.threads))
-        entries = [(cc, p) for (_, cc, p) in config_step(c, i).entries if p > 0]
+        entries = [(cc, p) for (p, cc) in config_step(c, i, {}) if p > 0]
         if not entries:
             continue
         (c, _) = rng.choice(entries)
@@ -399,7 +408,7 @@ def test_deep_context_steps_without_recursion():
     try:
         [(p, e2, _, _)] = outcomes(e, State())
         assert redex_is_local(e)
-        [(_, c2, _)] = config_step(initial_config([e]), 0).entries
+        [(_, c2)] = config_step(initial_config([e]), 0, {})
         assert p == 1 and plug(c2.threads[0]) is e2
     finally:
         sys.setrecursionlimit(limit)

@@ -28,7 +28,7 @@ def test_value_json_tuples_and_lang_values():
 
 def test_trace_json():
     c = machine.initial_config([lang.parse("(let (l (alloc 7)) (load l))")])
-    [(_, c2, _)] = machine.config_step(c, 0).entries
+    [(_, c2)] = machine.config_step(c, 0, {})
     out = report.trace_json([c, c2])
     assert len(out["configs"]) == 2
     assert out["configs"][1]["heap"] == {"0": "7"}

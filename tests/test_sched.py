@@ -137,6 +137,21 @@ def test_deep_deadlock_reported_within_the_recursion_limit():
     assert "(wait (loc 0) 1)" in str(e.value)
 
 
+def test_deadlock_over_a_deep_heap_value_reported_within_the_recursion_limit():
+    # the message prints the heap, and a pair prints by a loop, however
+    # deep it nests
+    prog = parse("(let (r (alloc " + "(pair #t " * 2000 + "()" + ")" * 2000 + ")) (wait r 1))")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        for analysis in (sched.extremal_expectation, sched.brute_force_extrema):
+            with pytest.raises(sched.ScheduleError, match="^deadlock: no thread can step in") as e:
+                analysis(prog, 10, read_int)
+            assert "(#t, " * 2000 + "()" + ")" * 2000 in str(e.value)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_extremal_restores_recursion_limit():
     # the analysis walks on its own stack and leaves the limit as it found
     # it, even when it raises; a limit left raised lets a later deep
@@ -366,20 +381,20 @@ def reference_sample_run(start, choose, budget, rng):
     for step in range(budget):
         if machine.is_terminated(c):
             return c
-        entries = machine.config_step(c, choose(step, c)).entries
-        if len(entries) == 1:
-            c = entries[0][1]
+        succ = machine.config_step(c, choose(step, c), {})
+        if len(succ) == 1:
+            c = succ[0][1]
         else:
-            (den, cums) = row_of(entries)
-            c = entries[machine.pick_outcome(den, cums, rng)][1]
+            (den, cums) = row_of(succ)
+            c = succ[machine.pick_outcome(den, cums, rng)][1]
     return c
 
 
-def row_of(entries):
-    """(common denominator, cumulative numerators) of a step's entries."""
-    den = math.lcm(*(p.denominator for (_, _, p) in entries))
+def row_of(succ):
+    """(common denominator, cumulative numerators) of a step's pairs."""
+    den = math.lcm(*(p.denominator for (p, _) in succ))
     return den, tuple(itertools.accumulate(p.numerator * (den // p.denominator)
-                                           for (_, _, p) in entries))
+                                           for (p, _) in succ))
 
 
 def test_segment_memo_matches_the_reference_sampler():
@@ -414,7 +429,7 @@ def test_segment_memo_matches_the_reference_sampler():
             want = reference_sample_run(start, recording, budget, want_rng)
             got = machine.sample_run(start, pol.choose, budget, got_rng, segments, steps)
             assert got == want and got_rng.getstate() == want_rng.getstate()
-            entries = [machine.config_step(c, i).entries for (c, i) in path]
+            entries = [machine.config_step(c, i, {}) for (c, i) in path]
             seen["stutter"] += any(len(e) == 1 and e[0][1] == c
                                    for (e, (c, _)) in zip(entries, path))
             if entries and len(entries[-1]) > 1:
@@ -596,7 +611,7 @@ def test_monte_carlo_extracted_adversaries_on_workers():
                 break
             i = pol.choose(step, c)
             assert copy.choose(step, c) == i
-            c = machine.config_step(c, i).entries[0][1]
+            c = machine.config_step(c, i, {})[0][1]
         assert machine.is_terminated(c)
         a, b = (sched.monte_carlo(prog, pol, 80, models.read_pow2_minus_1, 300, seed=2,
                                   workers=w) for w in (1, 2))
@@ -623,6 +638,17 @@ def test_evaluate_policy_stutter_spends_a_step():
     for s in range(4, 8):
         got = least_budget(prog, lambda step, c, s=s: 1 if step == s else 0)
         assert got == (s + 4, 1)
+
+
+def test_zero_probability_branch_is_never_taken():
+    # the flip's true branch has probability zero and never terminates:
+    # every engine skips it, so no run reaches the horizon unterminated
+    prog = parse("(if (flip 0 1) ((rec (f x) (f x)) 0) 7)")
+    assert sched.evaluate_policy(prog, sched.round_robin(), 50, read_int) == 7
+    res = sched.extremal_expectation(prog, 50, read_int)
+    bf = sched.brute_force_extrema(prog, 50, read_int)
+    assert (res.lo, res.hi) == (bf.lo, bf.hi) == (7, 7)
+    assert sched.monte_carlo(prog, sched.round_robin(), 50, read_int, 20, seed=1).mean == 7.0
 
 
 def test_sandwich_counter_against_spec():
@@ -778,7 +804,7 @@ def reachable_threads(prog, limit: int = 200) -> set:
             break
         for (i, t) in enumerate(c.threads):
             threads.add((t, c.state))
-            for (_, c2, _) in machine.config_step(c, i).entries:
+            for (_, c2) in machine.config_step(c, i, {}):
                 if c2 not in seen:
                     seen.add(c2)
                     queue.append(c2)
@@ -1028,7 +1054,7 @@ def reference_evaluate_policy(prog, policy, budget, f):
             continue
         if step == budget:
             raise sched.ScheduleError(f"unterminated within {budget} steps")
-        for (_, c2, p) in machine.config_step(c, policy.choose(step, c)).entries:
+        for (p, c2) in machine.config_step(c, policy.choose(step, c), {}):
             if p > 0:
                 stack.append((c2, step + 1, w * p))
     return total
@@ -1079,10 +1105,10 @@ def test_replay_steps_each_configuration_once_per_step(monkeypatch):
     step = machine.config_step
     calls = 0
 
-    def counted(c, i):
+    def counted(c, i, memo):
         nonlocal calls
         calls += 1
-        return step(c, i)
+        return step(c, i, memo)
 
     monkeypatch.setattr(machine, "config_step", counted)
     monkeypatch.setattr(sched, "config_step", counted)
@@ -1118,7 +1144,7 @@ def test_segment_rows_match_config_step(monkeypatch):
     # every segment a Monte-Carlo call memoizes, on the random programs of
     # the agreement test above, against the step function: walked one
     # ``config_step`` at a time from its start, it reaches its end, and the
-    # row there is the chosen step's entries
+    # row there is the chosen step's pairs
     memos = []
     sample_run = machine.sample_run
 
@@ -1142,16 +1168,16 @@ def test_segment_rows_match_config_step(monkeypatch):
             memos.clear()
             for ((c, step), (end, end_step, row)) in memo.items():
                 while step < budget and not machine.is_terminated(c):
-                    entries = machine.config_step(c, choose(step, c)).entries
-                    if len(entries) > 1:
+                    succ = machine.config_step(c, choose(step, c), {})
+                    if len(succ) > 1:
                         break
-                    stutters += entries[0][1] == c
-                    (c, step) = (entries[0][1], step + 1)
+                    stutters += succ[0][1] == c
+                    (c, step) = (succ[0][1], step + 1)
                 assert (c, step) == (end, end_step)
                 if row is None:
                     assert step == budget or machine.is_terminated(c)
                 else:
-                    assert row == (tuple(c2 for (_, c2, _) in entries), *row_of(entries))
+                    assert row == (tuple(c2 for (_, c2) in succ), *row_of(succ))
                     branching += 1
                 segments += 1
     assert segments > branching > 0 and stutters > 0
