@@ -155,14 +155,14 @@ def couple_pchoice(d1: Derivation, d2: Derivation, p) -> Derivation:
 
 
 def couple_bind(d1: Derivation, k: Callable[[Value, Value], Derivation],
-                rhs_cont: Optional[Callable[[Value], ProcessSet]] = None,
-                name: Optional[str] = None) -> Derivation:
+                rhs_cont: Optional[Callable[[Value], ProcessSet]] = None) -> Derivation:
     """Sequence a coupling with per-pair continuation couplings.
 
     ``k`` must be defined on every support pair of the premise's joint.
     ``rhs_cont`` supplies the rhs continuation for target values that no
     support pair reaches (needed to state the composite goal's rhs, which
-    binds over *all* members of the premise's rhs).
+    binds over *all* members of the premise's rhs).  The composite keeps
+    the continuations' predicate and its name.
     """
     pairs = {}
     for (_, pair, p) in d1.witness.joint.entries:
@@ -177,7 +177,7 @@ def couple_bind(d1: Derivation, k: Callable[[Value, Value], Derivation],
     if not pairs:
         raise CouplingError("premise joint has empty support")
     some = next(iter(pairs.values()))[1]
-    q_name = name if name is not None else some.goal.name
+    q_name = some.goal.name
     q_pred = some.goal.predicate
 
     lhs_cont = {}

@@ -25,16 +25,18 @@ pushed) nodes however deep the context, and the rest of the context is
 shared.  ``plug`` rebuilds the expression, to print it.  The walks are
 loops, so a deep context needs no recursion.
 
-A configuration is a nonempty thread pool plus a heap; stepping thread
-``i`` replaces it, applies the heap effect, and appends any forked
-thread to the pool.  ``successors`` is that step.  Scheduling a value, a
-stuck thread, or an out-of-range index is a stutter: the configuration
-repeats with probability one.  ``config_step`` adds that rule to
-``successors``, and every engine that follows a scheduler steps through
-it.  A configuration has terminated when the first thread's focus is a
-value; nothing can change that thread afterwards, so termination is
-absorbing.  Every engine keys dicts on configurations, so a ``Config``
-and its ``State`` compute their hash once, when they are built.
+A heap is a ``State``, hash-consed like a term: the tuple of its cells,
+indexed by location.  A configuration is a nonempty thread pool plus a
+heap, whose generated ``==`` and ``hash`` cost one identity hash per
+thread and one for the heap; every engine keys dicts on configurations.
+Stepping thread ``i`` replaces it, applies the heap effect, and appends
+any forked thread to the pool.  ``successors`` is that step.  Scheduling
+a value, a stuck thread, or an out-of-range index is a stutter: the
+configuration repeats with probability one.  ``config_step`` adds that
+rule to ``successors``, and every engine that follows a scheduler steps
+through it.  A configuration has terminated when the first thread's
+focus is a value; nothing can change that thread afterwards, so
+termination is absorbing.
 
 A scheduler is a Markov policy ``choose(step, config) -> thread index``.
 ``trace_step_ival_n`` is the monadic n-step semantics under one: a chain
@@ -45,7 +47,9 @@ exactly.  A run can differ from another only where it draws, so the runs
 of one sampling call share a memo of the deterministic segments between
 draws, keyed by the configuration and step where each starts: a segment
 walked once is replayed by one dict probe.  They also share the step memo
-of ``successors``, so a segment's first walk steps a thread once per heap.
+of ``successors``, so a segment's first walk steps a thread once per heap;
+that memo is cleared when it outgrows ``STEP_MEMO_CAP``, so a call that
+reaches many runs holds a bounded number of them.
 """
 
 from __future__ import annotations
@@ -70,73 +74,40 @@ from ivalbench.lang import (
 # states, configurations
 
 
-class _HashSlot:
-    """The slot of a hash computed once, at construction.  It is not a
-    dataclass field: ``fields``, ``==``, ``repr`` and ``ival.value_key``
-    do not see it.  A subclass pickles as its constructor call, so a
-    loaded copy hashes again: terms hash by identity, which differs
-    between processes."""
+@_node
+class State(_Node):
+    """A heap: ``cells[loc]`` is the value at location ``loc``.  Cells are
+    allocated and never freed, so the locations in use are always ``0 ..
+    len(cells) - 1``, and every tuple of values is a heap."""
 
-    __slots__ = ("_hash",)
-
-
-@dataclass(frozen=True, slots=True)
-class State(_HashSlot):
-    heap: tuple = ()  # sorted (loc, Val) pairs
-    next_loc: int = 0
-
-    def __post_init__(self):
-        locs = [l for (l, _) in self.heap]
-        if locs != sorted(set(locs)):
-            raise ValueError("heap must be sorted with distinct locations")
-        if locs and locs[-1] >= self.next_loc:
-            raise ValueError("allocation counter must exceed every location")
-        object.__setattr__(self, "_hash", hash((self.heap, self.next_loc)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return (State, (self.heap, self.next_loc))
+    cells: tuple
 
     def lookup(self, loc: int) -> Optional[Val]:
-        for (l, v) in self.heap:
-            if l == loc:
-                return v
-        return None
+        """The value at ``loc``, or None when no cell is there."""
+        cells = self.cells
+        return cells[loc] if 0 <= loc < len(cells) else None
 
     def store(self, loc: int, val: Val) -> "State":
-        cells = tuple((l, val if l == loc else v) for (l, v) in self.heap)
-        return State(cells, self.next_loc)
+        cells = self.cells
+        return State(cells[:loc] + (val,) + cells[loc + 1:])
 
     def alloc(self, val: Val):
-        loc = self.next_loc
-        return State(self.heap + ((loc, val),), loc + 1), loc
+        return State(self.cells + (val,)), len(self.cells)
 
 
 @dataclass(frozen=True, slots=True)
-class Config(_HashSlot):
+class Config:
     threads: tuple
     state: State
 
-    def __post_init__(self):
-        if not self.threads:
-            raise ValueError("thread pool must be nonempty")
-        object.__setattr__(self, "_hash", hash((self.threads, self.state)))
 
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return (Config, (self.threads, self.state))
-
-
-def initial_config(exprs, heap=()) -> Config:
-    """The pool of threads ``exprs`` over the (loc, Val) cells ``heap``;
-    allocation continues above the highest location."""
-    cells = tuple(sorted(heap))
-    next_loc = max((l for (l, _) in cells), default=-1) + 1
-    return Config(tuple(refocus(None, e) for e in exprs), State(cells, next_loc))
+def initial_config(exprs, cells=()) -> Config:
+    """The pool of threads ``exprs`` over the heap whose value at location
+    ``loc`` is ``cells[loc]``; allocation continues above the last cell."""
+    threads = tuple(refocus(None, e) for e in exprs)
+    if not threads:
+        raise ValueError("thread pool must be nonempty")
+    return Config(threads, State(tuple(cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +438,10 @@ def is_terminated(c: Config) -> bool:
 
 UNIT_BITS = 53  # ``random.random()`` is k / 2**53 for an integer k
 
+# ``sample_run`` clears the step memo before walking a new segment once it
+# holds more entries than this: a cache, so clearing it changes no draw
+STEP_MEMO_CAP = 10_000
+
 
 def pick_outcome(den: int, cums: tuple, rng: random.Random) -> int:
     """The first outcome ``j`` whose cumulative threshold ``cums[j]/den``
@@ -505,14 +480,17 @@ def sample_run(start: Config, choose: Callable[[int, Config], int], budget: int,
     where the run ends.  The first run through a segment walks it step by
     step, and every later one pays one dict probe per draw.  ``steps`` is
     the step memo of ``successors``, so the walks step a thread that
-    recurs beside different threads once per heap.  Draws come in the same
-    order either way, so ``rng`` gives the same stream.  The memo grows
+    recurs beside different threads once per heap; it is cleared before a
+    segment walk when it holds more than ``STEP_MEMO_CAP`` entries.  Draws
+    come in the same order either way, so ``rng`` gives the same stream.  The memo grows
     with the distinct ``(c, s)`` pairs where segments start: the start,
     and every outcome of a draw at the step after it."""
     (c, step) = (start, 0)
     while True:
         seg = segments.get((c, step))
         if seg is None:
+            if len(steps) > STEP_MEMO_CAP:
+                steps.clear()
             seg = segments[(c, step)] = _segment(c, step, choose, budget, steps)
         (c, step, row) = seg
         if row is None:

@@ -78,8 +78,8 @@ def verdict_json(v: Verdict) -> dict:
 def config_json(c) -> dict:
     return {
         "threads": [lang.unparse(machine.plug(t)) for t in c.threads],
-        "heap": {str(loc): lang.unparse(lang.of_val(v)) for (loc, v) in c.state.heap},
-        "next_loc": c.state.next_loc,
+        "heap": {str(loc): lang.unparse(lang.of_val(v)) for (loc, v) in enumerate(c.state.cells)},
+        "next_loc": len(c.state.cells),
     }
 
 

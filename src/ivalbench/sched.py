@@ -83,10 +83,9 @@ O(redex) however deep its context.
 
 A thread's work recurs in every configuration that holds it, so each
 analysis call derives it once per distinct thread, in three memos of its
-own that die with the call.  Threads are hash-consed zippers, so a key
+own that die with the call.  Threads and heaps are hash-consed, so a key
 hashes in O(1) however deep its context (Filliatre & Conchon 2006), and a
-``Config`` or ``State`` computes its hash once, when it is built, so a
-probe of the memo, the gray set or the step memo hashes nothing.
+``Config`` hashes as one identity hash per thread and one for its heap.
 
 * The fused steps of a thread, keyed by (thread, is the first thread):
   local steps read no heap, so where they lead, and how many there are,

@@ -164,7 +164,7 @@ def test_equal_constructions_are_one_object():
     e = parse(text)
     assert parse(text) is e
     assert lang.subst(parse(text.replace("y", "z")), "z", Var("y")) is e
-    s = machine.State()
+    s = machine.State(())
     for (text, after) in (("(+ 1 2)", "3"), ("(let (x 1) (+ x x))", "(+ 1 1)"),
                           ("(pair (+ 1 2) y)", "(pair 3 y)")):
         [(_, a, _, _)] = machine.outcomes(machine.refocus(None, parse(text)), s)
@@ -213,7 +213,7 @@ def test_table_entry_dies_with_last_reference():
 def test_underscore_never_binds():
     # `_` is a throwaway binder: the body's `_` stays an unbound variable,
     # so each of these steps to it and is stuck, and never terminates
-    s = machine.State()
+    s = machine.State(())
     for text in ("(let (_ 1) _)", "(seq 1 _)", "((lam (x) _) 1)"):
         e = parse(text)
         assert e.fv == frozenset()

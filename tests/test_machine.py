@@ -50,42 +50,42 @@ def outcomes(e, s):
 
 
 def test_flip_two_entries():
-    out = outcomes(parse("(flip 1 2)"), State())
+    out = outcomes(parse("(flip 1 2)"), State(()))
     assert [(p, e) for (p, e, _, _) in out] == \
         [(F(1, 2), Lit(lang.TRUE)), (F(1, 2), Lit(lang.FALSE))]
 
 
 def test_flip_keeps_zero_probability_branch():
-    out = outcomes(parse("(flip 1 1)"), State())
+    out = outcomes(parse("(flip 1 1)"), State(()))
     assert [p for (p, _, _, _) in out] == [F(1), F(0)]
 
 
 def test_flip_side_condition_stuck():
-    assert outcomes(parse("(flip 3 2)"), State()) is None
-    assert outcomes(parse("(flip 1 0)"), State()) is None
-    assert outcomes(parse("(flip -1 2)"), State()) is None
+    assert outcomes(parse("(flip 3 2)"), State(())) is None
+    assert outcomes(parse("(flip 1 0)"), State(())) is None
+    assert outcomes(parse("(flip -1 2)"), State(())) is None
 
 
 def test_faa_returns_old_value():
-    s = State(((0, VInt(4)),), 1)
+    s = State((VInt(4),))
     out = outcomes(parse("(faa (loc 0) 3)"), s)
     [(p, e, s2, sp)] = out
     assert p == 1 and to_val(e) == VInt(4) and s2.lookup(0) == VInt(7) and sp == ()
 
 
 def test_load_unallocated_stuck():
-    assert outcomes(parse("(load (loc 9))"), State()) is None
+    assert outcomes(parse("(load (loc 9))"), State(())) is None
 
 
 def test_store_requires_allocated_cell():
-    assert outcomes(parse("(store (loc 0) 1)"), State()) is None
-    s = State(((0, VInt(0)),), 1)
+    assert outcomes(parse("(store (loc 0) 1)"), State(())) is None
+    s = State((VInt(0),))
     [(_, e, s2, _)] = outcomes(parse("(store (loc 0) 5)"), s)
     assert s2.lookup(0) == VInt(5) and to_val(e) == lang.VUnit()
 
 
 def test_cas_success_and_failure():
-    s = State(((0, VInt(2)),), 1)
+    s = State((VInt(2),))
     [(_, e, s2, _)] = outcomes(parse("(cas (loc 0) 2 3)"), s)
     assert to_val(e) == lang.TRUE and s2.lookup(0) == VInt(3)
     [(_, e, s3, _)] = outcomes(parse("(cas (loc 0) 7 3)"), s)
@@ -132,7 +132,7 @@ def test_val_eq_left_to_right():
 
 
 def test_wait_blocks_until_match():
-    s = State(((0, VInt(0)),), 1)
+    s = State((VInt(0),))
     assert outcomes(parse("(wait (loc 0) 1)"), s) is None
     s2 = s.store(0, VInt(1))
     [(_, e, _, _)] = outcomes(parse("(wait (loc 0) 1)"), s2)
@@ -140,16 +140,16 @@ def test_wait_blocks_until_match():
 
 
 def test_fork_spawns_unevaluated():
-    [(p, e, _, spawned)] = outcomes(parse("(fork (faa (loc 0) 1))"), State())
+    [(p, e, _, spawned)] = outcomes(parse("(fork (faa (loc 0) 1))"), State(()))
     assert p == 1 and to_val(e) == lang.VUnit()
     assert spawned == (parse("(faa (loc 0) 1)"),)
 
 
 def test_thread_step_markers():
     # values and stuck expressions yield the none marker
-    assert outcomes(parse("42"), State()) is None
-    assert outcomes(parse("(load (loc 3))"), State()) is None
-    assert sum(p for (p, _, _, _) in outcomes(parse("(flip 1 2)"), State())) == 1
+    assert outcomes(parse("42"), State(())) is None
+    assert outcomes(parse("(load (loc 3))"), State(())) is None
+    assert sum(p for (p, _, _, _) in outcomes(parse("(flip 1 2)"), State(()))) == 1
 
 
 def test_config_step_stutters():
@@ -166,7 +166,7 @@ def test_config_step_appends_forked_thread():
 def heap_config():
     """A two-thread configuration over one cell, and its successor after
     the second thread's ``faa``."""
-    c = initial_config([parse("(flip 1 2)"), parse("(faa (loc 0) 1)")], [(0, VInt(1))])
+    c = initial_config([parse("(flip 1 2)"), parse("(faa (loc 0) 1)")], [VInt(1)])
     [(_, after)] = config_step(c, 1, {})
     return c, after
 
@@ -182,43 +182,54 @@ def test_config_step_reads_and_extends_the_step_memo():
     assert config_step(c, 9, memo) == ((1, c),) and len(memo) == 1
 
 
-def test_configuration_hash_is_cached_at_construction():
-    # the hash the generated one gives, computed once and seen by nothing
-    # that reads the fields
+def test_equal_heaps_are_one_state():
+    # a heap is hash-consed like a term, and a configuration compares and
+    # hashes by its hash-consed parts
     (c, after) = heap_config()
     for x in (c, after):
-        assert hash(x) == hash((x.threads, x.state))
-        assert hash(x.state) == hash((x.state.heap, x.state.next_loc))
-        assert x == machine.Config(x.threads, State(x.state.heap, x.state.next_loc))
+        cells = tuple(list(x.state.cells))  # an equal tuple, not the same one
+        assert State(cells) is x.state
+        copy = machine.Config(tuple(list(x.threads)), State(cells))
+        assert copy is not x
+        assert copy == x and hash(copy) == hash(x)
         assert repr(x) == f"Config(threads={x.threads!r}, state={x.state!r})"
-    assert c != after and c.state != after.state
+    assert c != after and c.state is not after.state
+    assert after.state is c.state.store(0, VInt(2))
     assert [f.name for f in dataclasses.fields(machine.Config)] == ["threads", "state"]
-    assert [f.name for f in dataclasses.fields(State)] == ["heap", "next_loc"]
+    assert [f.name for f in dataclasses.fields(State)] == ["cells"]
     key = ival.value_key
-    assert key(c.state) == (6, "State", (key(c.state.heap), key(c.state.next_loc)))
+    assert key(c.state) == (6, "State", (key(c.state.cells),))
     assert key(c) == (6, "Config", (key(c.threads), key(c.state)))
 
 
-def test_configuration_pickles_as_its_constructor_call():
-    # a loaded configuration hashes again: terms hash by identity, which a
-    # fresh interpreter assigns anew
+def test_configuration_pickles_into_the_interning_tables():
+    # a loaded heap is interned again, in this process and in a fresh
+    # interpreter, whose identity hashes differ
     (c, after) = heap_config()
-    assert c.__reduce__() == (machine.Config, (c.threads, c.state))
-    assert c.state.__reduce__() == (State, (c.state.heap, c.state.next_loc))
     copy = pickle.loads(pickle.dumps(c))
-    assert copy == c and hash(copy) == hash(c)
+    assert copy == c and hash(copy) == hash(c) and copy.state is c.state
     src = str(Path(ivalbench.__file__).resolve().parent.parent)
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     check = ("import pickle, sys\n"
+             "from ivalbench.machine import Config, State\n"
              "cs = pickle.load(sys.stdin.buffer)\n"
              "table = {c: k for (k, c) in enumerate(cs)}\n"
-             "print(all(hash(c) == hash((c.threads, c.state)) and table[c] == k\n"
-             "          and hash(c.state) == hash((c.state.heap, c.state.next_loc))\n"
+             "print(all(table[Config(c.threads, State(c.state.cells))] == k\n"
              "          for (k, c) in enumerate(cs)))\n")
     out = subprocess.run([sys.executable, "-c", check], input=pickle.dumps([c, after]),
                          env=env, capture_output=True, check=True)
     assert out.stdout == b"True\n"
+
+
+def test_heap_primitives_stuck_outside_the_heap():
+    # a location names a cell only in 0 .. len(cells) - 1: a negative one
+    # must not read a cell from the end
+    s = State((VInt(1),))
+    for loc in (-1, 1):
+        for op in (f"(load (loc {loc}))", f"(store (loc {loc}) 1)", f"(faa (loc {loc}) 1)",
+                   f"(cas (loc {loc}) 1 2)", f"(wait (loc {loc}) 1)"):
+            assert machine.outcomes(refocus(None, parse(op)), s) is None, op
 
 
 def test_trace_semantics_flip():
@@ -320,14 +331,22 @@ def test_pool_grows_only_by_fork():
         c = c2
 
 
+def stored_locs(v):
+    """The locations in value ``v`` and in the pairs it is built of."""
+    if isinstance(v, lang.VPair):
+        return stored_locs(v.fst) + stored_locs(v.snd)
+    return [v.loc] if isinstance(v, VLoc) else []
+
+
 def test_heap_safety_reachable_configs():
     from ivalbench import models
     prog = models.skip_list_sequential_program([5], query=5)
     c = initial_config([prog])
     rng = random.Random(7)
     for _ in range(150):
-        locs = [l for (l, _) in c.state.heap]
-        assert all(l < c.state.next_loc for l in locs)
+        # every location stored in a cell, inside pairs too, names a cell
+        cells = c.state.cells
+        assert all(0 <= loc < len(cells) for v in cells for loc in stored_locs(v))
         i = rng.randrange(len(c.threads))
         entries = [(cc, p) for (p, cc) in config_step(c, i, {}) if p > 0]
         if not entries:
@@ -381,7 +400,7 @@ def test_decomposition_agrees_with_stepper():
     # each step's outcomes plug to those of the plugging reference, and
     # refocusing a plugged successor gives the successor back
     rng = random.Random(31)
-    s = State(((0, VInt(1)),), 1)
+    s = State((VInt(1),))
     stepped = 0
     for _ in range(300):
         e = lang.gen_expr(rng, depth=3)
@@ -406,7 +425,7 @@ def test_deep_context_steps_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the default
     try:
-        [(p, e2, _, _)] = outcomes(e, State())
+        [(p, e2, _, _)] = outcomes(e, State(()))
         assert redex_is_local(e)
         [(_, c2)] = config_step(initial_config([e]), 0, {})
         assert p == 1 and plug(c2.threads[0]) is e2
@@ -422,7 +441,7 @@ def test_dlm_single_step_matches_morris():
     # counter like the logarithmic one: to k+1 with probability 1/2^k
     from ivalbench import models
     for k in (0, 1, 2):
-        heap = ((0, VInt(k)),)
+        heap = (VInt(k),)
         dlm = lang.seq(models.dlm_incr(Lit(VLoc(0)), bits=3), parse("(load (loc 0))"))
         morris = lang.seq(models.morris_incr(Lit(VLoc(0))), parse("(load (loc 0))"))
         d1 = run_dist(dlm, 60, heap)
@@ -462,5 +481,5 @@ def test_pow_bounded_by_result_bits():
     assert machine.apply_prim("pow", (VInt(7), VInt(10 ** 30))) is None
     assert time.perf_counter() - t0 < 0.5  # computing 2**200000000 takes seconds
     # an oversized power is a stuck side condition, like a negative exponent
-    assert outcomes(parse("(pow 2 200000000)"), State()) is None
-    assert outcomes(parse("(pow 2 -1)"), State()) is None
+    assert outcomes(parse("(pow 2 200000000)"), State(())) is None
+    assert outcomes(parse("(pow 2 -1)"), State(())) is None

@@ -262,7 +262,7 @@ def test_quiescent_cost_matches_formula():
             continue
         result = to_val(c.threads[0].focus)
         topl = None
-        for (loc, v) in c.state.heap:  # top-left sentinel: key INTMIN with a down pointer
+        for (loc, v) in enumerate(c.state.cells):  # top-left sentinel: key INTMIN with a down pointer
             if (isinstance(v, VPair) and v.fst == VInt(models.INTMIN)
                     and isinstance(v.snd.snd.fst, VLoc)):
                 topl = loc

@@ -333,6 +333,32 @@ def test_monte_carlo_worker_invariance():
         sched.monte_carlo(prog, sched.round_robin(), 80, read_int, 600, seed=8, workers=0)
 
 
+def test_step_memo_cap_changes_no_draw(monkeypatch):
+    # the sampler clears its step memo before a segment walk once it holds
+    # more than the cap; a cache, so every run and the result stay the same
+    prog = models.unbiased_counter_program(2, max_value=2)
+    pol = sched.seeded_random(4)
+    start = machine.initial_config([prog])
+
+    class Steps(dict):
+        clears = 0
+
+        def clear(self):
+            Steps.clears += 1
+            super().clear()
+
+    def ends(steps):
+        segments = {}
+        return [machine.sample_run(start, pol.choose, 80, random.Random(k), segments, steps)
+                for k in range(50)]
+
+    want = sched.monte_carlo(prog, pol, 80, read_int, 300, seed=8)
+    want_ends = ends({})
+    monkeypatch.setattr(machine, "STEP_MEMO_CAP", 1)
+    assert sched.monte_carlo(prog, pol, 80, read_int, 300, seed=8) == want
+    assert ends(Steps()) == want_ends and Steps.clears > 0
+
+
 def test_monte_carlo_needs_a_trial():
     prog = parse("(flip 1 2)")
     for trials in (0, -3):
@@ -872,7 +898,7 @@ def test_fast_paths_match_the_plugging_reference():
     assert chained[True] > 500 and stepped > 1000
     # a redex under pairs: for the first thread, only the step that
     # completes every pair around it ends the chain
-    s = machine.State(((0, lang.VInt(1)),), 1)
+    s = machine.State((lang.VInt(1),))
     for text in ("(pair (+ 1 2) (+ 3 4))", "(pair 1 (+ 1 2))", "(pair (pair 1 (+ 1 2)) 5)",
                  "(pair (pair (+ 0 1) 2) (pair 3 (+ 1 3)))", "(fst (pair (+ 1 2) 4))"):
         (e, t) = (parse(text), machine.refocus(None, parse(text)))
