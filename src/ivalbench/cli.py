@@ -167,11 +167,13 @@ def cmd_mdp(args):
         "lo": report.frac_str(res.lo),
         "hi": report.frac_str(res.hi),
         "explored_states": res.explored_states,
+        "forced_flips": res.forced_flips,
         "fused_steps": res.fused_steps,
         "longest_path": res.longest_path,
     }
     print(f"{args.model}: lo = {res.lo}, hi = {res.hi} "
-          f"({res.explored_states} states explored, {res.fused_steps} local steps fused)")
+          f"({res.explored_states} states explored, {res.forced_flips} with a forced flip, "
+          f"{res.fused_steps} local steps fused)")
     return EXIT_OK, rep, None
 
 
@@ -292,6 +294,7 @@ def cmd_counter_bias(args):
         "lo_replay": report.frac_str(lo_replay),
         "hi_replay": report.frac_str(hi_replay),
         "explored_states": res.explored_states,
+        "forced_flips": res.forced_flips,
         "fused_steps": res.fused_steps,
         "longest_path": res.longest_path,
         "scheduler_dependent": biased,

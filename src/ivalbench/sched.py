@@ -67,6 +67,25 @@ heap, ``flip``, ``fork`` or ``alloc`` redex, is stuck or is a value, or is
 the first thread before its last step; ``explored_states`` counts these
 fused configurations and ``fused_steps`` the local steps run eagerly.
 
+Pending flips are forced.  A ``flip`` that meets its side condition reads
+and writes no heap cell, forks nothing, stays enabled until its thread
+takes it and commutes with every step of every other thread, so it is an
+independent, invisible probabilistic step, and a configuration may offer
+it as its only choice (a singleton ample set; Baier, Groesser & Ciesinski
+2004; D'Argenio & Niebert 2004).  Where some thread's next step is such a
+flip, the lowest such thread is the configuration's one choice, recorded
+as both its lo and its hi choice; ``forced_flips`` counts these
+configurations.  A schedule that delays the flip is matched, with the same
+distribution of outcomes, by one that takes it first.  Moving the flip
+changes no step count, so ``longest_path`` holds, and a schedule that
+reaches the horizon unterminated, or a deadlock, still does, so those
+verdicts hold too.  The flip that turns the first thread into a value is
+not forced: like that thread's last local step, it terminates the
+configuration, which is observable, so it stays a free choice.  A flip is
+forced, never fused: ``settle`` stays a deterministic chain, so threads
+whose flips meet again within one local segment still merge in the memo
+rather than branching into every combination of outcomes.
+
 Fused steps still spend budget: the budget and the longest path of a memo
 entry count primitive steps, exactly as without fusion.  A pending local
 step never blocks and never terminates the configuration, so an adversary
@@ -83,9 +102,11 @@ O(redex) however deep its context.
 
 A thread's work recurs in every configuration that holds it, so each
 analysis call derives it once per distinct thread, in three memos of its
-own that die with the call.  Threads and heaps are hash-consed, so a key
-hashes in O(1) however deep its context (Filliatre & Conchon 2006), and a
-``Config`` hashes as one identity hash per thread and one for its heap.
+own.  The chain and step memos die with the call; the contractum memo is
+kept in the result for the extracted adversaries.  Threads and heaps are
+hash-consed, so a key hashes in O(1) however deep its context (Filliatre
+& Conchon 2006), and a ``Config`` hashes as one identity hash per thread
+and one for its heap.
 
 * The fused steps of a thread, keyed by (thread, is the first thread):
   local steps read no heap, so where they lead, and how many there are,
@@ -120,8 +141,9 @@ The extremizing choices are recorded in the memo beside the values, so
 configuration to thread that ignores the step count, which replays the
 extremum exactly under the unfused ``evaluate_policy``: it reads the
 configuration's entry in the analysis memo and, where there is none,
-takes a pending local step, which ``_fused_step`` finds afresh on each
-call; the policy keeps no cache or view of its own.
+takes a pending local step, which ``_fused_step`` finds over the
+analysis's contractum memo, so a local redex is not contracted again; the
+policy keeps no cache or view of its own.
 History-dependent schedulers need no policy of their own: the
 backward-induction optimum is attained by a Markov one, and
 ``brute_force_extrema`` covers the rest.
@@ -144,7 +166,7 @@ from typing import Callable
 
 from ivalbench import comp, machine
 from ivalbench.ival import as_rational, weighted_sum
-from ivalbench.lang import FORMS, Expr, to_val
+from ivalbench.lang import FORMS, Expr, Flip, to_val
 from ivalbench.machine import (
     Config, State, Thread, config_step, initial_config, is_terminated, outcomes, successors,
 )
@@ -260,9 +282,12 @@ class ExtremalResult:
     hi: Fraction
     explored_states: int  # distinct fused configurations memoized
     fused_steps: int  # thread-local steps run eagerly
+    forced_flips: int  # memoized configurations whose one choice is a pending flip
     longest_path: int  # steps of the longest schedule: the least sufficient budget
     # configuration -> (lo, hi, lo choice, hi choice, longest path)
     memo: dict = field(repr=False, default_factory=dict)
+    # local redex -> its contractum, or _STUCK: read on by the extracted adversaries
+    contracta: dict = field(repr=False, default_factory=dict)
 
     @property
     def policy_lo(self) -> dict:
@@ -277,7 +302,9 @@ def enabled_threads(c: Config) -> list:
     return [i for (i, t) in enumerate(c.threads) if outcomes(t, c.state) is not None]
 
 
-_STUCK = object()  # the contractum memo's entry for a stuck local redex
+class _STUCK:
+    """The contractum memo's entry for a stuck local redex.  A class, so it
+    pickles by reference: a memo sent to a worker keeps it as itself."""
 
 
 _BUDGET_INSUFFICIENT = "budget insufficient: an adversary reaches the horizon unterminated"
@@ -303,6 +330,19 @@ def _fused_step(t: Thread, s: State, first: bool, contracta: dict):
         return None  # stuck for good: a local side condition ignores the heap
     t2 = machine.refocus(t.ctx, r)
     return None if first and t2.focus.is_val else t2
+
+
+def _forced_flip(c: Config, steps: dict):
+    """``(i, successors)`` of the lowest thread ``i`` of ``c`` whose next
+    step is a ``flip`` that meets its side condition, or None.  A flip that
+    turns the first thread into a value is not forced: it terminates the
+    configuration, which is observable."""
+    for (i, t) in enumerate(c.threads):
+        if type(t.focus) is Flip and (succ := successors(c, i, steps)) is not None:
+            # both outcomes are a boolean in the same context: either tells
+            if i or not succ[0][1].threads[0].focus.is_val:
+                return (i, succ)
+    return None
 
 
 def _local_chain(t: Thread, s: State, first: bool, limit: int, contracta: dict) -> tuple:
@@ -340,7 +380,7 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
     contracta: dict = {}  # local redex -> its contractum, or _STUCK
     steps: dict = {}  # (expression, state) -> the thread's outcomes
     gray: set = set()  # the settled configurations being valued on the stack
-    fused = 0
+    fused = forced = 0
 
     def settle(c: Config, k: int, todo) -> tuple:
         """Run the pending local steps of threads ``todo`` of the
@@ -368,11 +408,17 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
         terminated or settles into a memoized configuration is valued in
         place; for any other, it yields the settled successor and its
         budget and is sent that successor's entry."""
+        nonlocal forced
         if c in gray:  # a cycle of positive probability: no budget suffices
             raise ScheduleError(_CYCLE)
         n = len(c.threads)
-        succs = [(i, succ) for i in range(n)
-                 if (succ := successors(c, i, steps)) is not None]
+        flip = _forced_flip(c, steps)
+        if flip is None:
+            succs = [(i, succ) for i in range(n)
+                     if (succ := successors(c, i, steps)) is not None]
+        else:
+            succs = [flip]
+            forced += 1
         if not succs:
             raise ScheduleError(f"deadlock: no thread can step in {c}")
         if left == 0:
@@ -421,7 +467,7 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
     c0 = initial_config([prog])
     if is_terminated(c0):
         v = as_rational(f(to_val(c0.threads[0].focus)))
-        return ExtremalResult(v, v, 0, 0, 0, memo)
+        return ExtremalResult(v, v, 0, 0, 0, 0, memo, contracta)
     (c, left) = settle(c0, budget, range(len(c0.threads)))
     stack = [expand(c, left)]
     sent = None
@@ -432,22 +478,23 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
             stack.pop()
             sent = done.value
             if not stack:
-                return ExtremalResult(sent[0], sent[1], len(memo), fused,
-                                      budget - left + sent[4], memo)
+                return ExtremalResult(sent[0], sent[1], len(memo), fused, forced,
+                                      budget - left + sent[4], memo, contracta)
         else:
             stack.append(expand(*args))
             sent = None
 
 
-def _extremal(memo: dict, slot: int, step: int, c: Config) -> int:
+def _extremal(memo: dict, contracta: dict, slot: int, step: int, c: Config) -> int:
     """``choose`` of an extracted adversary: the choice in ``slot`` of the
     analysis ``memo`` entry of a memoized configuration, else the first
-    thread with a pending fused step, else a stutter."""
+    thread with a pending fused step, found over the analysis's
+    ``contracta``, else a stutter."""
     hit = memo.get(c)
     if hit is not None:
         return hit[slot]  # a memoized configuration is settled
     for (i, t) in enumerate(c.threads):
-        if _fused_step(t, c.state, i == 0, {}) is not None:
+        if _fused_step(t, c.state, i == 0, contracta) is not None:
             return i
     return STUTTER
 
@@ -457,11 +504,14 @@ def extract_policy(result: ExtremalResult, direction: str) -> SchedulerPolicy:
     the extremum exactly under ``evaluate_policy`` with the same budget.
 
     A memoized configuration is settled, so it is looked up first, at
-    whatever budget remains; one that is not memoized runs a pending fused
-    step: local steps commute, so any order reaches the memoized
-    configuration with the same remaining budget.  It reads the analysis
-    memo itself."""
-    choose = functools.partial(_extremal, result.memo, 2 if direction == "lo" else 3)
+    whatever budget remains; its choice is a forced flip where it has one.
+    One that is not memoized runs a pending fused step: local steps
+    commute, so any order reaches the memoized configuration with the same
+    remaining budget.  It reads the analysis memo itself, and finds fused
+    steps over the analysis's contractum memo, which it extends with any
+    redex the analysis did not meet; a pickled copy carries both."""
+    choose = functools.partial(_extremal, result.memo, result.contracta,
+                               2 if direction == "lo" else 3)
     return SchedulerPolicy(f"extremal-{direction}", choose)
 
 

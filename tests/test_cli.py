@@ -65,6 +65,7 @@ def test_counter_bias_exit_and_report(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["scheduler_dependent"] is True
     assert rep["lo"] == "3/2" and rep["hi"] == "5/2"
+    assert rep["explored_states"] > rep["forced_flips"] > 0
 
 
 def test_skiplist_cost_csv(tmp_path):
@@ -242,7 +243,7 @@ def test_mdp_reports_fused_steps(tmp_path):
     assert run(["mdp", "--model", "unbiased-counter", "--threads", "2",
                 "--budget", "60", "-f", "read", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["explored_states"] > 0 and rep["fused_steps"] > 0
+    assert rep["explored_states"] > rep["forced_flips"] > 0 and rep["fused_steps"] > 0
     assert rep["longest_path"] == 32  # the least budget the analysis accepts
     assert run(["mdp", "--model", "unbiased-counter", "--threads", "2",
                 "--budget", "31", "-f", "read"]) == 1

@@ -774,26 +774,42 @@ def reference_chain(e, s, first, limit):
     return (e, n)
 
 
-def extrema_or_error(analysis, prog, budget):
+def extrema_or_error(analysis, prog, budget, f=read_int):
     """The analysis result, or the message of the ScheduleError it raised."""
     try:
-        return analysis(prog, budget, read_int)
+        return analysis(prog, budget, f)
     except sched.ScheduleError as exc:
         assert "exceeds" not in str(exc)  # the oracle's node limit is no verdict
         return str(exc)
 
 
-def assert_fused_agrees(prog, max_budget: int = 40):
+def forceable_flip(c):
+    """The lowest thread of ``c`` whose next step is a flip that can fire
+    and, in the first thread, leaves it unterminated; else None."""
+    for (i, t) in enumerate(c.threads):
+        e = machine.plug(t)
+        split = ref.decompose(e)
+        if split is None or type(split[1]) is not Flip:
+            continue
+        res = ref.outcomes(e, c.state)
+        if res is not None and (i or not res[0][1].is_val):
+            return i
+    return None
+
+
+def assert_fused_agrees(prog, max_budget: int = 40, f=read_int):
     """For every budget from 0 to two past the sufficiency threshold, the
-    fused analysis and brute force agree exactly or both fail, and both
-    extracted adversaries replay exactly.  A deadlock reachable within a
-    budget stays reachable within every larger one, so a reported deadlock
-    ends the sweep.  Returns the threshold, or None."""
+    fused analysis and brute force agree exactly or both fail, both
+    extracted adversaries replay exactly, and every memoized configuration
+    with a forceable flip records that thread as both of its choices.  A
+    deadlock reachable within a budget stays reachable within every larger
+    one, so a reported deadlock ends the sweep.  Returns the threshold, or
+    None."""
     threshold = None
     budget = 0
     while budget <= (max_budget if threshold is None else threshold + 2):
-        res = extrema_or_error(sched.extremal_expectation, prog, budget)
-        bf = extrema_or_error(sched.brute_force_extrema, prog, budget)
+        res = extrema_or_error(sched.extremal_expectation, prog, budget, f)
+        bf = extrema_or_error(sched.brute_force_extrema, prog, budget, f)
         where = (lang.unparse(prog), budget)
         if isinstance(res, str):
             assert isinstance(bf, str), where
@@ -801,12 +817,18 @@ def assert_fused_agrees(prog, max_budget: int = 40):
                 return None
         else:
             assert (res.lo, res.hi) == (bf.lo, bf.hi), where
-            for c in res.policy_lo:  # the memo holds fused configurations only
+            forced = 0
+            for (c, entry) in res.memo.items():  # fused configurations only
                 assert not any(ref.fused_successor(machine.plug(t), c.state, i == 0)
                                is not None for (i, t) in enumerate(c.threads))
+                i = forceable_flip(c)
+                if i is not None:
+                    assert entry[2] == entry[3] == i, where
+                    forced += 1
+            assert res.forced_flips == forced, where
             for direction in ("lo", "hi"):
                 pol = sched.extract_policy(res, direction)
-                assert sched.evaluate_policy(prog, pol, budget, read_int) == getattr(res, direction)
+                assert sched.evaluate_policy(prog, pol, budget, f) == getattr(res, direction)
             if threshold is None:
                 threshold = budget
             assert res.longest_path == threshold, where  # the least sufficient budget
@@ -818,6 +840,86 @@ def test_fused_matches_brute_force_on_random_programs():
     rng = random.Random(2024)
     thresholds = [assert_fused_agrees(random_concurrent_program(rng)) for _ in range(60)]
     assert 1 <= thresholds.count(None) <= 10  # deadlocks are covered, but are rare
+
+
+COINS = [(1, 2), (1, 3), (0, 1), (1, 1), (3, 2)]  # (3 2) is stuck: no transition
+
+
+def random_flipping_program(rng: random.Random):
+    """Thread 0 allocates a cell, may flip before it forks, and forks one or
+    two threads that each flip before they act on the cell; then it reads
+    the cell, maybe behind a flip of its own.  The coins include the
+    certain ``(flip 0 1)`` and ``(flip 1 1)`` and the stuck ``(flip 3 2)``,
+    which is never forced."""
+    l = Var("l")
+
+    def coin():
+        (a, b) = rng.choice(COINS)
+        return Flip(num(a), num(b))
+
+    def action():
+        return rng.choice([Faa(l, num(1)), Store(l, num(rng.randint(0, 2))), Load(l)])
+
+    first = [If(coin(), Store(l, num(1)), unit)] if rng.random() < 0.5 else []
+    forks = [Fork(If(coin(), action(), action())) for _ in range(rng.randint(1, 2))]
+    final = rng.choice([Load(l), If(coin(), Load(l), num(5))])
+    return Let("l", Alloc(num(0)), seq(*first, *forks, final))
+
+
+def test_forced_flips_match_brute_force_on_flipping_programs():
+    rng = random.Random(28)
+    progs = [random_flipping_program(rng) for _ in range(30)]
+    texts = [lang.unparse(p) for p in progs]
+    assert all(any(f"(flip {a} {b})" in t for t in texts) for (a, b) in COINS)
+    thresholds = [assert_fused_agrees(p) for p in progs]
+    assert 1 <= thresholds.count(None) < len(progs)  # a stuck thread 0 deadlocks
+
+
+def test_first_thread_terminating_flip_is_not_forced():
+    # the flip that makes thread 0 a value ends the run, so it stays a free
+    # choice: an adversary may starve it while the fork stores, and the
+    # least sufficient budget counts those stores
+    f = models.FUNCTIONALS["true-indicator"]
+    res = sched.extremal_expectation(parse("(flip 1 2)"), 5, f)
+    assert (res.lo, res.hi, res.explored_states, res.forced_flips) == (F(1, 2), F(1, 2), 1, 0)
+    prog = parse("(let (l (alloc 0)) (seq (fork (seq (store l 1) (store l 2))) (flip 1 2)))")
+    assert assert_fused_agrees(prog, f=f) == 8
+    assert sched.extremal_expectation(prog, 8, f).forced_flips == 0
+
+
+def merging_flips(n: int) -> str:
+    """Thread-local sum of ``n`` coins: the coins' outcomes meet again in
+    the sum after every ``let``."""
+    e = "s"
+    for _ in range(n):
+        e = f"(let (s (+ s (if (flip 1 2) 1 0))) {e})"
+    return f"(let (s 0) {e})"
+
+
+def test_forced_flips_keep_merging_in_the_memo():
+    # a forced flip is one scheduled step, and ``settle`` stays a
+    # deterministic chain, so the memo holds one configuration per (coins
+    # flipped, sum so far): 136 at a flip and 17 before thread 0's last
+    # step.  Branching ``settle`` on the flips would walk all 2 ** 16 runs.
+    # In a forked thread the memo adds the configuration before the fork
+    for (text, states, forced) in ((merging_flips(16), 153, 136),
+                                   (f"(seq (fork {merging_flips(16)}) 0)", 154, 136)):
+        res = sched.extremal_expectation(parse(text), 200, read_int)
+        assert (res.explored_states, res.forced_flips) == (states, forced), text
+
+
+def test_extracted_adversary_with_a_stuck_redex_samples_alike_on_workers():
+    # the first fork is stuck for good at ``(if 3 1 2)``: the contractum
+    # memo that the adversary carries into a worker marks it stuck, and the
+    # mark must unpickle as itself for the worker to skip that thread
+    prog = parse("(let (l (alloc 0)) (seq (fork (if 3 1 2)) "
+                 "(fork (let (y (load l)) (store l (+ y 1)))) (if (flip 1 2) (load l) 5)))")
+    res = sched.extremal_expectation(prog, 50, read_int)
+    assert sched._STUCK in res.contracta.values()
+    assert pickle.loads(pickle.dumps(sched._STUCK)) is sched._STUCK
+    pol = sched.extract_policy(res, "hi")
+    (a, b) = (sched.monte_carlo(prog, pol, 50, read_int, 200, seed=1, workers=w) for w in (1, 2))
+    assert a == b and a.mean == 2.92
 
 
 def reachable_threads(prog, limit: int = 200) -> set:
@@ -1012,11 +1114,25 @@ def test_each_local_redex_contracted_once_per_call(monkeypatch):
             monkeypatch.setitem(machine.RULES, cls, counted(machine.RULES[cls]))
     prog = models.dlm_counter_program(3, bits=1)
     res = sched.extremal_expectation(prog, 400, models.read_pow2_minus_1)
-    assert (res.lo, res.hi, res.fused_steps) == (F(5, 2), F(19, 4), 4502)
+    assert (res.lo, res.hi, res.fused_steps) == (F(5, 2), F(19, 4), 2269)
     assert len(applied) == 48 and set(applied.values()) == {1}
     # the memo lives for one call: a second analysis contracts them again
     sched.extremal_expectation(prog, 400, models.read_pow2_minus_1)
     assert set(applied.values()) == {2}
+    # the extracted adversaries find their pending local steps over the
+    # analysis's contractum memo, which already holds every redex they meet
+    probes = []
+
+    class Probed(dict):
+        def get(self, key, default=None):
+            probes.append(key)
+            return super().get(key, default)
+
+    res.contracta = Probed(res.contracta)
+    for d in ("lo", "hi"):
+        pol = sched.extract_policy(res, d)
+        assert sched.evaluate_policy(prog, pol, 400, models.read_pow2_minus_1) == getattr(res, d)
+    assert probes and len(res.contracta) == 48
 
 
 def test_fused_rejoining_branches():
@@ -1145,7 +1261,7 @@ def test_replay_steps_each_configuration_once_per_step(monkeypatch):
             pol = sched.extract_policy(res, d)
             assert evaluate(prog, pol, workloads.EXPLORE_BUDGET, f) == getattr(res, d)
             counts.append(calls)
-    assert counts == [267, 273, 481, 505]
+    assert counts == [442, 448, 589, 613]
 
 
 @pytest.mark.parametrize("analysis", [
@@ -1212,9 +1328,9 @@ def test_segment_rows_match_config_step(monkeypatch):
 def test_memo_holds_each_configuration_once():
     # distinct fused configurations and longest schedule of each bundled
     # program at budget 800
-    want = {"count_true_client": (139, 79), "dlm_counter_b2": (169, 64), "flip": (1, 1),
+    want = {"count_true_client": (122, 79), "dlm_counter_b2": (118, 64), "flip": (1, 1),
             "morris_n3": (19, 33), "skiplist_seq": (350, 430), "skiplist_staged": (196, 305),
-            "unbiased_counter_t2": (36, 32), "unbiased_counter_t3": (373, 46)}
+            "unbiased_counter_t2": (32, 32), "unbiased_counter_t3": (271, 46)}
     base = resources.files("ivalbench.programs")
     functionals = {"dlm_counter_b2": "pow2-minus-1", "flip": "true-indicator",
                    "skiplist_seq": "pair-cost", "skiplist_staged": "pair-cost"}
@@ -1227,7 +1343,7 @@ def test_memo_holds_each_configuration_once():
         assert all(type(c) is machine.Config for c in res.memo), name
     res = sched.extremal_expectation(models.dlm_counter_program(3, bits=1), 400,
                                      models.read_pow2_minus_1)
-    assert (res.explored_states, res.longest_path) == (453, 94)
+    assert (res.explored_states, res.longest_path) == (337, 94)
 
 
 def test_each_configuration_is_valued_once(monkeypatch):
@@ -1246,7 +1362,7 @@ def test_each_configuration_is_valued_once(monkeypatch):
     res = sched.extremal_expectation(models.dlm_counter_program(3, bits=1), 400,
                                      models.read_pow2_minus_1)
     assert (res.lo, res.hi) == (F(5, 2), F(19, 4))
-    assert len(stepped) == 108 and max(stepped.values()) == 1
+    assert len(stepped) == 102 and max(stepped.values()) == 1
     # the memo lives for one call: a second analysis steps everything again
     sched.extremal_expectation(models.dlm_counter_program(3, bits=1), 400,
                                models.read_pow2_minus_1)
@@ -1315,6 +1431,20 @@ def test_local_loop_reported_at_its_first_repeat(monkeypatch):
             with pytest.raises(sched.ScheduleError, match="^budget insufficient: .*repeat"):
                 sched.extremal_expectation(parse(prog), budget, read_int)
         assert 0 < calls[-2] == calls[-1] < 40
+
+
+@pytest.mark.parametrize(("prog", "f", "extrema", "before"), [
+    (models.unbiased_counter_program(5, max_value=2), read_int, (5, 5), 71_613),
+    (models.dlm_counter_program(4, bits=1), models.read_pow2_minus_1, (F(33, 8), F(65, 8)), 4_730),
+    (models.dlm_counter_program(3, bits=2), models.read_pow2_minus_1,
+     (F(33, 16), F(69, 16)), 2_456),
+], ids=["unbiased_t5", "dlm_t4_b1", "dlm_t3_b2"])
+def test_larger_counters_keep_their_extrema(prog, f, extrema, before):
+    # ``before``: the fused configurations when every interleaving around
+    # a pending flip was explored
+    res = sched.extremal_expectation(prog, 5000, f)
+    assert (res.lo, res.hi) == extrema
+    assert 0 < res.forced_flips < res.explored_states < before
 
 
 def test_fusion_shrinks_the_memo():
