@@ -95,8 +95,11 @@ what the unfused recursion gives at every budget.  A thread whose local
 steps repeat a thread loops forever, so it raises ``budget insufficient``
 soon after the repeat, which ``_local_chain`` finds in constant memory;
 one that loops without repeating runs until the budget is spent and then
-raises.  ``_fused_step`` decides and takes one fused step, for the chain
-and for the extracted adversary alike; it refocuses the contractum from
+raises.  ``_fusion`` decides whether a step is fused, for the chain and
+for the extracted adversary alike, from the redex's contractum: only a
+value contractum can turn a thread into a value, so it refocuses the
+thread to decide only for the first thread and a value contractum.
+``_fused_step`` takes the fused step; it refocuses the contractum from
 the hole (``machine.refocus``), like every step, so a fused step costs
 O(redex) however deep its context.
 
@@ -124,10 +127,16 @@ and one for its heap.
   other threads.  Beyond the settled configurations, which the analysis
   memoizes anyway, it keeps only the successors of the steps taken.
 
-``evaluate_policy`` keeps no step memo: it holds nothing beyond the
-current frontier and the next, one configuration per step on a
-deterministic run and the widest step's leaves on a tree whose runs never
-meet; a memo would keep every thread of the run alive.
+``evaluate_policy`` keeps a step memo for one heap run only: a run of
+consecutive configurations of one frontier that share one heap, as the
+outcomes of a flip, a fork or a local step do, which the frontier holds
+side by side and which differ in threads that did not move.  The memo is
+dropped at the first configuration with another heap and at the end of
+the frontier, so the pass holds little beyond the current frontier and
+the next, one configuration per step on a deterministic run and the
+widest step's leaves on a tree whose runs never meet; a memo for the
+whole call, or for a heap run that outlives its frontier, as a run that
+never changes its heap does, would keep every thread of the run alive.
 
 Collapsing history-dependent schedulers to configuration keys is
 justified for expected-value objectives and checked empirically:
@@ -141,9 +150,10 @@ The extremizing choices are recorded in the memo beside the values, so
 configuration to thread that ignores the step count, which replays the
 extremum exactly under the unfused ``evaluate_policy``: it reads the
 configuration's entry in the analysis memo and, where there is none,
-takes a pending local step, which ``_fused_step`` finds over the
-analysis's contractum memo, so a local redex is not contracted again; the
-policy keeps no cache or view of its own.
+chooses a thread with a pending local step, which ``_fusion`` finds over
+the analysis's contractum memo without taking the step, so a local redex
+is not contracted again and the thread is built once, by the step
+``evaluate_policy`` takes; the policy keeps no cache or view of its own.
 History-dependent schedulers need no policy of their own: the
 backward-induction optimum is attained by a Markov one, and
 ``brute_force_extrema`` covers the rest.
@@ -243,7 +253,11 @@ def evaluate_policy(prog: Expr, policy: SchedulerPolicy, budget: int,
     weight, each is stepped once, and successors that coincide are summed
     into the next frontier (the transient distribution of a Markov chain;
     Baier & Katoen, *Principles of Model Checking*, ch. 10).  Only the
-    current frontier and the next are held.
+    current frontier and the next are held, and the step memo of the
+    current heap run: consecutive configurations of one frontier with one
+    heap step a thread they share once, and a configuration with another
+    heap starts a fresh memo, as does each frontier: a run that never
+    changes its heap would otherwise keep one memo for the whole call.
     """
     _check_budget(budget)
     total = Fraction(0)
@@ -251,6 +265,7 @@ def evaluate_policy(prog: Expr, policy: SchedulerPolicy, budget: int,
     step = 0
     while frontier:
         after: dict = {}
+        heap = None  # the heap of the current run of configurations, and its step memo
         for (c, w) in frontier.items():
             if is_terminated(c):
                 total += w * as_rational(f(to_val(c.threads[0].focus)))
@@ -258,7 +273,9 @@ def evaluate_policy(prog: Expr, policy: SchedulerPolicy, budget: int,
             if step == budget:
                 raise ScheduleError(
                     f"program does not terminate within {budget} steps under {policy.name}")
-            succ = config_step(c, policy.choose(step, c), {})
+            if c.state is not heap:
+                (heap, steps) = (c.state, {})
+            succ = config_step(c, policy.choose(step, c), steps)
             for (p, c2) in succ:
                 if p > 0:
                     q = w if len(succ) == 1 else w * p  # one outcome has p = 1
@@ -312,13 +329,15 @@ _LOCAL_LOOP = "budget insufficient: a thread's local steps repeat an expression,
 _CYCLE = "budget insufficient: an adversary can revisit a configuration forever"
 
 
-def _fused_step(t: Thread, s: State, first: bool, contracta: dict):
-    """The thread after ``t``'s next step if the analysis fuses that step,
-    else None.  Fused: an enabled thread-local step, except the one that
-    turns the ``first`` thread into a value.  ``contracta`` maps each local
-    redex to its contractum (or ``_STUCK``), which the heap cannot change.
-    The contractum is refocused from the hole, so a step costs O(redex),
-    not O(depth)."""
+def _fusion(t: Thread, s: State, first: bool, contracta: dict):
+    """None if the analysis does not fuse ``t``'s next step, else the
+    step's contractum, or the thread after the step where deciding built
+    it.  Fused: an enabled thread-local step, except the one that turns the
+    ``first`` thread into a value.  ``contracta`` maps each local redex to
+    its contractum (or ``_STUCK``), which the heap cannot change.  A
+    contractum that is not a value is descended into, so it never makes its
+    thread a value: the thread is refocused to decide only for the
+    ``first`` thread and a value contractum."""
     focus = t.focus
     if not FORMS[type(focus)].local:
         return None
@@ -328,8 +347,18 @@ def _fused_step(t: Thread, s: State, first: bool, contracta: dict):
         r = contracta[focus] = _STUCK if res is None else res[0][1]
     if r is _STUCK:
         return None  # stuck for good: a local side condition ignores the heap
-    t2 = machine.refocus(t.ctx, r)
-    return None if first and t2.focus.is_val else t2
+    if first and r.is_val:
+        t2 = machine.refocus(t.ctx, r)
+        return None if t2.focus.is_val else t2
+    return r
+
+
+def _fused_step(t: Thread, s: State, first: bool, contracta: dict):
+    """The thread after ``t``'s next step if the analysis fuses that step
+    (``_fusion``), else None.  The contractum is refocused from the hole,
+    so a step costs O(redex), not O(depth)."""
+    r = _fusion(t, s, first, contracta)
+    return r if r is None or type(r) is Thread else machine.refocus(t.ctx, r)
 
 
 def _forced_flip(c: Config, steps: dict):
@@ -488,13 +517,13 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
 def _extremal(memo: dict, contracta: dict, slot: int, step: int, c: Config) -> int:
     """``choose`` of an extracted adversary: the choice in ``slot`` of the
     analysis ``memo`` entry of a memoized configuration, else the first
-    thread with a pending fused step, found over the analysis's
-    ``contracta``, else a stutter."""
+    thread with a pending fused step, decided by ``_fusion`` over the
+    analysis's ``contracta`` without taking the step, else a stutter."""
     hit = memo.get(c)
     if hit is not None:
         return hit[slot]  # a memoized configuration is settled
     for (i, t) in enumerate(c.threads):
-        if _fused_step(t, c.state, i == 0, contracta) is not None:
+        if _fusion(t, c.state, i == 0, contracta) is not None:
             return i
     return STUTTER
 
@@ -507,9 +536,11 @@ def extract_policy(result: ExtremalResult, direction: str) -> SchedulerPolicy:
     whatever budget remains; its choice is a forced flip where it has one.
     One that is not memoized runs a pending fused step: local steps
     commute, so any order reaches the memoized configuration with the same
-    remaining budget.  It reads the analysis memo itself, and finds fused
-    steps over the analysis's contractum memo, which it extends with any
-    redex the analysis did not meet; a pickled copy carries both."""
+    remaining budget.  It reads the analysis memo itself, and decides which
+    steps are fused over the analysis's contractum memo, which it extends
+    with any redex the analysis did not meet, without taking them: the
+    step itself is left to the engine that asked; a pickled copy carries
+    both memos."""
     choose = functools.partial(_extremal, result.memo, result.contracta,
                                2 if direction == "lo" else 3)
     return SchedulerPolicy(f"extremal-{direction}", choose)

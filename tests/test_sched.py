@@ -1264,6 +1264,156 @@ def test_replay_steps_each_configuration_once_per_step(monkeypatch):
     assert counts == [442, 448, 589, 613]
 
 
+def counting_outcomes(monkeypatch) -> collections.Counter:
+    """Count ``machine.outcomes`` calls from here on, under ``"outcomes"``,
+    and the scheduled steps of a thread (an index naming a thread) that
+    ``sched`` hands ``config_step``, under ``"stepped"``."""
+    calls = collections.Counter()
+    (outcomes, step) = (machine.outcomes, machine.config_step)
+
+    def counted_outcomes(t, s):
+        calls["outcomes"] += 1
+        return outcomes(t, s)
+
+    def counted_step(c, i, memo):
+        calls["stepped"] += 0 <= i < len(c.threads)
+        return step(c, i, memo)
+
+    monkeypatch.setattr(machine, "outcomes", counted_outcomes)
+    monkeypatch.setattr(sched, "config_step", counted_step)
+    return calls
+
+
+def test_replay_steps_each_thread_once_per_heap_run(monkeypatch):
+    # the ``explore`` replay and two concrete policies: sibling
+    # configurations that share a heap step a thread that did not move once
+    workloads = load_bench("workloads")
+    prog = workloads.read_programs()[workloads.REPLAYED]
+    f = workloads.functional(workloads.REPLAYED)
+    res = sched.extremal_expectation(prog, workloads.EXPLORE_BUDGET, f)
+    policies = [sched.extract_policy(res, "lo"), sched.extract_policy(res, "hi"),
+                sched.round_robin(), sched.seeded_random(0)]
+    want = [reference_evaluate_policy(prog, pol, workloads.EXPLORE_BUDGET, f)
+            for pol in policies]
+    assert want == [res.lo, res.hi, 2, 2]
+    calls = counting_outcomes(monkeypatch)
+    counts = []
+    for (pol, value) in zip(policies, want):
+        calls.clear()
+        assert sched.evaluate_policy(prog, pol, workloads.EXPLORE_BUDGET, f) == value
+        counts.append(calls["outcomes"])
+    assert counts == [205, 210, 215, 219]  # 442, 448, 640 and 658 with no memo
+
+
+def random_forked_flippers(rng: random.Random):
+    """Thread 0 allocates a cell, forks two or three threads that each flip
+    one or two coins of ``COINS``, with a local step or an action on the
+    cell behind each, and reads the cell."""
+    l = Var("l")
+
+    def coin():
+        (a, b) = rng.choice(COINS)
+        return Flip(num(a), num(b))
+
+    def flipper():
+        return seq(*[If(coin(), Faa(l, num(1)), random_local(rng))
+                     for _ in range(rng.randint(1, 2))])
+
+    forks = [Fork(flipper()) for _ in range(rng.randint(2, 3))]
+    return Let("l", Alloc(num(0)), seq(*forks, Load(l)))
+
+
+def test_heap_run_memo_matches_the_tree_walk(monkeypatch):
+    # several forked threads flip side by side, so the frontier holds runs
+    # of configurations with one heap: under concrete policies and both
+    # extracted adversaries, the same Fraction as the tree walk, which
+    # steps every node afresh, or ScheduleError on both sides
+    rng = random.Random(29)
+    progs = [random_forked_flippers(rng) for _ in range(20)]
+    cases = []
+    for prog in progs:
+        res = extrema_or_error(sched.extremal_expectation, prog, 60)
+        adversaries = [] if isinstance(res, str) else [
+            (sched.extract_policy(res, d), res.longest_path) for d in ("lo", "hi")]
+        cases += [(prog, pol, budget) for (pol, budget) in adversaries]
+        cases += [(prog, pol, budget)
+                  for pol in (sched.round_robin(), sched.seeded_random(3))
+                  for budget in (6, 40)]
+    calls = counting_outcomes(monkeypatch)
+    (raised, hits) = (0, [])
+    for (prog, pol, budget) in cases:
+        want = policy_value_or_error(reference_evaluate_policy, prog, pol, budget, read_int)
+        calls.clear()
+        got = policy_value_or_error(sched.evaluate_policy, prog, pol, budget, read_int)
+        assert got == want and type(got) is type(want), (lang.unparse(prog), pol.name, budget)
+        raised += want is sched.ScheduleError
+        hits.append(calls["stepped"] - calls["outcomes"])  # steps the memo answered
+    assert 0 < raised < len(cases)
+    assert min(hits) >= 0 and sum(h > 0 for h in hits) > len(cases) // 2
+
+
+def old_extremal(res, slot: int, c) -> int:
+    """The adversary's choice as it was made by taking each fused step,
+    stated on the plugging reference: the memo entry, else the first
+    thread whose ``fused_successor`` is not None, else a stutter."""
+    hit = res.memo.get(c)
+    if hit is not None:
+        return hit[slot]
+    for (i, t) in enumerate(c.threads):
+        if ref.fused_successor(machine.plug(t), c.state, i == 0) is not None:
+            return i
+    return sched.STUTTER
+
+
+def assert_adversaries_choose_alike(prog, budget: int, f, seen: collections.Counter):
+    """Replay both extracted adversaries of ``prog`` under
+    ``evaluate_policy``, checking each choice against ``old_extremal``;
+    ``seen`` counts the choices by how they were made."""
+    res = sched.extremal_expectation(prog, budget, f)
+    for (d, slot) in (("lo", 2), ("hi", 3)):
+        pol = sched.extract_policy(res, d)
+
+        def checked(step, c, choose=pol.choose, slot=slot):
+            got = choose(step, c)
+            assert got == old_extremal(res, slot, c), (lang.unparse(prog), d, c)
+            if c in res.memo:
+                seen["memoized"] += 1
+                return got
+            seen["thread 0" if got == 0 else "other thread"] += 1
+            # the choice has contracted thread 0's local redex, if it has one
+            t = c.threads[0]
+            r = res.contracta.get(t.focus)
+            if r is not None and r is not sched._STUCK and r.is_val:
+                ends = machine.refocus(t.ctx, r).focus.is_val
+                seen["value contractum ends thread 0" if ends else
+                     "value contractum leaves thread 0 running"] += 1
+            return got
+
+        checked_pol = sched.SchedulerPolicy(pol.name, checked)
+        assert sched.evaluate_policy(prog, checked_pol, budget, f) == getattr(res, d)
+
+
+def test_adversaries_choose_without_stepping_as_they_did_by_stepping():
+    # the extracted adversaries decide a pending local step from its
+    # contractum alone, refocusing only thread 0 at a value contractum: on
+    # every configuration the DLM replays reach, and on the random flipping
+    # programs of the forcing test, they choose what taking the step chose
+    workloads = load_bench("workloads")
+    seen = collections.Counter()
+    assert_adversaries_choose_alike(workloads.read_programs()[workloads.REPLAYED],
+                                    workloads.EXPLORE_BUDGET,
+                                    workloads.functional(workloads.REPLAYED), seen)
+    assert seen["memoized"] > 0 and seen["other thread"] > 0
+    rng = random.Random(28)
+    for prog in [random_flipping_program(rng) for _ in range(30)]:
+        res = extrema_or_error(sched.extremal_expectation, prog, 40)
+        if not isinstance(res, str):
+            assert_adversaries_choose_alike(prog, 40, read_int, seen)
+    assert all(seen[k] > 0 for k in ("memoized", "thread 0", "other thread",
+                                     "value contractum ends thread 0",
+                                     "value contractum leaves thread 0 running")), seen
+
+
 @pytest.mark.parametrize("analysis", [
     lambda prog, budget: sched.evaluate_policy(prog, sched.round_robin(), budget, read_int),
     lambda prog, budget: sched.extremal_expectation(prog, budget, read_int),

@@ -11,7 +11,14 @@ onto a list in one heap cell, which is counted at the end, so the 2^n
 runs never merge: ``evaluate_policy``'s frontier and the analysis memo
 double with each flip, and the sampler's segment memo with each run
 that its trials reach: 10,000 trials reach about 91% of the 4,096 runs
-of 12 flips, and nearly every run of fewer.
+of 12 flips, and nearly every run of fewer.  A fourth does the same flips
+in a forked thread while thread 0 waits for it, then counts: every
+configuration holds two threads, and the runs' heaps differ, so sibling
+configurations rarely share a heap and ``evaluate_policy``'s step memo,
+which lives for one run of configurations with one heap, seldom pays.
+Round-robin stutters thread 0 while it waits, and the forked thread once
+it is a value, so that program takes ``18n + 17`` steps; every program
+gets a budget of ``20n + 20`` steps.
 Every cell runs one engine on one program in a fresh process, under
 round-robin where the engine takes a policy, and reports its wall time
 and the process's peak RSS; the answer is checked.  On the deep
@@ -51,6 +58,13 @@ PROGRAMS = {
                               + "((rec (len x) (if (= x ()) 0 (+ 1 (len (snd x))))) "
                               + "(load l))))"),
                    lambda n: n),
+    "forked flips": ((8, 10, 12),
+                     lambda n: ("(let (l (alloc ())) (let (d (alloc #f)) (seq (fork (seq "
+                                + "(store l (pair (flip 1 2) (load l))) " * n
+                                + "(store d #t))) (wait d #t) "
+                                + "((rec (len x) (if (= x ()) 0 (+ 1 (len (snd x))))) "
+                                + "(load l)))))"),
+                     lambda n: n),
 }
 ENGINES = {
     "evaluate_policy": lambda prog, budget: sched.evaluate_policy(
@@ -67,7 +81,7 @@ def cell(program: str, size: int, engine: str) -> dict:
     (_, source, answer) = PROGRAMS[program]
     prog = lang.parse(source(size))
     t0 = time.perf_counter()
-    got = ENGINES[engine](prog, 10 * size + 10)
+    got = ENGINES[engine](prog, 20 * size + 20)
     seconds = time.perf_counter() - t0
     if got != answer(size):
         raise SystemExit(f"{program} {size} under {engine}: {got}, not {answer(size)}")
