@@ -24,8 +24,8 @@ produce them) but are outside the indicial support and are ignored by all
 semantic relations, by ``expected_value``, and by ``bind``.
 
 Probabilities are ``Fraction``s in every public type and result, but the
-arithmetic over a valuation runs on integers: its entries are put over one
-common denominator, the lcm of their (reduced) denominators, and the
+arithmetic over a valuation runs on integers: ``over_common_denominator``
+puts its entries over the lcm of their (reduced) denominators, and the
 validation sum, the expectations, the collapsed distribution and the
 canonical form work on the integer numerators.  Each ``Fraction``
 operation reduces by a gcd; the integer route builds one ``Fraction`` per
@@ -48,8 +48,9 @@ def value_key(v: Value):
 
     Values are ints, bools, unit (None), strings, Fractions, tuples of
     values, or dataclass instances (language values, expressions, machine
-    states), which are keyed by their type name and the keys of their
-    fields, so two values share a key only if they are structurally equal.
+    states), which are keyed by the flat preorder of their type names and
+    fields (``_preorder_tokens``), so two values share a key only if they
+    are structurally equal.
     The key orders across types by a fixed type rank so heterogeneous
     supports still sort deterministically.
     """
@@ -66,8 +67,30 @@ def value_key(v: Value):
     if isinstance(v, tuple):
         return (5, len(v), tuple(value_key(x) for x in v))
     if is_dataclass(v) and not isinstance(v, type):
-        return (6, type(v).__name__, tuple(value_key(getattr(v, f.name)) for f in fields(v)))
+        return (6, _preorder_tokens(v))
     raise TypeError(f"no structural key for {type(v).__name__} value {v!r}")
+
+
+def _preorder_tokens(v) -> tuple:
+    """The tokens of the dataclass value ``v`` in preorder, walked on an
+    explicit stack, so a value nested any depth deep needs no recursion.  A
+    dataclass is the token ``(6, type name)``, then its fields' tokens; a
+    tuple is ``(5, len)``, then its items'; a scalar is its ``value_key``.
+    The tokens of a value are a prefix of no other value's, so the flat
+    tuple sorts exactly as the nested key ``(6, name, field keys)`` would."""
+    tokens = []
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        if is_dataclass(x) and not isinstance(x, type):
+            tokens.append((6, type(x).__name__))
+            stack += reversed([getattr(x, f.name) for f in fields(x)])
+        elif isinstance(x, tuple):
+            tokens.append((5, len(x)))
+            stack += reversed(x)
+        else:
+            tokens.append(value_key(x))
+    return tuple(tokens)
 
 
 def as_rational(x) -> Fraction:
@@ -86,18 +109,12 @@ def _as_ratio(x) -> tuple:
     raise TypeError(f"expected an exact rational, got {x!r}")
 
 
-def _common_denominator(entries) -> int:
-    """The lcm of the probabilities' denominators: every probability of the
-    valuation with these ``entries`` is an integer over it.  Zero entries
-    have denominator 1, so it is also the lcm over the positive ones."""
-    return lcm(*[p.denominator for (_, _, p) in entries])
-
-
-def _sum_of_ratios(ratios: list) -> tuple:
-    """``(total, den)``: the sum of the ``(numerator, denominator)`` pairs
-    is ``total / den``, with ``den`` the lcm of their denominators."""
-    den = lcm(*[d for (_, d) in ratios])
-    return (sum([n * (den // d) for (n, d) in ratios]), den)
+def over_common_denominator(probs: list) -> tuple:
+    """``(den, nums)``: ``den`` is the lcm of the denominators of the exact
+    rationals ``probs``, and ``nums[j] / den`` is ``probs[j]``.  Zeros have
+    denominator 1, so ``den`` is also the lcm over the nonzero ones."""
+    den = lcm(*[p.denominator for p in probs])
+    return (den, [p.numerator * (den // p.denominator) for p in probs])
 
 
 @dataclass(frozen=True)
@@ -114,16 +131,15 @@ class IndexedValuation:
     def __post_init__(self):
         if len({i for (i, _, _) in self.entries}) != len(self.entries):
             raise ValueError("indexed valuation has duplicate indices")
-        ratios = []
-        for (_, _, p) in self.entries:
+        probs = [p for (_, _, p) in self.entries]
+        for p in probs:
             if not isinstance(p, Fraction):
                 raise TypeError(f"probability {p!r} is not a Fraction")
-            ratios.append(p.as_integer_ratio())
-            if ratios[-1][0] < 0:
+            if p.numerator < 0:
                 raise ValueError(f"negative probability {p}")
-        (total, den) = _sum_of_ratios(ratios)
-        if total != den:
-            raise ValueError(f"probabilities sum to {Fraction(total, den)}, not 1")
+        (den, nums) = over_common_denominator(probs)
+        if sum(nums) != den:
+            raise ValueError(f"probabilities sum to {Fraction(sum(nums), den)}, not 1")
 
     def canonical(self) -> tuple:
         """``(den, pairs)``: ``pairs`` is the sorted multiset of positive
@@ -136,9 +152,9 @@ class IndexedValuation:
         forms, whatever the entry order, indices or zero entries.  Values
         enter by their structural key, so ``True`` and ``1`` (equal in
         Python) stay apart.  Forms hash and compare as ints and keys."""
-        den = _common_denominator(self.entries)
-        return (den, tuple(sorted([(value_key(v), p.numerator * (den // p.denominator))
-                                   for (_, v, p) in self.entries if p.numerator])))
+        (den, nums) = over_common_denominator([p for (_, _, p) in self.entries])
+        return (den, tuple(sorted([(value_key(v), n)
+                                   for ((_, v, _), n) in zip(self.entries, nums) if n])))
 
     def __repr__(self):
         inner = ", ".join(f"{v!r}@{p}" for (_, v, p) in self.entries)
@@ -157,7 +173,7 @@ class Distribution:
 
     def __post_init__(self):
         seen = set()
-        ratios = []
+        probs = []
         for (v, p) in self.weights:
             k = value_key(v)
             if k in seen:
@@ -165,10 +181,10 @@ class Distribution:
             seen.add(k)
             if p <= 0:
                 raise ValueError("distribution weights must be positive")
-            ratios.append(_as_ratio(p))
-        (total, den) = _sum_of_ratios(ratios)
-        if total != den:
-            raise ValueError(f"weights sum to {Fraction(total, den)}, not 1")
+            probs.append(as_rational(p))
+        (den, nums) = over_common_denominator(probs)
+        if sum(nums) != den:
+            raise ValueError(f"weights sum to {Fraction(sum(nums), den)}, not 1")
 
 
 def ret(v: Value) -> IndexedValuation:
@@ -239,12 +255,11 @@ def equiv(a: IndexedValuation, b: IndexedValuation) -> bool:
 def to_distribution(a: IndexedValuation) -> Distribution:
     """Collapse to a distribution by summing probabilities of equal values,
     as integer numerators over the common denominator."""
-    den = _common_denominator(a.entries)
+    (den, nums) = over_common_denominator([p for (_, _, p) in a.entries])
     acc: dict = {}  # value_key -> (value, summed numerator)
-    for (_, v, p) in a.entries:
-        if p.numerator:
+    for ((_, v, _), n) in zip(a.entries, nums):
+        if n:
             k = value_key(v)
-            n = p.numerator * (den // p.denominator)
             acc[k] = (v, acc[k][1] + n) if k in acc else (v, n)
     return Distribution(tuple((v, Fraction(n, den)) for (_, (v, n)) in sorted(acc.items())))
 
@@ -276,6 +291,5 @@ def weighted_sum(den: int, terms) -> Fraction:
 def expected_value(f: Callable[[Value], Rational], a: IndexedValuation) -> Fraction:
     """Exact expectation of ``f`` over ``a`` (finite, so it always exists),
     as a ``weighted_sum`` over the common denominator."""
-    den = _common_denominator(a.entries)
-    return weighted_sum(den, [(p.numerator * (den // p.denominator), f(v))
-                              for (_, v, p) in a.entries if p.numerator])
+    (den, nums) = over_common_denominator([p for (_, _, p) in a.entries])
+    return weighted_sum(den, [(n, f(v)) for ((_, v, _), n) in zip(a.entries, nums) if n])

@@ -22,8 +22,8 @@ Concrete syntax is s-expressions, one form per constructor:
 ``lam`` is sugar for a ``rec`` whose self-name is ``_``; ``seq`` is sugar
 for ``let`` with binder ``_``.  The printer emits the canonical forms, so
 print-then-parse is the identity on ASTs and printing is idempotent on
-text.  Runtime-only values (pairs, closures) print as their constructor
-expressions.
+text.  It is the one printer: an expression's ``repr`` is ``unparse`` of
+it and a value's is ``unparse`` of its expression (``of_val``).
 
 The grammar is written down once, in ``FORMS``: one ``Form`` per
 expression constructor, giving its expression children (its fields of
@@ -111,7 +111,7 @@ class _InternedScalar(_Interned):
         return _Interned.__call__(cls, x)
 
 
-_node = dataclass(frozen=True, slots=True, eq=False, weakref_slot=True)
+_node = dataclass(frozen=True, slots=True, eq=False, repr=False, weakref_slot=True)
 
 
 class _Node(metaclass=_Interned):
@@ -119,6 +119,10 @@ class _Node(metaclass=_Interned):
 
     def __reduce__(self):
         return (type(self), tuple(getattr(self, f) for f in self.__match_args__))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({args})"
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +132,13 @@ class _Node(metaclass=_Interned):
 class Val(_Node):
     __slots__ = ()
 
+    def __repr__(self):
+        return unparse(of_val(self))
+
 
 @_node
 class VUnit(Val):
-    def __repr__(self):
-        return "()"
+    pass
 
 
 @_node
@@ -140,17 +146,11 @@ class VInt(Val, metaclass=_InternedScalar):
     _payload = int
     n: int
 
-    def __repr__(self):
-        return str(self.n)
-
 
 @_node
 class VBool(Val, metaclass=_InternedScalar):
     _payload = bool
     b: bool
-
-    def __repr__(self):
-        return "#t" if self.b else "#f"
 
 
 @_node
@@ -158,26 +158,11 @@ class VLoc(Val, metaclass=_InternedScalar):
     _payload = int
     loc: int
 
-    def __repr__(self):
-        return f"loc:{self.loc}"
-
 
 @_node
 class VPair(Val):
     fst: Val
     snd: Val
-
-    def __repr__(self):
-        # ``(fst, snd)`` from a stack of values and text: a pair nested
-        # any depth deep needs no recursion
-        (out, stack) = ([], [self])
-        while stack:
-            v = stack.pop()
-            if type(v) is VPair:
-                stack += (")", v.snd, ", ", v.fst, "(")
-            else:
-                out.append(v if type(v) is str else repr(v))
-        return "".join(out)
 
 
 @_node
@@ -185,9 +170,6 @@ class VClosure(Val):
     fname: str
     xname: str
     body: "Expr"
-
-    def __repr__(self):
-        return f"<rec {self.fname} {self.xname}>"
 
 
 UNIT = VUnit()
@@ -206,6 +188,9 @@ class Expr(_Node):
     # fv: the names free in the expression, a frozenset; is_val: whether
     # the expression is a value
     __slots__ = ("fv", "is_val")
+
+    def __repr__(self):
+        return unparse(self)
 
     def __post_init__(self):
         """Cache the free variables, from the children's cached sets; a

@@ -22,8 +22,9 @@ constructor, which gives the redex's outcomes in the current heap; a step
 refocuses each contractum from the hole (Danvy & Nielsen, "Refocusing in
 reduction semantics", 2004), so it builds O(redex + frames popped and
 pushed) nodes however deep the context, and the rest of the context is
-shared.  ``plug`` rebuilds the expression, to print it.  The walks are
-loops, so a deep context needs no recursion.
+shared.  ``plug`` rebuilds the expression, to print it; a context prints
+as its expression with ``[]`` in the hole.  The walks are loops, so a
+deep context needs no recursion.
 
 A heap is a ``State``, hash-consed like a term: the tuple of its cells,
 indexed by location.  A configuration is a nonempty thread pool plus a
@@ -54,7 +55,6 @@ reaches many runs holds a bounded number of them.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,6 +149,10 @@ class Ctx(_Node):
     frame: Expr
     k: int
     up: Optional["Ctx"]
+
+    def __repr__(self):
+        # the context's expression with ``[]`` in its hole
+        return lang.unparse(plug(Thread(self, HOLE)))
 
 
 @_node
@@ -509,8 +513,7 @@ def _segment(c: Config, step: int, choose: Callable[[int, Config], int], budget:
     while step < budget and not is_terminated(c):
         succ = config_step(c, choose(step, c), steps)
         if len(succ) > 1:
-            den = math.lcm(*(p.denominator for (p, _) in succ))
-            cums = accumulate(p.numerator * (den // p.denominator) for (p, _) in succ)
-            return (c, step, (tuple(c2 for (_, c2) in succ), den, tuple(cums)))
+            (den, nums) = ival.over_common_denominator([p for (p, _) in succ])
+            return (c, step, (tuple(c2 for (_, c2) in succ), den, tuple(accumulate(nums))))
         (c, step) = (succ[0][1], step + 1)
     return (c, step, None)

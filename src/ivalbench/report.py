@@ -9,17 +9,19 @@ intentional exception and is excluded from reproducibility comparisons).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from fractions import Fraction
 
-from ivalbench import lang, machine
+from ivalbench import lang, machine, sexpr
 from ivalbench.coupling import CouplingWitness, Verdict
 from ivalbench.ival import IndexedValuation
 
 
 def frac_str(q) -> str:
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{sexpr.decimal(q.numerator)}/{sexpr.decimal(q.denominator)}"
 
 
 def value_json(v):
@@ -99,8 +101,11 @@ def write_report(report: dict, path) -> None:
 
 def rows_to_csv(header: list, rows: list) -> str:
     """Rows may contain Fractions; each gets an exact column and a decimal
-    approximation column appended for plotting."""
-    out = [",".join(header)]
+    approximation column appended for plotting.  A cell holding a comma or
+    a quote is quoted, as ``csv`` reads it back."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
         cells = []
         for cell in row:
@@ -109,5 +114,5 @@ def rows_to_csv(header: list, rows: list) -> str:
                 cells.append(f"{float(cell):.6g}")
             else:
                 cells.append(str(cell))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+        writer.writerow(cells)
+    return out.getvalue()

@@ -175,7 +175,7 @@ from fractions import Fraction
 from typing import Callable
 
 from ivalbench import comp, machine
-from ivalbench.ival import as_rational, weighted_sum
+from ivalbench.ival import as_rational, over_common_denominator, weighted_sum
 from ivalbench.lang import FORMS, Expr, Flip, to_val
 from ivalbench.machine import (
     Config, State, Thread, config_step, initial_config, is_terminated, outcomes, successors,
@@ -478,8 +478,7 @@ def extremal_expectation(prog: Expr, budget: int, f: Callable) -> ExtremalResult
             if len(valued) == 1:
                 (_, lo_i, hi_i) = valued[0]
             else:  # integer weights over one denominator
-                den = math.lcm(*(p.denominator for (p, _, _) in valued))
-                weights = [p.numerator * (den // p.denominator) for (p, _, _) in valued]
+                (den, weights) = over_common_denominator([p for (p, _, _) in valued])
                 lo_i = weighted_sum(den, zip(weights, [lo for (_, lo, _) in valued]))
                 hi_i = weighted_sum(den, zip(weights, [hi for (_, _, hi) in valued]))
             if best is None:

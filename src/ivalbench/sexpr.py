@@ -1,8 +1,12 @@
 """Minimal s-expression reader and printer.
 
 Atoms are integers, the booleans ``#t``/``#f``, and symbols; ``()`` reads
-as the empty list.  Comments run from ``;`` to end of line.  Positions are
-tracked so parse errors can point at the offending input.
+as the empty list.  An integer is an optional sign and ASCII digits, and
+reads and prints exactly at any length: ``decimal`` and the reader convert
+it ``_DIGITS`` digits at a time, under Python's limit on int/str
+conversion whatever it is set to.  Comments run from ``;`` to end of
+line.  Positions are tracked so parse errors can point at the offending
+input.
 """
 
 from __future__ import annotations
@@ -26,6 +30,11 @@ class Symbol:
 
 
 _DELIMS = "()' \t\r\n;"
+
+# digits converted between int and str at a time: below 640, the least
+# value ``sys.set_int_max_str_digits`` accepts
+_DIGITS = 500
+_CHUNK = 10 ** _DIGITS
 
 
 class Reader:
@@ -97,11 +106,14 @@ class Reader:
             return True
         if token == "#f":
             return False
-        try:
-            return int(token)
-        except ValueError:
-            pass
-        return Symbol(token)
+        digits = token[1:] if token[0] in "+-" else token
+        if not (digits.isascii() and digits.isdigit()):
+            return Symbol(token)
+        n = 0
+        for k in range(0, len(digits), _DIGITS):
+            chunk = digits[k:k + _DIGITS]
+            n = n * 10 ** len(chunk) + int(chunk)
+        return -n if token[0] == "-" else n
 
     def at_end(self) -> bool:
         self.skip_blank()
@@ -153,7 +165,20 @@ def _atom(obj) -> str:
     if obj is False:
         return "#f"
     if isinstance(obj, int):
-        return str(obj)
+        return decimal(obj)
     if isinstance(obj, Symbol):
         return obj.name
     raise TypeError(f"cannot render {obj!r} as an s-expression")
+
+
+def decimal(n: int) -> str:
+    """The decimal numeral of ``n``, at any length."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    (sign, n) = ("-", -n) if n < 0 else ("", n)
+    chunks = []  # the digits, ``_DIGITS`` at a time, least significant first
+    while n >= _CHUNK:
+        (n, r) = divmod(n, _CHUNK)
+        chunks.append(str(r).zfill(_DIGITS))
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))

@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, exit codes, report stability."""
 
+import csv
 import json
 import os
 import subprocess
@@ -75,6 +76,10 @@ def test_skiplist_cost_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("keys,query")
     assert len(lines) == 1 + 4 * 2  # (empty, {2}, {4}, {2,4}) x 2 queries
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == len(rows[0]) == 8 for row in rows)
+    assert [row[0] for row in rows[1:]] == ["-", "-", "2", "2", "4", "4", "2,4", "2,4"]
 
 
 def test_parse_bundled_programs(capsys):

@@ -1,13 +1,15 @@
 """Indexed valuation kernel: constructors, relations, expectations."""
 
+import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ivalbench import ival, ndset
+from ivalbench import ival, lang, machine, ndset, sched
 from ivalbench.ival import IndexedValuation
 from ivalbench.laws import gen_ival, prob_equiv_variant, relabel
 
@@ -376,10 +378,89 @@ def test_expectations_respect_relations():
 
 
 def test_distinct_closures_keep_distinct_support_points():
-    from ivalbench import lang
     one = lang.to_val(lang.parse("(lam (x) 1)"))
     two = lang.to_val(lang.parse("(lam (x) 2)"))
     a = ival.pchoice(ival.ret(one), F(1, 2), ival.ret(two))
     assert len(ival.to_distribution(a).weights) == 2
     assert not ival.prob_equiv(a, ival.ret(one))
     assert ival.value_key(one) == ival.value_key(lang.to_val(lang.parse("(lam (x) 1)")))
+
+
+def test_over_common_denominator():
+    assert ival.over_common_denominator([F(1, 2), F(1, 3), F(0), F(1, 6)]) == (6, [3, 2, 0, 1])
+    assert ival.over_common_denominator([F(1)]) == (1, [1])
+    rng = random.Random(29)
+    for _ in range(200):
+        probs = [F(rng.randint(0, 9), rng.randint(1, 12)) for _ in range(rng.randint(1, 5))]
+        (den, nums) = ival.over_common_denominator(probs)
+        assert den == math.lcm(*(p.denominator for p in probs))
+        assert [F(n, den) for n in nums] == probs
+
+
+def nested_value_key(v):
+    """``value_key`` as it was defined before its dataclass branch was
+    walked on a stack: nested keys, by recursion."""
+    if isinstance(v, bool):
+        return (0, v)
+    if isinstance(v, int):
+        return (1, v)
+    if isinstance(v, F):
+        return (2, v)
+    if isinstance(v, str):
+        return (3, v)
+    if v is None:
+        return (4,)
+    if isinstance(v, tuple):
+        return (5, len(v), tuple(nested_value_key(x) for x in v))
+    return (6, type(v).__name__,
+            tuple(nested_value_key(getattr(v, f.name)) for f in dataclasses.fields(v)))
+
+
+def shallow_values(rng):
+    """Scalars, tuples, language values and terms, and the configurations
+    of a few short runs."""
+    scalars = [0, 1, -2, True, False, F(1, 3), F(-1, 2), "a", "b", None]
+    out = list(scalars)
+    for _ in range(60):
+        out.append(tuple(rng.choice(scalars) for _ in range(rng.randint(0, 3))))
+        out.append(lang.gen_expr(rng, depth=2))
+    out += [lang.to_val(lang.parse(t)) for t in (
+        "()", "1", "2", "#t", "#f", "(loc 0)", "(loc 1)", "(pair 1 #t)", "(pair 1 ())",
+        "(pair (pair 1 2) 3)", "(lam (x) x)", "(lam (y) x)", "(rec (f x) (f x))")]
+    for text in ("(let (l (alloc 0)) (seq (fork (faa l 1)) (faa l 2) (load l)))",
+                 "(if (flip 1 3) (pair 1 #t) (pair (flip 1 2) ()))"):
+        c = machine.initial_config([lang.parse(text)])
+        for steps in range(8):
+            iv = machine.trace_step_ival_n(sched.round_robin().choose, c, steps)
+            out += [v for (_, v, _) in iv.entries]
+    out.append((out[-1], out[-2]))
+    return out
+
+
+def test_value_key_orders_as_the_nested_key():
+    # the flat preorder key sorts exactly as the nested one: the tokens
+    # of a value are a prefix of no other value's
+    values = shallow_values(random.Random(31))
+    flat = [ival.value_key(v) for v in values]
+    nested = [nested_value_key(v) for v in values]
+    for (a, na) in zip(flat, nested):
+        for (b, nb) in zip(flat, nested):
+            assert (a < b, a == b) == (na < nb, na == nb)
+    assert len(set(flat)) == len(set(nested)) > 100
+
+
+def test_value_key_walks_deep_values_without_recursion():
+    deep = lang.to_val(lang.parse("(pair #t " * 3000 + "()" + ")" * 3000))
+    chain = machine.initial_config([lang.parse("(let (x " * 3000 + "1" + ") x)" * 3000)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        key = ival.value_key(deep)
+        dist = ival.to_distribution(
+            machine.trace_step_ival_n(sched.round_robin().choose, chain, 2))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert key[0] == 6 and len(key[1]) == 3 * 3000 + 1
+    assert key[1][:4] == ((6, "VPair"), (6, "VBool"), (0, True), (6, "VPair"))
+    [(c, p)] = dist.weights
+    assert p == 1 and repr(c.threads[0]) == "(let (x " * 2998 + "1" + ") x)" * 2998

@@ -6,13 +6,14 @@ import pickle
 import random
 import sys
 import weakref
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ivalbench import lang, machine, sexpr
 from ivalbench.lang import (
-    App, Faa, Flip, Let, Lit, Prim, Rec, Var, VBool, VInt, VLoc, VPair,
+    FORMS, App, Faa, Flip, Let, Lit, Prim, Rec, Var, VBool, VInt, VLoc, VPair,
     gen_expr, parse, unparse,
 )
 
@@ -292,3 +293,62 @@ def test_deep_terms_print_and_parse_without_recursion():
         sys.setrecursionlimit(limit)
     assert text.count("(") == text.count(")") > 5_000
     assert printed == "".join(f"(pair {k} " for k in reversed(range(5_000))) + "()" + ")" * 5_000
+
+
+VALUE_CLASSES = [lang.VUnit, VInt, VBool, VLoc, VPair, lang.VClosure]
+
+
+def test_terms_and_values_repr_through_the_printer():
+    # one printer: a term reprs as its concrete syntax and a value as the
+    # expression of it, both of which ``parse`` reads back
+    rng = random.Random(19)
+    for _ in range(1000):
+        e = gen_expr(rng, depth=4)
+        assert repr(e) == unparse(e)
+    programs = [p for p in resources.files("ivalbench.programs").iterdir()
+                if p.name.endswith(".sexp")]
+    assert programs
+    for entry in programs:
+        e = parse(entry.read_text())
+        assert repr(e) == unparse(e)
+    values = [lang.UNIT, VInt(-3), lang.TRUE, VLoc(2), VPair(VInt(1), lang.FALSE),
+              lang.to_val(parse("(rec (f x) (f (+ x 1)))"))]
+    assert [type(v) for v in values] == VALUE_CLASSES
+    assert [repr(v) for v in values] == [
+        "()", "-3", "#t", "(loc 2)", "(pair 1 #f)", "(rec (f x) (f (+ x 1)))"]
+    for v in values:
+        assert repr(v) == unparse(lang.of_val(v))
+        assert lang.to_val(parse(repr(v))) is v
+
+
+def test_no_node_class_has_a_repr_of_its_own():
+    # values and expressions print through the one printer, not through
+    # generated or hand-written reprs
+    for cls in [*VALUE_CLASSES, *FORMS]:
+        assert "__repr__" not in vars(cls), cls
+    assert repr(machine.State((VInt(1),))) == "State(cells=(1,))"
+
+
+def test_integers_of_any_length_read_and_print_exactly():
+    # past Python's limit on int/str conversion, a numeral is still an
+    # integer literal, and it prints back digit for digit
+    text = "1" + "0" * 4997 + "123"
+    n = 10 ** 5000 + 123
+    assert sexpr.read(text) == n and sexpr.read("-" + text) == -n
+    assert sexpr.read("+" + text) == n
+    assert sexpr.decimal(n) == text and sexpr.decimal(-n) == "-" + text
+    e = parse(f"(+ {text} 1)")
+    assert e.fv == frozenset() and e.args[0] is Lit(VInt(n))
+    assert unparse(e) == repr(e) == f"(+ {text} 1)"
+    rng = random.Random(5)
+    for digits in (1, 2, 499, 500, 501, 1000, 4000):
+        k = rng.randrange(10 ** digits) * rng.choice((1, -1))
+        assert sexpr.decimal(k) == str(k) and sexpr.read(str(k)) == k
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least limit Python accepts
+    try:
+        assert sexpr.read(text) == n and sexpr.decimal(n) == text
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for token in ("-", "+", "1x", "x1", "1_000", "--1", "١"):
+        assert sexpr.read(token) == sexpr.Symbol(token)

@@ -197,9 +197,12 @@ def test_equal_heaps_are_one_state():
     assert after.state is c.state.store(0, VInt(2))
     assert [f.name for f in dataclasses.fields(machine.Config)] == ["threads", "state"]
     assert [f.name for f in dataclasses.fields(State)] == ["cells"]
+    # the structural key is the flat preorder of the fields' tokens
     key = ival.value_key
-    assert key(c.state) == (6, "State", (key(c.state.cells),))
-    assert key(c) == (6, "Config", (key(c.threads), key(c.state)))
+    assert key(c.state) == (6, ((6, "State"), (5, 1), (6, "VInt"), (1, 1)))
+    (rank, tokens) = key(c)
+    assert rank == 6 and tokens[:2] == ((6, "Config"), (5, 2))
+    assert tokens[-4:] == key(c.state)[1]
 
 
 def test_configuration_pickles_into_the_interning_tables():
@@ -483,3 +486,33 @@ def test_pow_bounded_by_result_bits():
     # an oversized power is a stuck side condition, like a negative exponent
     assert outcomes(parse("(pow 2 200000000)"), State(())) is None
     assert outcomes(parse("(pow 2 -1)"), State(())) is None
+
+
+def test_context_prints_its_expression_with_the_hole():
+    t = refocus(None, parse("(+ 1 (+ 2 (f 3)))"))
+    assert repr(t.focus) == "f"
+    assert repr(t.ctx) == "(+ 1 (+ 2 ([] 3)))"
+    assert repr(t) == "(+ 1 (+ 2 (f 3)))"
+
+
+def test_deep_terms_contexts_and_configurations_repr_within_the_recursion_limit():
+    # a let chain 3,000 deep in its bound, whose thread has a context of
+    # 2,999 frames, and a pair 3,000 deep in a heap cell: every repr is the
+    # printer's, which walks on explicit stacks
+    chain = parse("(let (x " * 3000 + "1" + ") x)" * 3000)
+    deep = to_val(parse("(pair #t " * 3000 + "()" + ")" * 3000))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        chain_text = repr(chain)
+        [(_, t2, _, _)] = machine.outcomes(refocus(None, chain), State(()))
+        ctx_text = repr(t2.ctx)
+        value_text = repr(deep)
+        stuck = initial_config([parse("(wait (loc 0) 1)")], [deep])  # deadlocked
+        config_text = repr(stuck)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert chain_text == lang.unparse(chain)
+    assert ctx_text == "(let (x " * 2998 + "[]" + ") x)" * 2998
+    assert value_text == "(pair #t " * 3000 + "()" + ")" * 3000
+    assert config_text == f"Config(threads=((wait (loc 0) 1),), state=State(cells=({value_text},)))"

@@ -10,6 +10,9 @@ def test_frac_round_trip():
         assert F(report.frac_str(q)) == q
     assert report.frac_str(F(1, 2)) == "1/2"
     assert report.frac_str(3) == "3/1"
+    # past Python's limit on int/str conversion
+    assert report.frac_str(F(10 ** 5000)) == "1" + "0" * 5000 + "/1"
+    assert report.frac_str(F(-1, 10 ** 5000)) == "-1/1" + "0" * 5000
 
 
 def test_ival_json_shape():
@@ -40,5 +43,5 @@ def test_dump_is_deterministic():
 
 
 def test_csv_rows_carry_decimal_column():
-    text = report.rows_to_csv(["x", "exact", "approx"], [[1, F(1, 3)]])
-    assert text.splitlines()[1] == "1,1/3,0.333333"
+    text = report.rows_to_csv(["x", "exact", "approx"], [[1, F(1, 3)], ["2,4", F(1)]])
+    assert text == 'x,exact,approx\n1,1/3,0.333333\n"2,4",1/1,1\n'

@@ -138,8 +138,8 @@ def test_deep_deadlock_reported_within_the_recursion_limit():
 
 
 def test_deadlock_over_a_deep_heap_value_reported_within_the_recursion_limit():
-    # the message prints the heap, and a pair prints by a loop, however
-    # deep it nests
+    # the message prints the heap, and a pair prints in the concrete
+    # syntax by a loop, however deep it nests
     prog = parse("(let (r (alloc " + "(pair #t " * 2000 + "()" + ")" * 2000 + ")) (wait r 1))")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the default
@@ -147,7 +147,7 @@ def test_deadlock_over_a_deep_heap_value_reported_within_the_recursion_limit():
         for analysis in (sched.extremal_expectation, sched.brute_force_extrema):
             with pytest.raises(sched.ScheduleError, match="^deadlock: no thread can step in") as e:
                 analysis(prog, 10, read_int)
-            assert "(#t, " * 2000 + "()" + ")" * 2000 in str(e.value)
+            assert "(pair #t " * 2000 + "()" + ")" * 2000 in str(e.value)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -1601,3 +1601,12 @@ def test_fusion_shrinks_the_memo():
     prog = models.unbiased_counter_program(2, max_value=2)
     res = sched.extremal_expectation(prog, 70, read_int)
     assert res.fused_steps > res.explored_states > 0
+
+
+def test_deadlock_over_a_long_integer_reported():
+    # the message prints a 5,001-digit integer, past Python's limit on
+    # int/str conversion
+    prog = parse("(let (x (pow 10 5000)) (let (l (alloc 0)) (seq (wait l 1) x)))")
+    with pytest.raises(sched.ScheduleError, match="^deadlock: no thread can step in") as e:
+        sched.extremal_expectation(prog, 100, read_int)
+    assert "(seq (wait (loc 0) 1) 1" + "0" * 5000 + ")" in str(e.value)
