@@ -105,8 +105,8 @@ def check_witness(goal: CouplingGoal, w: CouplingWitness) -> Verdict:
             f"marginal {ival.to_distribution(right).weights} != "
             f"rhs_pick {ival.to_distribution(w.rhs_pick).weights}"))
 
-    for (_, pair, p) in w.joint.entries:
-        if p > 0 and not goal.predicate(pair[0], pair[1]):
+    for (_, pair, n) in w.joint.terms:
+        if n and not goal.predicate(pair[0], pair[1]):
             failures.append(ClauseFailure(
                 CLAUSE_PREDICATE, f"support pair {pair!r} violates {goal.name}"))
             break
@@ -165,8 +165,8 @@ def couple_bind(d1: Derivation, k: Callable[[Value, Value], Derivation],
     the continuations' predicate and its name.
     """
     pairs = {}
-    for (_, pair, p) in d1.witness.joint.entries:
-        if p == 0 or value_key(pair) in pairs:
+    for (_, pair, n) in d1.witness.joint.terms:
+        if not n or value_key(pair) in pairs:
             continue
         try:
             sub = k(pair[0], pair[1])
@@ -212,15 +212,15 @@ def couple_bind(d1: Derivation, k: Callable[[Value, Value], Derivation],
     # Fix one continuation per index of the premise's rhs_pick: the
     # value-least coupled partner of that index's value.
     partner = {}
-    for (_, pair, p) in d1.witness.joint.entries:
-        if p == 0:
+    for (_, pair, n) in d1.witness.joint.terms:
+        if not n:
             continue
         ky = value_key(pair[1])
         if ky not in partner or value_key(pair[0]) < value_key(partner[ky][0]):
             partner[ky] = pair
     sigma = {}
-    for (i, y, p) in d1.witness.rhs_pick.entries:
-        if p == 0:
+    for (i, y, n) in d1.witness.rhs_pick.terms:
+        if not n:
             continue
         ky = value_key(y)
         if ky not in partner:
@@ -252,8 +252,8 @@ def couple_equiv(d: Derivation, new_lhs: IndexedValuation,
 
 def couple_conseq(d: Derivation, predicate, name: str = "P'") -> Derivation:
     """Weaken the predicate; the implication is checked on the support."""
-    for (_, pair, p) in d.witness.joint.entries:
-        if p > 0 and not predicate(pair[0], pair[1]):
+    for (_, pair, n) in d.witness.joint.terms:
+        if n and not predicate(pair[0], pair[1]):
             raise CouplingError(
                 f"weakened predicate {name} fails on support pair {pair!r}")
     return Derivation(CouplingGoal(d.goal.lhs, d.goal.rhs, predicate, name),
@@ -285,8 +285,8 @@ def sandwich_from_coupling(goal: CouplingGoal, w: CouplingWitness,
     if not verdict.passed:
         raise CouplingError(
             f"witness fails clauses {sorted(verdict.failed_clauses())}")
-    for (_, pair, p) in w.joint.entries:
-        if p > 0 and ival.as_rational(f(pair[0])) != ival.as_rational(g(pair[1])):
+    for (_, pair, n) in w.joint.terms:
+        if n and ival.as_rational(f(pair[0])) != ival.as_rational(g(pair[1])):
             raise CouplingError(
                 f"predicate is not of equality form: f/g differ on {pair!r}")
     lo = ndset.ex_min(g, goal.rhs)

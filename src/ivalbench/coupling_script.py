@@ -15,7 +15,7 @@ A script is one s-expression naming constructor rules:
     <bexpr>::= #t | #f | (and <bexpr> <bexpr>) | (or <bexpr> <bexpr>)
              | (not <bexpr>) | (= x <val>) | (= y <val>) | (= x y)
     <val>  ::= integer | #t | #f | (tuple <val> ...)
-    <rat>  ::= integer | num/den
+    <rat>  ::= integer | integer/digits        the reader's integers, digits > 0
 
 Evaluating a script yields a checked derivation; the CLI turns the
 checker's verdict into a report.
@@ -49,14 +49,15 @@ def check_arity(s: list, *counts: int) -> None:
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, int):
+    """An integer, or ``num/den``: one ``/`` between the reader's signed
+    integer and an unsigned positive one."""
+    if type(s) is int:
         return Fraction(s)
-    if isinstance(s, Symbol) and "/" in s.name:
-        num, den = s.name.split("/", 1)
-        try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError):
-            pass
+    if isinstance(s, Symbol) and s.name.count("/") == 1:
+        (num, den) = s.name.split("/")
+        (n, d) = (sexpr.integer(num), sexpr.integer(den))
+        if n is not None and d is not None and den[0] not in "+-" and d > 0:
+            return Fraction(n, d)
     raise ScriptError(f"expected a rational, got {show(s)}")
 
 
@@ -77,7 +78,7 @@ def parse_ival(s) -> ival.IndexedValuation:
             raise ScriptError(f"expected (value prob), got {show(item)}")
         entries.append((k, parse_value(item[0]), parse_rational(item[1])))
     try:
-        return ival.IndexedValuation(tuple(entries))
+        return ival.of_entries(entries)
     except ValueError as exc:
         raise ScriptError(f"{show(s)}: {exc}") from exc
 

@@ -23,20 +23,20 @@ Entries with probability zero are kept structurally (constructors may
 produce them) but are outside the indicial support and are ignored by all
 semantic relations, by ``expected_value``, and by ``bind``.
 
-Probabilities are ``Fraction``s in every public type and result, but the
-arithmetic over a valuation runs on integers: ``over_common_denominator``
-puts its entries over the lcm of their (reduced) denominators, and the
-validation sum, the expectations, the collapsed distribution and the
-canonical form work on the integer numerators.  Each ``Fraction``
-operation reduces by a gcd; the integer route builds one ``Fraction`` per
-result, if any.
+A valuation is stored as integers, ``(den, terms)`` with terms ``(index,
+value, numerator)``, over the least common denominator ``den``.  The
+monad operations multiply numerators over a common multiple of the
+operands' denominators and reduce by one gcd; validation, ``canonical``,
+``to_distribution`` and ``expected_value`` read the numerators.
+Fractions appear only at the edge: ``entries`` is the ``(index, value,
+Fraction)`` view and ``of_entries`` builds a valuation from such triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Any, Callable
 
 Value = Any
@@ -119,46 +119,76 @@ def over_common_denominator(probs: list) -> tuple:
 
 @dataclass(frozen=True)
 class IndexedValuation:
-    """Finite indexed valuation: entries are ``(index, value, prob)``.
+    """Finite indexed valuation: ``terms`` are ``(index, value, numerator)``
+    over the positive int ``den``.
 
     Invariants checked on construction: indices pairwise distinct, every
-    probability a Fraction in [0, 1], probabilities summing to exactly 1.
-    The sum is taken over the common denominator, on integers.
+    numerator a nonnegative int, numerators summing to ``den``, and ``den``
+    the least such denominator (its gcd with the numerators is 1).
     """
 
-    entries: tuple
+    den: int
+    terms: tuple
 
     def __post_init__(self):
-        if len({i for (i, _, _) in self.entries}) != len(self.entries):
+        den = self.den
+        if type(den) is not int:
+            raise TypeError(f"denominator {den!r} is not an int")
+        if den <= 0:
+            raise ValueError(f"denominator {den} is not positive")
+        nums = [n for (_, _, n) in self.terms]
+        if len({i for (i, _, _) in self.terms}) != len(nums):
             raise ValueError("indexed valuation has duplicate indices")
-        probs = [p for (_, _, p) in self.entries]
-        for p in probs:
-            if not isinstance(p, Fraction):
-                raise TypeError(f"probability {p!r} is not a Fraction")
-            if p.numerator < 0:
-                raise ValueError(f"negative probability {p}")
-        (den, nums) = over_common_denominator(probs)
+        for n in nums:
+            if type(n) is not int:
+                raise TypeError(f"numerator {n!r} is not an int")
+            if n < 0:
+                raise ValueError(f"negative probability {Fraction(n, den)}")
         if sum(nums) != den:
             raise ValueError(f"probabilities sum to {Fraction(sum(nums), den)}, not 1")
+        if gcd(*nums) != 1:  # the numerators sum to den
+            raise ValueError(f"denominator {den} is not in lowest terms")
+
+    @property
+    def entries(self) -> tuple:
+        """The ``(index, value, Fraction)`` view, for readers at the edge."""
+        return tuple((i, v, Fraction(n, self.den)) for (i, v, n) in self.terms)
 
     def canonical(self) -> tuple:
         """``(den, pairs)``: ``pairs`` is the sorted multiset of positive
-        ``(value_key(value), numerator)`` pairs over the common denominator
-        ``den``; decides ``equiv``.
+        ``(value_key(value), numerator)`` pairs; decides ``equiv``.
 
-        Fractions are reduced, so ``den`` (the lcm of the positive
-        probabilities' denominators) and every numerator are fixed by the
-        multiset of positive probabilities: equal multisets give equal
-        forms, whatever the entry order, indices or zero entries.  Values
-        enter by their structural key, so ``True`` and ``1`` (equal in
-        Python) stay apart.  Forms hash and compare as ints and keys."""
-        (den, nums) = over_common_denominator([p for (_, _, p) in self.entries])
-        return (den, tuple(sorted([(value_key(v), n)
-                                   for ((_, v, _), n) in zip(self.entries, nums) if n])))
+        ``den`` is the least common denominator, so it and every numerator
+        are fixed by the multiset of positive probabilities: equal
+        multisets give equal forms, whatever the term order, indices or
+        zero terms.  Values enter by their structural key, so ``True`` and
+        ``1`` (equal in Python) stay apart.  Forms hash and compare as ints
+        and keys."""
+        return (self.den, tuple(sorted([(value_key(v), n) for (_, v, n) in self.terms if n])))
 
     def __repr__(self):
-        inner = ", ".join(f"{v!r}@{p}" for (_, v, p) in self.entries)
+        inner = ", ".join(f"{v!r}@{Fraction(n, self.den)}" for (_, v, n) in self.terms)
         return f"IVal[{inner}]"
+
+
+def of_entries(entries) -> IndexedValuation:
+    """The valuation of ``(index, value, probability)`` triples whose
+    probabilities are Fractions, over their least common denominator."""
+    probs = [p for (_, _, p) in entries]
+    for p in probs:
+        if not isinstance(p, Fraction):
+            raise TypeError(f"probability {p!r} is not a Fraction")
+    (den, nums) = over_common_denominator(probs)
+    return IndexedValuation(den, tuple((i, v, n) for ((i, v, _), n) in zip(entries, nums)))
+
+
+def in_lowest_terms(den: int, terms: list) -> IndexedValuation:
+    """The valuation of the integer ``terms`` over ``den``, both divided
+    by their gcd."""
+    g = gcd(den, *[n for (_, _, n) in terms])
+    if g > 1:
+        terms = [(i, v, n // g) for (i, v, n) in terms]
+    return IndexedValuation(den // g, tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -189,11 +219,12 @@ class Distribution:
 
 def ret(v: Value) -> IndexedValuation:
     """Unit: a single index carrying ``v`` with probability 1."""
-    return IndexedValuation(((0, v, Fraction(1)),))
+    return IndexedValuation(1, ((0, v, 1),))
 
 
 def pchoice(a: IndexedValuation, p, b: IndexedValuation) -> IndexedValuation:
-    """Probabilistic choice: left entries scaled by p, right by 1-p.
+    """Probabilistic choice: left entries scaled by p, right by 1-p, over
+    the common denominator ``p.denominator * lcm(a.den, b.den)``.
 
     The index set is the tagged disjoint union, so choosing between equal
     valuations still doubles the support: ``pchoice(a, p, a)`` is not
@@ -202,44 +233,43 @@ def pchoice(a: IndexedValuation, p, b: IndexedValuation) -> IndexedValuation:
     p = as_rational(p)
     if not 0 <= p <= 1:
         raise ValueError(f"choice weight {p} outside [0, 1]")
-    entries = [(("L", i), v, p * q) for (i, v, q) in a.entries]
-    entries += [(("R", i), v, (1 - p) * q) for (i, v, q) in b.entries]
-    return IndexedValuation(tuple(entries))
+    (pn, pd) = (p.numerator, p.denominator)
+    l = lcm(a.den, b.den)
+    (ca, cb) = (pn * (l // a.den), (pd - pn) * (l // b.den))
+    terms = [(("L", i), v, ca * n) for (i, v, n) in a.terms]
+    terms += [(("R", i), v, cb * n) for (i, v, n) in b.terms]
+    return in_lowest_terms(pd * l, terms)
 
 
 def bind(a: IndexedValuation, f: Callable[[Value], IndexedValuation]) -> IndexedValuation:
-    """Monadic bind: dependent-pair indices, product probabilities.
+    """Monadic bind: dependent-pair indices, product probabilities, over
+    ``a.den`` times the lcm of the continuations' denominators.
 
     ``f`` is applied only to values in the indicial support, so zero
     probability entries of ``a`` are dropped (they are outside every
     semantic relation anyway, and continuations need only be defined on
     the support).
     """
-    entries = []
-    for (i, v, p) in a.entries:
-        if p == 0:
-            continue
-        for (j, w, q) in f(v).entries:
-            entries.append(((i, j), w, p * q))
-    return IndexedValuation(tuple(entries))
+    conts = [(i, n, f(v)) for (i, v, n) in a.terms if n]
+    l = lcm(*[c.den for (_, _, c) in conts])
+    terms = []
+    for (i, n, c) in conts:
+        k = n * (l // c.den)
+        terms += [((i, j), w, k * q) for (j, w, q) in c.terms]
+    return in_lowest_terms(a.den * l, terms)
 
 
 def bind_per_index(m: IndexedValuation, sigma: dict) -> IndexedValuation:
-    """Compose ``m`` with one continuation valuation per support index."""
-    entries = []
-    for (i, _, p) in m.entries:
-        if p == 0:
-            continue
-        for (j, w, q) in sigma[i].entries:
-            if q == 0:
-                continue
-            entries.append(((i, j), w, p * q))
-    return IndexedValuation(tuple(entries))
+    """Compose ``m`` with one continuation valuation per support index: the
+    ``bind`` of ``m``'s indices, the continuations' zero terms dropped."""
+    indices = IndexedValuation(m.den, tuple((i, i, n) for (i, _, n) in m.terms))
+    return bind(indices, lambda i: IndexedValuation(
+        sigma[i].den, tuple(t for t in sigma[i].terms if t[2])))
 
 
 def map_values(g: Callable[[Value], Value], a: IndexedValuation) -> IndexedValuation:
     """Apply ``g`` to every entry value, keeping indices and probabilities."""
-    return IndexedValuation(tuple((i, g(v), p) for (i, v, p) in a.entries))
+    return IndexedValuation(a.den, tuple((i, g(v), n) for (i, v, n) in a.terms))
 
 
 def equiv(a: IndexedValuation, b: IndexedValuation) -> bool:
@@ -253,15 +283,14 @@ def equiv(a: IndexedValuation, b: IndexedValuation) -> bool:
 
 
 def to_distribution(a: IndexedValuation) -> Distribution:
-    """Collapse to a distribution by summing probabilities of equal values,
-    as integer numerators over the common denominator."""
-    (den, nums) = over_common_denominator([p for (_, _, p) in a.entries])
+    """Collapse to a distribution by summing the numerators of equal
+    values."""
     acc: dict = {}  # value_key -> (value, summed numerator)
-    for ((_, v, _), n) in zip(a.entries, nums):
+    for (_, v, n) in a.terms:
         if n:
             k = value_key(v)
             acc[k] = (v, acc[k][1] + n) if k in acc else (v, n)
-    return Distribution(tuple((v, Fraction(n, den)) for (_, (v, n)) in sorted(acc.items())))
+    return Distribution(tuple((v, Fraction(n, a.den)) for (_, (v, n)) in sorted(acc.items())))
 
 
 def prob_equiv(a: IndexedValuation, b: IndexedValuation) -> bool:
@@ -290,6 +319,5 @@ def weighted_sum(den: int, terms) -> Fraction:
 
 def expected_value(f: Callable[[Value], Rational], a: IndexedValuation) -> Fraction:
     """Exact expectation of ``f`` over ``a`` (finite, so it always exists),
-    as a ``weighted_sum`` over the common denominator."""
-    (den, nums) = over_common_denominator([p for (_, _, p) in a.entries])
-    return weighted_sum(den, [(n, f(v)) for ((_, v, _), n) in zip(a.entries, nums) if n])
+    as a ``weighted_sum`` over ``a.den``."""
+    return weighted_sum(a.den, [(n, f(v)) for (_, v, n) in a.terms if n])

@@ -53,12 +53,10 @@ def gen_rational(rng: random.Random) -> Fraction:
 def gen_ival(rng: random.Random, max_support: int = 5, pool=VALUE_POOL) -> IndexedValuation:
     n = rng.randint(1, max_support)
     weights = [rng.randint(1, 6) for _ in range(n)]
-    total = sum(weights)
-    entries = [(("g", i), rng.choice(pool), Fraction(w, total))
-               for (i, w) in enumerate(weights)]
+    terms = [(("g", i), rng.choice(pool), w) for (i, w) in enumerate(weights)]
     if rng.random() < 0.25:  # exercise zero-probability entries
-        entries.append((("g", n), rng.choice(pool), Fraction(0)))
-    return IndexedValuation(tuple(entries))
+        terms.append((("g", n), rng.choice(pool), 0))
+    return ival.in_lowest_terms(sum(weights), terms)
 
 
 def gen_pset(rng: random.Random, max_members: int = 4, max_support: int = 5,
@@ -98,12 +96,12 @@ def _relabel_draws(rng: random.Random, entries: list) -> tuple:
 def relabel(rng: random.Random, m: IndexedValuation) -> IndexedValuation:
     """An ``equiv`` variant: permute entries, relabel indices, toggle
     zero-probability padding."""
-    entries = [e for e in m.entries if e[2] > 0]
-    (salt, pad) = _relabel_draws(rng, entries)
-    out = [(("rl", salt, i), v, p) for (i, (_, v, p)) in enumerate(entries)]
+    terms = [t for t in m.terms if t[2] > 0]
+    (salt, pad) = _relabel_draws(rng, terms)
+    out = [(("rl", salt, i), v, n) for (i, (_, v, n)) in enumerate(terms)]
     if pad is not None:
-        out.append((("rl", salt, len(out)), pad, Fraction(0)))
-    return IndexedValuation(tuple(out))
+        out.append((("rl", salt, len(out)), pad, 0))
+    return IndexedValuation(m.den, tuple(out))
 
 
 def relabel_form(rng: random.Random, form: tuple) -> tuple:
@@ -136,8 +134,7 @@ def prob_equiv_variant(rng: random.Random, m: IndexedValuation) -> IndexedValuat
             entries = list(by_val.values())
     rng.shuffle(entries)
     salt = rng.randint(0, 10**6)
-    return IndexedValuation(tuple(
-        (("pv", salt, i), v, p) for (i, (v, p)) in enumerate(entries)))
+    return ival.of_entries([(("pv", salt, i), v, p) for (i, (v, p)) in enumerate(entries)])
 
 
 def pset_equiv_variant(rng: random.Random, s: ProcessSet) -> ProcessSet:

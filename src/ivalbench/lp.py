@@ -1,6 +1,6 @@
 """Exact rational linear-program feasibility (phase-1 simplex).
 
-Solves ``A x = b, x >= 0`` over Fractions.  Used to decide convex-hull
+Solves ``A x = b, x >= 0`` exactly.  Used to decide convex-hull
 membership of distributions: a distribution lies in the hull of a finite
 family iff the mixing weights form a feasible point of such a system.
 
@@ -26,6 +26,11 @@ columns, right-hand side and basic rows scaled by positive factors, so
 every sign, every ratio comparison, and hence Bland's choices are the same:
 the same bases in the same order, the same solution
 (``T[i][rhs] / D``) and the same certificate.
+
+``solve_equality_feasibility`` takes Fractions.  ``convex_hull_membership``
+takes integer ``(den, numerators)`` vectors in lowest terms and builds the
+integer rows itself: the lcm of the vectors' ``den`` is the same ``L``.
+Both run one integer simplex.
 """
 
 from __future__ import annotations
@@ -53,15 +58,19 @@ def solve_equality_feasibility(A: list, b: list) -> FeasibilityResult:
     is a ``TypeError``.  Returns a feasible point or a separating
     certificate.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return FeasibilityResult(True, [Fraction(0)] * n, None)
+    if not A:
+        return FeasibilityResult(True, [], None)
     A = [[as_rational(x) for x in row] for row in A]
     b = [as_rational(x) for x in b]
     scale = lcm(*[x.denominator for row in A for x in row], *[x.denominator for x in b])
     rows = [[x.numerator * (scale // x.denominator) for x in row] for row in A]
-    rhs = [x.numerator * (scale // x.denominator) for x in b]
+    return _integer_feasibility(rows, [x.numerator * (scale // x.denominator) for x in b])
+
+
+def _integer_feasibility(rows: list, rhs: list) -> FeasibilityResult:
+    """The simplex of ``solve_equality_feasibility`` on the system it
+    scaled to integers: ``rows`` (at least one) and ``rhs``."""
+    (m, n) = (len(rows), len(rows[0]))
 
     # Tableau columns: n structural + m artificial + rhs; rows with a
     # negative right-hand side are negated.
@@ -144,20 +153,17 @@ def pivot(tab: list, obj: list, leave: int, enter: int, den: int) -> int:
     return a
 
 
-def convex_hull_membership(point: list, generators: list) -> FeasibilityResult:
+def convex_hull_membership(point: tuple, generators: list) -> FeasibilityResult:
     """Is ``point`` a convex combination of ``generators``?
 
-    All arguments are coordinate vectors (lists of Fractions) of equal
-    length.  On success the solution gives the mixing weights; on failure
-    the certificate's first ``dim`` coordinates give a linear function
+    Every argument is a coordinate vector ``(den, nums)`` in lowest terms:
+    integer numerators, all of one length, over a positive denominator.
+    On success the solution gives the mixing weights; on failure the
+    certificate's first ``dim`` coordinates give a linear function
     strictly larger on ``point`` than on every generator.
     """
-    dim = len(point)
-    rows = []
-    rhs = []
-    for d in range(dim):
-        rows.append([g[d] for g in generators])
-        rhs.append(point[d])
-    rows.append([Fraction(1)] * len(generators))
-    rhs.append(Fraction(1))
-    return solve_equality_feasibility(rows, rhs)
+    (pden, pnums) = point
+    scale = lcm(pden, *[d for (d, _) in generators])
+    rows = [[nums[k] * (scale // d) for (d, nums) in generators] for k in range(len(pnums))]
+    rows.append([scale] * len(generators))
+    return _integer_feasibility(rows, [n * (scale // pden) for n in pnums] + [scale])

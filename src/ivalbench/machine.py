@@ -427,8 +427,8 @@ def trace_step_ival_n(choose: Callable[[int, Config], int], c: Config,
     """
     cur = ival.ret(c)
     for step in range(n):
-        cur = ival.bind(cur, lambda c2, step=step: IndexedValuation(tuple(
-            (k, c3, p) for (k, (p, c3)) in enumerate(config_step(c2, choose(step, c2), {})))))
+        cur = ival.bind(cur, lambda c2, step=step: ival.of_entries([
+            (k, c3, p) for (k, (p, c3)) in enumerate(config_step(c2, choose(step, c2), {}))]))
     return cur
 
 

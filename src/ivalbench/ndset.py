@@ -31,9 +31,11 @@ distribution, so domination for all (bounded) functions is exactly
 membership in the closed convex hull, and the hull of finitely many points
 needs no closure.  When the LP says no, its dual certificate *is* a
 function whose maximal expectation violates the domination, which the
-property suite uses as an independent falsifier.  Members with the same
-distribution share one LP solve; a distribution is keyed by its integer
-numerators over their lowest common denominator.
+property suite uses as an independent falsifier.  A distribution is keyed
+by its integer numerators over their lowest common denominator, and that
+key is what the LP reads (``lp.convex_hull_membership``): no Fraction is
+built on the way in.  Members with the same distribution share one LP
+solve.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class ProcessSet:
         """Member ``j`` as a valuation, rebuilt with index = position: the
         one rebuild, read only by ``coupling.couple_trivial``."""
         (den, pairs) = self.forms[j]
-        return IndexedValuation(tuple((i, self.values[k], Fraction(n, den))
-                                      for (i, (k, n)) in enumerate(pairs)))
+        return IndexedValuation(den, tuple((i, self.values[k], n)
+                                           for (i, (k, n)) in enumerate(pairs)))
 
     @property
     def members(self) -> tuple:
@@ -83,7 +85,7 @@ class ProcessSet:
 def lift(*members: IndexedValuation) -> ProcessSet:
     """The set of ``members``, one form each, in order."""
     return ProcessSet(tuple(m.canonical() for m in members),
-                      {value_key(v): v for m in members for (_, v, _) in m.entries})
+                      {value_key(v): v for m in members for (_, v, _) in m.terms})
 
 
 def ret(v: Value) -> ProcessSet:
@@ -247,18 +249,14 @@ def subset_p_certified(a: ProcessSet, b: ProcessSet):
         g = gcd(den, *nums)
         return (den // g, tuple([n // g for n in nums]))
 
-    def vec(key: tuple) -> list:
-        (den, nums) = key
-        return [Fraction(n, den) for n in nums]
-
-    generators = [vec(dist(form)) for form in b.forms]
+    generators = [dist(form) for form in b.forms]
     solved: dict = {}  # distribution -> its FeasibilityResult
     certs = []
     verdict = True
     for (i, form) in enumerate(a.forms):
         key = dist(form)
         if key not in solved:
-            solved[key] = lp.convex_hull_membership(vec(key), generators)
+            solved[key] = lp.convex_hull_membership(key, generators)
         res = solved[key]
         if res.feasible:
             certs.append(SubsetPCertificate(i, weights=res.solution))

@@ -106,18 +106,25 @@ class Reader:
             return True
         if token == "#f":
             return False
-        digits = token[1:] if token[0] in "+-" else token
-        if not (digits.isascii() and digits.isdigit()):
-            return Symbol(token)
-        n = 0
-        for k in range(0, len(digits), _DIGITS):
-            chunk = digits[k:k + _DIGITS]
-            n = n * 10 ** len(chunk) + int(chunk)
-        return -n if token[0] == "-" else n
+        n = integer(token)
+        return Symbol(token) if n is None else n
 
     def at_end(self) -> bool:
         self.skip_blank()
         return self.pos >= len(self.text)
+
+
+def integer(token: str):
+    """The int that ``token`` spells as an optional sign and ASCII digits,
+    converted ``_DIGITS`` digits at a time, or None if it spells none."""
+    digits = token[1:] if token.startswith(("+", "-")) else token
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    n = 0
+    for k in range(0, len(digits), _DIGITS):
+        chunk = digits[k:k + _DIGITS]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return -n if token[0] == "-" else n
 
 
 def read(text: str):

@@ -114,7 +114,7 @@ def test_c07_coupling_kernel():
         ent = list(d.witness.joint.entries)
         ent[0] = (ent[0][0], ent[0][1], ent[0][2] - F(1, 100))
         ent[1] = (ent[1][0], ent[1][1], ent[1][2] + F(1, 100))
-        bad = CouplingWitness(ival.IndexedValuation(tuple(ent)), d.witness.rhs_pick)
+        bad = CouplingWitness(ival.of_entries(ent), d.witness.rhs_pick)
         verdict = coupling.check_witness(d.goal, bad)
         assert not verdict.passed and CLAUSE_LHS in verdict.failed_clauses(), k
 
@@ -127,7 +127,7 @@ def test_c07_coupling_kernel():
             renorm = tuple((i, v, F(1, len(rest))) for (i, v, _) in rest)
         else:
             renorm = tuple((i, v, p / total) for (i, v, p) in rest)
-        bad = CouplingWitness(ival.IndexedValuation(renorm), d.witness.rhs_pick)
+        bad = CouplingWitness(ival.of_entries(renorm), d.witness.rhs_pick)
         verdict = coupling.check_witness(d.goal, bad)
         assert not verdict.passed and CLAUSE_LHS in verdict.failed_clauses(), k
 

@@ -161,6 +161,43 @@ def test_couple_malformed_script_forms_exit_2(tmp_path, capsys, script):
     assert "malformed script" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rational", [
+    "#t", "#f", "1_0/3_0", "-1/-2", "+1/+2", "1/+2", "\u0663/4", "1/\u0663", "0x1/2",
+    "1/2/3", "1/0", "1/-2", "/2", "1/",
+])
+def test_couple_rationals_use_the_reader_integers(tmp_path, capsys, rational):
+    for script in (f"(trivial (ival (1 {rational})) (pset (ival (1 1))))",
+                   f"(pchoice {rational} (ret 1 1 (pred-eq)) (ret 2 2 (pred-eq)))"):
+        bad = tmp_path / "bad.sexp"
+        bad.write_text(script + "\n")
+        assert run(["couple", "--script", str(bad)]) == 2, script
+        assert "expected a rational, got" in capsys.readouterr().err, script
+
+
+def test_couple_reads_a_rational_past_the_int_digit_limit(tmp_path):
+    # a 5,001-digit numerator, beyond Python's default 4,300-digit int/str
+    # conversion limit, reads and prints exactly: 1...1 / 10^5001
+    (num, den) = ("1" * 5001, "1" + "0" * 5001)
+    script = tmp_path / "long.sexp"
+    script.write_text(f"(pchoice {num}/{den} (ret 1 1 (pred-eq)) (ret 2 2 (pred-eq)))\n")
+    out = tmp_path / "long.json"
+    assert run(["couple", "--script", str(script), "--out", str(out)]) == 0
+    joint = json.loads(out.read_text())["witness"]["joint"]["entries"]
+    assert [p for (_, _, p) in joint] == [f"{num}/{den}", "8" * 5000 + f"9/{den}"]
+
+
+@pytest.mark.parametrize(("valuation", "message"), [
+    ("(ival (1 1/2))", "probabilities sum to 1/2, not 1"),
+    ("(ival (1 -1/2) (1 3/2))", "negative probability -1/2"),
+    ("(ival)", "probabilities sum to 0, not 1"),
+])
+def test_couple_malformed_valuation_messages(tmp_path, capsys, valuation, message):
+    bad = tmp_path / "bad.sexp"
+    bad.write_text(f"(trivial {valuation} (pset (ival (1 1))))\n")
+    assert run(["couple", "--script", str(bad)]) == 2
+    assert f"{valuation}: {message}" in capsys.readouterr().err
+
+
 def pchoice_chain(depth):
     script = "(ret 1 1 (pred-eq))"
     for _ in range(depth):

@@ -53,7 +53,7 @@ def test_mass_perturbation_fails_lhs_clause():
     ent = list(d.witness.joint.entries)
     ent[0] = (ent[0][0], ent[0][1], ent[0][2] - F(1, 100))
     ent[1] = (ent[1][0], ent[1][1], ent[1][2] + F(1, 100))
-    bad = CouplingWitness(ival.IndexedValuation(tuple(ent)), d.witness.rhs_pick)
+    bad = CouplingWitness(ival.of_entries(ent), d.witness.rhs_pick)
     verdict = coupling.check_witness(d.goal, bad)
     assert not verdict.passed
     assert CLAUSE_LHS in verdict.failed_clauses()
@@ -64,7 +64,7 @@ def test_pair_deletion_fails_marginals():
     kept = [e for e in d.witness.joint.entries if e[1][0] is True]
     total = sum(p for (_, _, p) in kept)
     renorm = tuple((i, v, p / total) for (i, v, p) in kept)
-    bad = CouplingWitness(ival.IndexedValuation(renorm), d.witness.rhs_pick)
+    bad = CouplingWitness(ival.of_entries(renorm), d.witness.rhs_pick)
     verdict = coupling.check_witness(d.goal, bad)
     assert not verdict.passed
     assert CLAUSE_LHS in verdict.failed_clauses()
@@ -174,9 +174,9 @@ def test_trivial_rule_rebuilds_one_member(monkeypatch):
     built = []
     rebuild = ndset.IndexedValuation
 
-    def counted(entries):
-        built.append(entries)
-        return rebuild(entries)
+    def counted(den, terms):
+        built.append(terms)
+        return rebuild(den, terms)
 
     monkeypatch.setattr(ndset, "IndexedValuation", counted)
     d = coupling.couple_trivial(lhs, rhs)

@@ -9,9 +9,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_reference as ref
 from ivalbench import ival, lang, machine, ndset, sched
 from ivalbench.ival import IndexedValuation
-from ivalbench.laws import gen_ival, prob_equiv_variant, relabel
+from ivalbench.laws import (VALUE_POOL, gen_fun_ival, gen_fun_rational, gen_ival, gen_prob,
+                            prob_equiv_variant, relabel, rng_for)
 
 
 def ident(v):
@@ -125,11 +127,11 @@ def test_expected_value_ret():
 
 def test_mass_invariant_enforced():
     with pytest.raises(ValueError):
-        IndexedValuation(((0, 1, F(1, 2)),))
+        ival.of_entries(((0, 1, F(1, 2)),))
     with pytest.raises(ValueError):
-        IndexedValuation(((0, 1, F(1, 2)), (0, 2, F(1, 2))))  # dup index
+        ival.of_entries(((0, 1, F(1, 2)), (0, 2, F(1, 2))))  # dup index
     with pytest.raises(ValueError):
-        IndexedValuation(((0, 1, F(3, 2)), (1, 2, F(-1, 2))))
+        ival.of_entries(((0, 1, F(3, 2)), (1, 2, F(-1, 2))))
 
 
 def raised(exc_type, build) -> str:
@@ -139,24 +141,53 @@ def raised(exc_type, build) -> str:
 
 
 def test_indexed_valuation_validation_messages():
-    ival_of = lambda *probs: lambda: IndexedValuation(
+    ival_of = lambda *probs: lambda: ival.of_entries(
         tuple((i, i, p) for (i, p) in enumerate(probs)))
     assert raised(TypeError, ival_of(1)) == "probability 1 is not a Fraction"
     assert raised(TypeError, ival_of(1.0)) == "probability 1.0 is not a Fraction"
     assert raised(TypeError, ival_of(True)) == "probability True is not a Fraction"
     assert raised(TypeError, ival_of(F(1, 2), 0.5)) == "probability 0.5 is not a Fraction"
     assert raised(ValueError, ival_of(F(-1, 2), F(3, 2))) == "negative probability -1/2"
-    # entries are checked in order: the negative one before the float
-    assert raised(ValueError, ival_of(F(-1, 2), 1.5)) == "negative probability -1/2"
+    # every probability is checked to be a Fraction before any sign
+    assert raised(TypeError, ival_of(F(-1, 2), 1.5)) == "probability 1.5 is not a Fraction"
     assert raised(ValueError, ival_of(F(1, 3), F(1, 4))) == \
         "probabilities sum to 7/12, not 1"
     assert raised(ValueError, ival_of(F(1, 3), F(2, 3), F(1, 10**12 + 39))) == \
         f"probabilities sum to {F(1) + F(1, 10**12 + 39)}, not 1"
     assert raised(ValueError, ival_of(F(0))) == "probabilities sum to 0, not 1"
-    assert raised(ValueError, lambda: IndexedValuation(
+    assert raised(ValueError, lambda: ival.of_entries(
         ((0, 1, F(1, 2)), (0, 2, F(1, 2))))) == "indexed valuation has duplicate indices"
+    # the index check comes before the numerators'
     assert raised(ValueError, lambda: IndexedValuation(
-        ((0, 1, 1.5), (0, 2, F(1, 2))))) == "indexed valuation has duplicate indices"
+        2, ((0, 1, 1.5), (0, 2, 1)))) == "indexed valuation has duplicate indices"
+
+
+def test_integer_constructor_rejects_malformed_terms():
+    def build(den, *nums):
+        return lambda: IndexedValuation(den, tuple((i, i, n) for (i, n) in enumerate(nums)))
+
+    for bad in (True, False, 1.0, F(1), F(1, 2)):
+        assert raised(TypeError, build(2, bad, 1)) == f"numerator {bad!r} is not an int"
+    for bad in (1.0, True, F(1), "1", None):
+        assert raised(TypeError, build(bad, 1)) == f"denominator {bad!r} is not an int"
+    for bad in (0, -1, -2):
+        assert raised(ValueError, build(bad, 1)) == f"denominator {bad} is not positive"
+    assert raised(ValueError, build(4, 2, 2)) == "denominator 4 is not in lowest terms"
+    assert raised(ValueError, build(2, 2)) == "denominator 2 is not in lowest terms"
+    assert raised(ValueError, build(6, 2, 4, 0)) == "denominator 6 is not in lowest terms"
+    assert raised(ValueError, lambda: IndexedValuation(
+        2, ((0, 1, 1), (0, 2, 1)))) == "indexed valuation has duplicate indices"
+    assert raised(ValueError, build(2, 1)) == "probabilities sum to 1/2, not 1"
+    assert raised(ValueError, build(3, 1, 1, 2)) == "probabilities sum to 4/3, not 1"
+    assert raised(ValueError, build(1)) == "probabilities sum to 0, not 1"
+    assert raised(ValueError, build(2, -1, 3)) == "negative probability -1/2"
+    # zero terms are kept and ignored
+    a = IndexedValuation(3, ((0, "a", 1), (1, "b", 0), (2, "c", 2)))
+    assert a.entries == ((0, "a", F(1, 3)), (1, "b", F(0)), (2, "c", F(2, 3)))
+    assert a.canonical() == (3, (((3, "a"), 1), ((3, "c"), 2)))
+    assert ival.equiv(a, IndexedValuation(3, ((5, "c", 2), (6, "a", 1))))
+    assert ival.to_distribution(a).weights == (("a", F(1, 3)), ("c", F(2, 3)))
+    assert ival.of_entries(a.entries) == a
 
 
 def test_distribution_validation_messages():
@@ -192,7 +223,7 @@ def gen_wide_ival(rng):
     probs.append(1 - sum(probs, F(0)))
     probs += [F(0)] * rng.randint(0, 2)
     rng.shuffle(probs)
-    return IndexedValuation(tuple((i, rng.randint(-3, 3), p) for (i, p) in enumerate(probs)))
+    return ival.of_entries(tuple((i, rng.randint(-3, 3), p) for (i, p) in enumerate(probs)))
 
 
 def test_expected_value_matches_fraction_sum():
@@ -210,6 +241,62 @@ def test_expected_value_matches_fraction_sum():
         ival.expected_value(lambda v: 0.5, ival.ret(0))
 
 
+# -- the Fraction route --------------------------------------------------------
+
+
+def agrees(m, want, f):
+    """``m`` is the reference valuation ``want``: the same entries, the
+    same canonical form, distribution and expectation of ``f``, and a
+    denominator in lowest terms."""
+    assert m.entries == want
+    assert m.canonical() == ref.canonical(want)
+    assert ival.to_distribution(m).weights == ref.to_distribution(want)
+    assert ival.expected_value(f, m) == ref.expected_value(f, want)
+    assert math.gcd(m.den, *[n for (_, _, n) in m.terms]) == 1
+
+
+def test_operations_match_the_fraction_route():
+    rng = rng_for(47, "ival-fraction-route")
+    h = gen_fun_rational(rng, VALUE_POOL)
+    g = lambda v: v % 3
+    seen = {"p=0": 0, "p=1": 0, "zero term": 0, "reduced": 0}
+    for _ in range(300):
+        (a, b, p) = (gen_ival(rng), gen_ival(rng), gen_prob(rng))
+        f = gen_fun_ival(rng, VALUE_POOL)
+        cont = lambda v: f(v).entries
+        sigma = {i: gen_ival(rng, 3) for (i, _, _) in a.terms}
+        mixed = ival.pchoice(a, p, b)
+        agrees(mixed, ref.pchoice(a.entries, p, b.entries), h)
+        bound = ival.bind(mixed, f)
+        agrees(bound, ref.bind(mixed.entries, cont), h)
+        agrees(ival.bind_per_index(a, sigma),
+               ref.bind_per_index(a.entries, {i: m.entries for (i, m) in sigma.items()}), h)
+        agrees(ival.map_values(g, bound), ref.map_values(g, bound.entries), h)
+        (chain, want) = (a, a.entries)
+        for _ in range(3):
+            (q, c) = (gen_prob(rng), gen_ival(rng, 3))
+            chain = ival.bind(ival.pchoice(chain, q, c), f)
+            want = ref.bind(ref.pchoice(want, q, c.entries), cont)
+            agrees(chain, want, h)
+        seen["p=0"] += p == 0
+        seen["p=1"] += p == 1
+        seen["zero term"] += any(n == 0 for (_, _, n) in a.terms)
+        seen["reduced"] += mixed.den < p.denominator * math.lcm(a.den, b.den)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_degenerate_choices_keep_the_denominator():
+    # a chain of choices with weight 0 or 1 never carries an unreduced factor
+    rng = rng_for(48, "ival-degenerate-chain")
+    a = gen_ival(rng)
+    (left, right) = (a, a)
+    for _ in range(40):
+        left = ival.pchoice(left, 1, gen_ival(rng))
+        right = ival.pchoice(gen_ival(rng), 0, right)
+        assert left.den == right.den == a.den
+    assert ival.equiv(left, a) and ival.equiv(right, a)
+
+
 # -- canonical forms ----------------------------------------------------------
 
 FORM_POOL = (0, 1, True, False, 2, F(1), "x", (1, True), (True, 1))
@@ -222,8 +309,8 @@ def gen_form_ival(rng):
     n = rng.randint(1, 4)
     probs = [F(rng.randint(0, d // n), d) for d in rng.choices(dens, k=n - 1)]
     probs.append(1 - sum(probs, F(0)))
-    return IndexedValuation(tuple((("o", i), rng.choice(FORM_POOL), p)
-                                  for (i, p) in enumerate(probs)))
+    return ival.of_entries(tuple((("o", i), rng.choice(FORM_POOL), p)
+                                 for (i, p) in enumerate(probs)))
 
 
 def python_twin(v):
@@ -254,7 +341,7 @@ def variant(rng, a, kind):
     if rng.random() < 0.3:
         entries.append((("pad", len(entries)), rng.choice(FORM_POOL), F(0)))
     rng.shuffle(entries)
-    return IndexedValuation(tuple(entries))
+    return ival.of_entries(entries)
 
 
 def multiset(a):
@@ -277,7 +364,7 @@ def test_canonical_forms_agree_with_the_fraction_multiset():
             assert math.gcd(den, *[n for (_, n) in pairs]) == 1
             shuffled = list(m.entries)
             rng.shuffle(shuffled)
-            assert IndexedValuation(tuple(shuffled)).canonical() == m.canonical()
+            assert ival.of_entries(shuffled).canonical() == m.canonical()
         seen["equal" if same else "unequal"] += 1
         if kind in ("swap", "move") and not same:
             seen[kind] += 1
@@ -320,7 +407,7 @@ def ivals(draw):
     weights = [draw(st.integers(min_value=1, max_value=5)) for _ in range(n)]
     total = sum(weights)
     vals = [draw(small_vals) for _ in range(n)]
-    return IndexedValuation(tuple(
+    return ival.of_entries(tuple(
         (i, v, F(w, total)) for (i, (v, w)) in enumerate(zip(vals, weights))))
 
 

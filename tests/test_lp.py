@@ -8,7 +8,17 @@ from typing import Optional
 
 import pytest
 
-from ivalbench import lp
+from ivalbench import ival, laws, lp, ndset
+
+
+def key(vec):
+    """A vector of Fractions as ``(den, nums)`` in lowest terms, the form
+    ``convex_hull_membership`` reads."""
+    return ival.over_common_denominator(vec)
+
+
+def hull(point, gens):
+    return lp.convex_hull_membership(key(point), [key(g) for g in gens])
 
 
 def test_feasible_point_system():
@@ -54,7 +64,7 @@ def test_degenerate_zero_rhs():
 def test_hull_membership_inside():
     point = [F(1, 2), F(1, 2)]
     gens = [[F(1), F(0)], [F(0), F(1)]]
-    res = lp.convex_hull_membership(point, gens)
+    res = hull(point, gens)
     assert res.feasible
     assert res.solution == [F(1, 2), F(1, 2)]
 
@@ -62,7 +72,7 @@ def test_hull_membership_inside():
 def test_hull_membership_outside():
     point = [F(2), F(-1)]
     gens = [[F(1), F(0)], [F(0), F(1)]]
-    res = lp.convex_hull_membership(point, gens)
+    res = hull(point, gens)
     assert not res.feasible
     f = res.certificate[:2]
     score_point = f[0] * point[0] + f[1] * point[1]
@@ -73,10 +83,10 @@ def test_hull_membership_outside():
 
 def test_hull_membership_vertex_and_midpoint_of_three():
     gens = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    assert lp.convex_hull_membership([F(0), F(1), F(0)], gens).feasible
+    assert hull([F(0), F(1), F(0)], gens).feasible
     mid = [F(1, 3)] * 3
-    assert lp.convex_hull_membership(mid, gens).feasible
-    assert not lp.convex_hull_membership([F(1, 2), F(1, 2), F(1, 2)], gens).feasible
+    assert hull(mid, gens).feasible
+    assert not hull([F(1, 2), F(1, 2), F(1, 2)], gens).feasible
 
 
 def test_random_mixtures_stay_inside():
@@ -93,7 +103,7 @@ def test_random_mixtures_stay_inside():
         t = sum(lam)
         point = [sum(F(lam[j], t) * gens[j][d] for j in range(len(gens)))
                  for d in range(dim)]
-        assert lp.convex_hull_membership(point, gens).feasible
+        assert hull(point, gens).feasible
 
 
 # ---------------------------------------------------------------------------
@@ -274,4 +284,75 @@ def test_fraction_free_simplex_agrees_with_the_fraction_oracle(monkeypatch):
         assert calls["new"] == calls["oracle"], (A, b)
         seen["feasible" if want.feasible else "infeasible"] += 1
         seen["ratio tie"] += calls["ties"] > ties
+    assert min(seen.values()) >= 50, seen
+
+
+# ---------------------------------------------------------------------------
+# the integer hand-off of convex_hull_membership against the Fraction entry
+
+
+def hull_agrees(point, gens, pivots):
+    """``convex_hull_membership`` on the integer keys ``point`` and
+    ``gens`` returns what ``solve_equality_feasibility`` returns on the
+    same rows as Fractions, after as many pivots; returns its verdict."""
+    before = pivots[0]
+    got = lp.convex_hull_membership(point, gens)
+    mid = pivots[0]
+    rows = [[F(n[d], den) for (den, n) in gens] for d in range(len(point[1]))]
+    want = lp.solve_equality_feasibility(
+        rows + [[F(1)] * len(gens)], [F(n, point[0]) for n in point[1]] + [F(1)])
+    assert (got.feasible, got.solution, got.certificate) == \
+        (want.feasible, want.solution, want.certificate), (point, gens)
+    assert mid - before == pivots[0] - mid, (point, gens)
+    return got.feasible
+
+
+def counted_pivots(monkeypatch) -> list:
+    pivots = [0]
+    pivot = lp.pivot
+
+    def counted(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(lp, "pivot", counted)
+    return pivots
+
+
+def test_hull_hand_off_agrees_on_the_c08_instances(monkeypatch):
+    # the (a, b) pairs of laws.run_subset_p_agreement(500, 500, 13), drawn
+    # in its order, falsifier functions included
+    rng = laws.rng_for(13, "subsetp-agreement")
+    solves = []
+    solve = lp.convex_hull_membership
+    monkeypatch.setattr(lp, "convex_hull_membership",
+                        lambda point, gens: solves.append((point, gens)) or solve(point, gens))
+    verdicts = []
+    for _ in range(500):
+        b = laws.gen_pset(rng, 3, 3)
+        a = laws.dominated_by(rng, b) if rng.random() < 0.5 else laws.gen_pset(rng, 3, 3)
+        (verdict, _) = ndset.subset_p_certified(a, b)
+        verdicts.append(verdict)
+        if verdict:
+            domain = ndset.joint_support(ndset.union(a, b))
+            for _ in range(500):
+                laws.gen_fun_rational(rng, domain)
+    assert (verdicts.count(True), verdicts.count(False)) == (255, 245)
+    monkeypatch.setattr(lp, "convex_hull_membership", solve)
+    pivots = counted_pivots(monkeypatch)
+    feasible = [hull_agrees(point, gens, pivots) for (point, gens) in solves]
+    assert True in feasible and False in feasible and pivots[0] > len(solves)
+
+
+def test_hull_hand_off_agrees_on_random_systems(monkeypatch):
+    # the columns of a random system are the generators, its right-hand
+    # side the point
+    rng = random.Random(14)
+    pivots = counted_pivots(monkeypatch)
+    seen = {"feasible": 0, "infeasible": 0, "zero column": 0, "duplicate column": 0,
+            "negative rhs": 0}
+    for _ in range(600):
+        (A, b) = random_system(rng, seen)
+        gens = [key([F(x) for x in col]) for col in zip(*A)]
+        seen["feasible" if hull_agrees(key(b), gens, pivots) else "infeasible"] += 1
     assert min(seen.values()) >= 50, seen

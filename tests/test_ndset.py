@@ -300,13 +300,17 @@ def test_subset_p_solves_each_distribution_once(monkeypatch):
         values = ndset.joint_support(ndset.union(a, b))
 
         def vec(m):
+            """The distribution of ``m`` over ``values``, as ``(den, nums)``
+            in lowest terms."""
             dist = {ival.value_key(v): p for (v, p) in ival.to_distribution(m).weights}
-            return [dist.get(ival.value_key(v), F(0)) for v in values]
+            (den, nums) = ival.over_common_denominator(
+                [dist.get(ival.value_key(v), F(0)) for v in values])
+            return (den, tuple(nums))
 
         solves.clear()
         doubled = ndset.union(a, a)
         verdict, certs = ndset.subset_p_certified(doubled, b)
-        assert len(solves) == len({tuple(vec(m)) for m in a.members})
+        assert len(solves) == len({vec(m) for m in a.members})
         gens = [vec(m) for m in b.members]
         expected = [solve(vec(m), gens) for m in doubled.members]
         assert verdict == all(res.feasible for res in expected)
